@@ -202,9 +202,14 @@ def validate_config(text, overrides=()):
 
     # domain checks run on whatever resolved (failed casts keep defaults),
     # so one pass reports every violation class together
-    for sec, key in (("cell", "bw_hz"), ("cell", "area_m"), ("cell", "radius_m"), ("cell", "mean_ues")):
-        if resolved[(sec, key)] <= 0:
-            violations.append(f"{sec}.{key} must be positive")
+    for key in ("bw_hz", "area_m", "radius_m", "mean_ues"):
+        if not 0 < resolved[("cell", key)] < math.inf:
+            violations.append(f"cell.{key} must be positive and finite")
+    for key in ("cluster_spread", "mean_extra_clusters"):
+        if not 0 <= resolved[("cell", key)] < math.inf:
+            violations.append(f"cell.{key} must be nonnegative and finite")
+    if resolved[("cell", "fixed_ues")] != -1 and resolved[("cell", "fixed_ues")] < 1:
+        violations.append("cell.fixed_ues must be -1 (Poisson count) or at least 1")
     for sec, key in (("link", "snr_points"), ("sdma", "sir_points"), ("aqnm", "gamma_points"),
                      ("tx", "rf_points"), ("cell", "drops"), ("cell", "ttis"), ("cell", "beams")):
         if resolved[(sec, key)] < 1:

@@ -86,6 +86,12 @@ class PathlossParams:
         return p_out, p_los, 1.0 - p_out - p_los
 
 
+_FINITE_FIELDS = (
+    "area_m", "cell_radius_m", "fc_hz", "bw_hz", "tx_power_dbm", "noise_figure_db", "max_se_bps_hz",
+    "tti_s", "shannon_loss_db", "mean_ues_per_cell", "mean_extra_clusters", "cluster_spread_cos",
+)
+
+
 @dataclass(frozen=True)
 class NetworkConfig:
     area_m: float = 1000.0
@@ -118,8 +124,14 @@ class NetworkConfig:
     eval_bits: tuple = ()
 
     def __post_init__(self):
-        if min(self.area_m, self.cell_radius_m, self.bw_hz, self.tti_s) <= 0:
-            raise ValueError("geometry, bandwidth, and TTI must be positive")
+        for name in _FINITE_FIELDS:
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
+        for name in ("area_m", "cell_radius_m", "bw_hz", "tti_s"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be positive")
+        if self.fixed_ue_count is not None and self.fixed_ue_count < 1:
+            raise ValueError("fixed_ue_count must be at least 1 (None draws a Poisson count)")
         if not (0 <= self.overhead < 1):
             raise ValueError("overhead must sit in [0, 1)")
         if self.scheduler not in SCHEDULERS:
@@ -346,41 +358,45 @@ def schedule_ofdma_pf(state, spectral_effs, member_ids, bw_hz):
     return shares
 
 
+def _capped_se(sinr_linear, cfg):
+    """Spectral efficiency min(cap, log2(1 + s/L)) before overhead."""
+    return np.minimum(cfg.max_se_bps_hz, np.log2(1.0 + sinr_linear / 10.0 ** (cfg.shannon_loss_db / 10.0)))
+
+
 def schedule_sdma_greedy(state, gamma_est, coupling, member_ids, cfg):
     """Greedy spatial grouping: seed with the max PF weight, then admit
     the candidate with the best modeled sum-rate gain while it is
-    strictly positive, up to n_beams_max beams.
+    strictly positive, up to n_beams_max beams.  Ties go to the lowest
+    remaining candidate index.
 
     The sum-rate model splits power equally across the group and uses
     the group-recomputed leakage ratios; it is the quantized-SINR
     formula at the scheduler's resolution-blind operating point (the
-    quantization terms drop out at infinite resolution).  Returns local
-    indices into member_ids.
+    quantization terms drop out at infinite resolution).  All candidate
+    groups of one admission round are scored in one batch.  Returns
+    local indices into member_ids.
     """
     mem = np.asarray(member_ids, dtype=int)
     if mem.size == 0:
         return np.zeros(0, dtype=int)
-    weights = (1.0 - cfg.overhead) * np.minimum(
-        cfg.max_se_bps_hz, np.log2(1.0 + gamma_est / 10.0 ** (cfg.shannon_loss_db / 10.0))
-    ) / state.served_bits[mem]
-    shannon_loss = 10.0 ** (cfg.shannon_loss_db / 10.0)
+    weights = (1.0 - cfg.overhead) * _capped_se(gamma_est, cfg) / state.served_bits[mem]
 
-    def sum_rate(group):
-        k = len(group)
-        gp = gamma_est[group] / k     # equal split of the transmit power
-        if k == 1:
-            psi = np.zeros(1)
-        else:
-            sub = coupling[np.ix_(group, group)]
-            psi = sub.sum(0) - np.diag(sub)
+    def sum_rates(grp):
+        """Modeled sum rate of each row of grp, an (n_groups, k) index array."""
+        gp = gamma_est[grp] / grp.shape[1]     # equal split of the transmit power
+        sub = coupling[grp[:, :, None], grp[:, None, :]]
+        psi = sub.sum(1) - np.diagonal(sub, axis1=1, axis2=2)
         s = gp / (1.0 + psi * gp)
-        return ((1.0 - cfg.overhead) * np.minimum(cfg.max_se_bps_hz, np.log2(1.0 + s / shannon_loss))).sum()
+        return ((1.0 - cfg.overhead) * _capped_se(s, cfg)).sum(-1)
 
     group = [int(np.argmax(weights))]
-    best = sum_rate(group)
+    best = sum_rates(np.array([group]))[0]
     candidates = [i for i in range(mem.size) if i != group[0]]
     while len(group) < cfg.n_beams_max and candidates:
-        rates = [sum_rate(group + [c]) for c in candidates]
+        grp = np.empty((len(candidates), len(group) + 1), dtype=int)
+        grp[:, :-1] = group
+        grp[:, -1] = candidates
+        rates = sum_rates(grp)
         pick = int(np.argmax(rates))
         if rates[pick] <= best:
             break
@@ -394,8 +410,7 @@ def rate_from_sinr(sinr_linear, w_hz, cfg):
     s = np.asarray(sinr_linear, dtype=float)
     if np.any(s < 0):
         raise ValueError("SINR must be nonnegative")
-    se = np.minimum(cfg.max_se_bps_hz, np.log2(1.0 + s / 10.0 ** (cfg.shannon_loss_db / 10.0)))
-    return (1.0 - cfg.overhead) * w_hz * se
+    return (1.0 - cfg.overhead) * w_hz * _capped_se(s, cfg)
 
 
 def generate_layout(cfg, seed=None):
@@ -460,7 +475,16 @@ def _alpha_list(cfg):
 
 
 def run_drop_detailed(cfg, seed=None):
-    """One placement simulated for cfg.n_ttis TTIs; keeps beam usage."""
+    """One placement simulated for cfg.n_ttis TTIs; keeps beam usage.
+
+    The cross-cell tables are evaluated only for users whose link to the
+    cell is not in outage; outage rows stay zero.  This is exact: every
+    table entry reaches the SINR only through a product with the link's
+    gain 10^(-PL/10), and an outage link has PL = inf and thus gain 0.0,
+    so a zero entry and a computed finite one both contribute exactly 0.
+    Each kept row is computed by the same operations as in a dense
+    table, so the results do not depend on how many rows are skipped.
+    """
     drop = generate_layout(cfg, seed)
     bs = drop.bs_positions
     n_bs = len(bs)
@@ -476,22 +500,27 @@ def run_drop_detailed(cfg, seed=None):
     gain_srv = 10.0 ** (-drop.pathloss_db[act, srv] / 10.0)
 
     # cross tables: receive pickup of every cell at each user's beam, and
-    # transmit leakage of each serving beam toward every user
-    w_rx = np.empty((n_act, n_bs))
+    # transmit leakage of each serving beam toward every user; rows of
+    # users in outage to the cell stay zero (see the docstring)
+    w_rx = np.zeros((n_act, n_bs))
     w_tx = [None] * n_bs
     coupling = [None] * n_bs
     for c in range(n_bs):
-        a_rx = _steering(cfg.ue_array, drop.cluster_cos_rx[:, c, :, 0], drop.cluster_cos_rx[:, c, :, 1])
-        w_rx[:, c] = _quadform_sum(a_rx, u_s, t_rx, drop.cluster_powers[:, c])
+        near = np.nonzero(np.isfinite(drop.pathloss_db[act, c]))[0]
+        p_near = drop.cluster_powers[near, c]
+        cos_rx = drop.cluster_cos_rx[near, c]
+        a_rx = _steering(cfg.ue_array, cos_rx[..., 0], cos_rx[..., 1])
+        w_rx[near, c] = _quadform_sum(a_rx, u_s[near], t_rx, p_near)
         mem = members[c]
         if mem.size == 0:
             w_tx[c] = np.zeros((n_act, 0))
             coupling[c] = np.zeros((0, 0))
             continue
-        a_tx = _steering(cfg.bs_array, drop.cluster_cos_tx[:, c, :, 0], drop.cluster_cos_tx[:, c, :, 1])
-        w = np.empty((n_act, mem.size))
+        cos_tx = drop.cluster_cos_tx[near, c]
+        a_tx = _steering(cfg.bs_array, cos_tx[..., 0], cos_tx[..., 1])
+        w = np.zeros((n_act, mem.size))
         for j, m in enumerate(mem):
-            w[:, j] = _quadform_sum(a_tx, v_s[m], t_tx, drop.cluster_powers[:, c])
+            w[near, j] = _quadform_sum(a_tx, v_s[m], t_tx, p_near)
         w_tx[c] = w
         coupling[c] = (w[mem] / e_srv[mem][:, None]).T.copy()  # [beam j, user k]
 
@@ -510,9 +539,7 @@ def run_drop_detailed(cfg, seed=None):
 
     for _ in range(cfg.n_ttis):
         gamma_est = psd * gain_srv * e_srv * g_srv / (n0 + i_lag)
-        se_est = (1.0 - cfg.overhead) * np.minimum(
-            cfg.max_se_bps_hz, np.log2(1.0 + gamma_est / 10.0 ** (cfg.shannon_loss_db / 10.0))
-        )
+        se_est = (1.0 - cfg.overhead) * _capped_se(gamma_est, cfg)
         shares = [None] * n_bs
         groups = [None] * n_bs
         for c in range(n_bs):

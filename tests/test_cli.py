@@ -63,6 +63,23 @@ def test_domain_violations_collected():
     assert any("cell.bw_hz" in m for m in msgs)
 
 
+@pytest.mark.parametrize("key,value", [
+    ("bw_hz", "nan"), ("bw_hz", "inf"), ("area_m", "nan"), ("radius_m", "inf"),
+    ("mean_ues", "nan"), ("cluster_spread", "nan"), ("cluster_spread", "-0.1"),
+    ("mean_extra_clusters", "inf"), ("fixed_ues", "0"), ("fixed_ues", "-2"),
+])
+def test_bad_cell_fields_named(key, value):
+    with pytest.raises(cli.ConfigError) as err:
+        cli.validate_config("", overrides=[("cell", key, value)])
+    assert any(m.startswith(f"cell.{key} ") for m in err.value.violations)
+
+
+def test_cell_fields_at_their_limits_accepted():
+    cfg = cli.validate_config("[cell]\nfixed_ues = 1\ncluster_spread = 0\nmean_extra_clusters = 0\n")
+    assert cfg[("cell", "fixed_ues")] == 1
+    assert cli.validate_config("[cell]\nfixed_ues = -1\n")[("cell", "fixed_ues")] == -1
+
+
 def test_bad_values_reported_with_field_names():
     with pytest.raises(cli.ConfigError) as err:
         cli.validate_config("[link]\nadc_bits = 0,3\nsnr_db = 25:-5\n")
@@ -120,6 +137,16 @@ def test_config_violations_exit_one(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "unknown key link.width" in err
     assert "cell.drops must be at least 1" in err
+
+
+def test_nan_bandwidth_exits_one_before_running(tmp_path, capsys):
+    cfg = tmp_path / "nan.ini"
+    cfg.write_text("[cell]\nbw_hz = nan\ndrops = 1\nttis = 1\narea_m = 400\n")
+    out = tmp_path / "out"
+    rc = cli.main(["cell-ofdma", "--config", str(cfg), "--out", str(out)])
+    assert rc == 1
+    assert "cell.bw_hz" in capsys.readouterr().err
+    assert not list(out.glob("*.csv"))
 
 
 def test_domain_error_exits_two(tmp_path, capsys):

@@ -3,10 +3,14 @@ statistics, scheduler behavior, and drop determinism.  The full-scale
 statistical bands live in the acceptance suite."""
 
 import dataclasses
+import hashlib
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from lowresbf import network, sinr
 from lowresbf.quantizer import alpha_of
@@ -225,6 +229,86 @@ def test_run_drops_jobs_invariant():
         ]
 
 
+def _greedy_oracle(state, gamma_est, coupling, member_ids, cfg):
+    """The one-candidate-at-a-time greedy loop the batched scheduler replaced."""
+    mem = np.asarray(member_ids, dtype=int)
+    if mem.size == 0:
+        return np.zeros(0, dtype=int)
+    weights = (1.0 - cfg.overhead) * np.minimum(
+        cfg.max_se_bps_hz, np.log2(1.0 + gamma_est / 10.0 ** (cfg.shannon_loss_db / 10.0))
+    ) / state.served_bits[mem]
+    shannon_loss = 10.0 ** (cfg.shannon_loss_db / 10.0)
+
+    def sum_rate(group):
+        k = len(group)
+        gp = gamma_est[group] / k
+        if k == 1:
+            psi = np.zeros(1)
+        else:
+            sub = coupling[np.ix_(group, group)]
+            psi = sub.sum(0) - np.diag(sub)
+        s = gp / (1.0 + psi * gp)
+        return ((1.0 - cfg.overhead) * np.minimum(cfg.max_se_bps_hz, np.log2(1.0 + s / shannon_loss))).sum()
+
+    group = [int(np.argmax(weights))]
+    best = sum_rate(group)
+    candidates = [i for i in range(mem.size) if i != group[0]]
+    while len(group) < cfg.n_beams_max and candidates:
+        rates = [sum_rate(group + [c]) for c in candidates]
+        pick = int(np.argmax(rates))
+        if rates[pick] <= best:
+            break
+        best = rates[pick]
+        group.append(candidates.pop(pick))
+    return np.array(sorted(group), dtype=int)
+
+
+# a few repeated values make equal weights and equal candidate rates common
+_TIED = st.sampled_from([0.0, 1.0, 50.0, 1e3])
+
+
+@st.composite
+def _sdma_cases(draw):
+    n = draw(st.integers(1, 9))
+    gamma = draw(hnp.arrays(float, n, elements=st.one_of(_TIED, st.floats(0.0, 1e5))))
+    coupling = draw(hnp.arrays(float, (n, n), elements=st.one_of(st.sampled_from([0.0, 0.5]), st.floats(0.0, 2.0))))
+    served = draw(hnp.arrays(float, n, elements=st.one_of(_TIED.filter(bool), st.floats(1e-3, 1e9))))
+    return gamma, coupling, served, draw(st.integers(1, 4))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_sdma_cases())
+def test_sdma_greedy_matches_oracle(case):
+    gamma, coupling, served, n_beams = case
+    cfg = toy_config(scheduler="SDMA_GREEDY", n_beams_max=n_beams)
+    mem = np.arange(gamma.size)
+    got = network.schedule_sdma_greedy(network.SchedulerState(served.copy()), gamma, coupling, mem, cfg)
+    want = _greedy_oracle(network.SchedulerState(served.copy()), gamma, coupling, mem, cfg)
+    assert got.tolist() == want.tolist()
+
+
+def _rows_sha256(result):
+    rows = [
+        tuple(float(v) if isinstance(v, float) else v for v in dataclasses.astuple(r))
+        for r in result.ue_results
+    ]
+    return hashlib.sha256(repr(rows).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("scheduler,seed,digest", [
+    ("OFDMA_PF", 4, "5ae5ed937bdc898b44368c1618dadbe5ed6bb31c84b3a454a11b860030328ef7"),
+    ("OFDMA_PF", 7, "a5095be5f633c45b9670c514cea6959c22dfd8ab273665e99d99332475979962"),
+    ("SDMA_GREEDY", 4, "370546736a90999dd5f79473873b0f1a11aaae338e289c40cb1bb7bc3c1e999d"),
+    ("SDMA_GREEDY", 7, "55f0fee35391a1dbe2be981bde8aa2339302a2ec633e26e7a51c6f0c412815fe"),
+])
+def test_drop_rows_bit_identical(scheduler, seed, digest):
+    # digests of the dense-table, one-candidate-at-a-time implementation;
+    # about 80% of these toy links are in outage, so the sparse tables and
+    # the batched scheduler must reproduce every row bit for bit
+    cfg = toy_config(scheduler=scheduler, n_adc_bits=3, eval_bits=(4, math.inf), n_ttis=6)
+    assert _rows_sha256(network.run_drop_detailed(cfg, seed=seed)) == digest
+
+
 def test_resolution_dominance_per_ue():
     cfg = toy_config(n_adc_bits=3, eval_bits=(4, math.inf))
     results = network.run_drop(cfg, seed=2)
@@ -258,3 +342,21 @@ def test_config_validation():
         network.NetworkConfig(area_m=-5.0)
     with pytest.raises(ValueError):
         network.NetworkConfig(overhead=1.0)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", ["area_m", "bw_hz", "tx_power_dbm", "mean_ues_per_cell", "cluster_spread_cos"])
+def test_config_rejects_nonfinite_fields(name, value):
+    with pytest.raises(ValueError, match=name):
+        network.NetworkConfig(**{name: value})
+
+
+@pytest.mark.parametrize("count", [0, -1, -40])
+def test_config_rejects_fixed_ue_count_below_one(count):
+    with pytest.raises(ValueError, match="fixed_ue_count"):
+        network.NetworkConfig(fixed_ue_count=count)
+
+
+def test_single_fixed_ue_drop_runs():
+    drop = network.generate_layout(network.NetworkConfig(area_m=400.0, fixed_ue_count=1), seed=0)
+    assert len(drop.ue_positions) == 1
