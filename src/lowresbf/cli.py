@@ -20,25 +20,12 @@ import configparser
 import datetime
 import math
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from . import network, ofdm, power, quantizer, sinr, txchain
-
-PRESETS = (
-    "power-table",
-    "aqnm-curves",
-    "link-validate",
-    "sdma-link",
-    "cell-ofdma",
-    "cell-sdma",
-    "tx-psd",
-    "aclr-sweep",
-    "evm-sweep",
-)
 
 ACLR_LIMIT_BS_DB = 28.0
 ACLR_LIMIT_UE_DB = 17.0
@@ -68,7 +55,7 @@ def _cast_bits(text):
     for tok in text.split(","):
         tok = tok.strip()
         b = math.inf if tok == "inf" else int(tok)
-        if b != math.inf and b < 1:
+        if b < 1:
             raise ValueError(f"resolution {b} below 1 bit")
         out.append(b)
     if not out:
@@ -210,10 +197,14 @@ def validate_config(text, overrides=()):
             violations.append(f"cell.{key} must be nonnegative and finite")
     if resolved[("cell", "fixed_ues")] != -1 and resolved[("cell", "fixed_ues")] < 1:
         violations.append("cell.fixed_ues must be -1 (Poisson count) or at least 1")
-    for sec, key in (("link", "snr_points"), ("sdma", "sir_points"), ("aqnm", "gamma_points"),
-                     ("tx", "rf_points"), ("cell", "drops"), ("cell", "ttis"), ("cell", "beams")):
+    for sec, key in (("run", "jobs"), ("link", "snr_points"), ("sdma", "sir_points"),
+                     ("aqnm", "gamma_points"), ("tx", "rf_points"), ("cell", "drops"), ("cell", "ttis"),
+                     ("cell", "beams")):
         if resolved[(sec, key)] < 1:
             violations.append(f"{sec}.{key} must be at least 1")
+    for sec in ("link", "sdma"):
+        if resolved[(sec, "n_symbols")] < 3:
+            violations.append(f"{sec}.n_symbols must be at least 3 (2 pilot symbols plus 1 data symbol)")
     if violations:
         raise ConfigError(violations)
     return resolved
@@ -292,16 +283,17 @@ def _write_plot(ctx, name, body):
 
 _LOAD_SNIPPET = '''import csv
 
+
+def value(text):
+    try:
+        return float(text)
+    except ValueError:
+        return text
+
+
 def load(path):
     rows = [r for r in csv.reader(open(path)) if r and not r[0].lstrip().startswith("#")]
-    return rows[0], [[float(x) for x in r] for r in rows[1:]]
-'''
-
-_LOAD_RAW_SNIPPET = '''import csv
-
-def load(path):
-    rows = [r for r in csv.reader(open(path)) if r and not r[0].lstrip().startswith("#")]
-    return rows[0], rows[1:]
+    return rows[0], [[value(x) for x in r] for r in rows[1:]]
 '''
 
 
@@ -310,11 +302,8 @@ def _grid(bounds, points):
     return np.linspace(lo, hi, points)
 
 
-def _pool_map(jobs, fn, args):
-    if jobs <= 1 or len(args) <= 1:
-        return [fn(a) for a in args]
-    with ProcessPoolExecutor(max_workers=min(jobs, len(args))) as pool:
-        return list(pool.map(fn, args))
+def _bits_tag(b):
+    return "inf" if b == math.inf else str(int(b))
 
 
 # ---------------------------------------------------------------- power
@@ -356,7 +345,7 @@ def _run_power_table(ctx):
     _write_plot(ctx, "power_table_plot.py", _POWER_PLOT)
 
 
-_POWER_PLOT = _LOAD_RAW_SNIPPET + '''
+_POWER_PLOT = _LOAD_SNIPPET + '''
 import matplotlib.pyplot as plt
 
 head, rows = load("power_table.csv")
@@ -365,7 +354,7 @@ data = {}
 for arch, stage, mw in rows:
     if arch not in archs and stage == "total":
         archs.append(arch)
-    data[(arch, stage)] = float(mw)
+    data[(arch, stage)] = mw
 
 fig, ax = plt.subplots(figsize=(8, 4))
 bottom = [0.0] * len(archs)
@@ -385,10 +374,7 @@ fig.savefig("power_table.png", dpi=150)
 
 def _run_aqnm_curves(ctx):
     bits = ctx.cfg[("aqnm", "bits")]
-    alpha_rows = []
-    for b in bits:
-        a = 0.0 if b == math.inf else quantizer.alpha_of(b)
-        alpha_rows.append((b, a))
+    alpha_rows = [(b, quantizer.alpha_of(b)) for b in bits]
     _write_csv(ctx, "aqnm_alpha.csv", ("n_bits", "alpha"), alpha_rows)
 
     gammas = _grid(ctx.cfg[("aqnm", "gamma_db")], ctx.cfg[("aqnm", "gamma_points")])
@@ -449,10 +435,10 @@ def _run_link_validate(ctx):
     snrs = _grid(ctx.cfg[("link", "snr_db")], ctx.cfg[("link", "snr_points")])
     args = []
     for n_adc in bits:
-        n_dac = math.inf if n_adc == math.inf else n_adc + offset
+        n_dac = n_adc + offset
         for i, s in enumerate(snrs):
             args.append((float(s), n_adc, n_dac, prbs, n_sym, ctx.seed + i))
-    results = _pool_map(ctx.jobs, _link_job, args)
+    results = network.pool_map(_link_job, args, ctx.jobs)
     rows = [
         (s, n_adc, n_dac, prbs, meas, pred)
         for (s, n_adc, n_dac, _p, _n, _sd), (meas, pred) in zip(args, results)
@@ -517,7 +503,7 @@ def _run_sdma_link(ctx):
         for n_adc in all_bits:
             for i, s in enumerate(sirs):
                 args.append((s, float(gamma0), n_adc, prbs, n_sym, ctx.seed + i))
-        results = _pool_map(ctx.jobs, _sdma_job, args)
+        results = network.pool_map(_sdma_job, args, ctx.jobs)
         rows = [
             (s, n_adc, math.inf, prbs, meas, pred)
             for (s, _g, n_adc, _p, _n, _sd), (meas, pred) in zip(args, results)
@@ -621,7 +607,7 @@ def _interior_metric(drops_out, bits, attr):
 def _write_cdfs(ctx, stem, drops_out, bits_list):
     pct = np.arange(1, 100)
     for b in bits_list:
-        tag = "inf" if b == math.inf else f"{int(b)}"
+        tag = _bits_tag(b)
         sv = _interior_metric(drops_out, b, "sinr_db")
         rv = _interior_metric(drops_out, b, "rate_bps")
         if sv.size == 0:
@@ -646,57 +632,41 @@ def _check_dominance(ctx, drops_out, bits_list):
                     return
 
 
-def _run_cell_ofdma(ctx):
-    bits = ctx.cfg[("cell", "adc_bits")]
-    eval_bits = tuple(bits[1:]) + ((math.inf,) if math.inf not in bits else ())
-    ncfg = _network_config(ctx, "OFDMA_PF", bits[0], eval_bits, ctx.cfg[("cell", "beams")])
-    drops_out = network.run_drops(ncfg, ctx.cfg[("cell", "drops")], n_jobs=ctx.jobs)
-    rows = _collect_cell_rows(drops_out, "OFDMA_PF")
-    _write_csv(ctx, "cell_ofdma_ue.csv",
-               ("drop", "ue", "serving_bs", "sinr_db", "rate_bps", "n_bits", "scheduler", "interior"),
-               rows, notes=_NETWORK_NOTES)
-    all_bits = (bits[0],) + eval_bits
-    _write_cdfs(ctx, "cell_ofdma", drops_out, all_bits)
-    _write_plot(ctx, "cell_ofdma_plot.py", _CELL_PLOT.format(stem="cell_ofdma", bits=", ".join(
-        f'"{("inf" if b == math.inf else int(b))}"' for b in all_bits)))
-
-    if ctx.check:
-        _check_dominance(ctx, drops_out, all_bits)
-        s_inf = _interior_metric(drops_out, math.inf, "sinr_db")
-        if 3 in all_bits:
-            s3 = _interior_metric(drops_out, 3, "sinr_db")
-            loss = s_inf - s3
-            med, p90 = np.percentile(loss, 50), np.percentile(loss, 90)
-            if not (0.5 <= med <= 2.0):
-                ctx.fail(f"3-bit median SINR loss {med:.2f} dB outside [0.5, 2]")
-            if not (2.0 <= p90 <= 6.0):
-                ctx.fail(f"3-bit 90th-percentile SINR loss {p90:.2f} dB outside [2, 6]")
-
-
-def _run_cell_sdma(ctx):
-    bits = ctx.cfg[("cell", "sdma_bits")]
+def _run_cell(ctx, scheduler):
+    sdma = scheduler == "SDMA_GREEDY"
+    stem = ctx.preset.replace("-", "_")
+    bits = ctx.cfg[_PRESETS[ctx.preset][1]]  # the resolution list --bits overrides
     eval_bits = tuple(bits[1:]) + ((math.inf,) if math.inf not in bits else ())
     beams = ctx.cfg[("cell", "beams")]
-    ncfg = _network_config(ctx, "SDMA_GREEDY", bits[0], eval_bits, beams)
+    ncfg = _network_config(ctx, scheduler, bits[0], eval_bits, beams)
     drops_out = network.run_drops(ncfg, ctx.cfg[("cell", "drops")], n_jobs=ctx.jobs)
-    rows = _collect_cell_rows(drops_out, "SDMA_GREEDY")
-    _write_csv(ctx, "cell_sdma_ue.csv",
+    rows = _collect_cell_rows(drops_out, scheduler)
+    _write_csv(ctx, f"{stem}_ue.csv",
                ("drop", "ue", "serving_bs", "sinr_db", "rate_bps", "n_bits", "scheduler", "interior"),
                rows, notes=_NETWORK_NOTES)
-    counts = np.concatenate([r.beam_counts for r in drops_out])
-    hist = [(k, int((counts == k).sum())) for k in range(1, beams + 1)]
-    _write_csv(ctx, "cell_sdma_beams.csv", ("n_beams", "count"), hist, notes=_NETWORK_NOTES)
+    if sdma:
+        counts = np.concatenate([r.beam_counts for r in drops_out])
+        hist = [(k, int((counts == k).sum())) for k in range(1, beams + 1)]
+        _write_csv(ctx, f"{stem}_beams.csv", ("n_beams", "count"), hist, notes=_NETWORK_NOTES)
     all_bits = (bits[0],) + eval_bits
-    _write_cdfs(ctx, "cell_sdma", drops_out, all_bits)
-    _write_plot(ctx, "cell_sdma_plot.py", _CELL_PLOT.format(stem="cell_sdma", bits=", ".join(
-        f'"{("inf" if b == math.inf else int(b))}"' for b in all_bits)))
+    _write_cdfs(ctx, stem, drops_out, all_bits)
+    _write_plot(ctx, f"{stem}_plot.py", _CELL_PLOT.format(
+        stem=stem, bits=", ".join(f'"{_bits_tag(b)}"' for b in all_bits)))
 
-    if ctx.check:
-        _check_dominance(ctx, drops_out, all_bits)
-        if beams == 2:
-            frac = (counts == 2).mean()
-            if frac <= 0.9:
-                ctx.fail(f"2-beam usage fraction {frac:.3f} not > 0.9")
+    if not ctx.check:
+        return
+    _check_dominance(ctx, drops_out, all_bits)
+    if sdma and beams == 2:
+        frac = (counts == 2).mean()
+        if frac <= 0.9:
+            ctx.fail(f"2-beam usage fraction {frac:.3f} not > 0.9")
+    if not sdma and 3 in all_bits:
+        loss = _interior_metric(drops_out, math.inf, "sinr_db") - _interior_metric(drops_out, 3, "sinr_db")
+        med, p90 = np.percentile(loss, 50), np.percentile(loss, 90)
+        if not (0.5 <= med <= 2.0):
+            ctx.fail(f"3-bit median SINR loss {med:.2f} dB outside [0.5, 2]")
+        if not (2.0 <= p90 <= 6.0):
+            ctx.fail(f"3-bit 90th-percentile SINR loss {p90:.2f} dB outside [2, 6]")
 
 
 _CELL_PLOT = _LOAD_SNIPPET + '''
@@ -745,11 +715,10 @@ def _run_tx_psd(ctx):
     nperseg = ctx.cfg[("tx", "nperseg")]
     cases = ctx.cfg[("tx", "psd_cases")]
     args = [(b, o, prbs, n_sym, nperseg, ctx.seed) for b, o in cases]
-    results = _pool_map(ctx.jobs, _psd_job, args)
+    results = network.pool_map(_psd_job, args, ctx.jobs)
     names = []
     for (bits, order, *_), (freqs, psd, block_var) in zip(args, results):
-        tag = "inf" if bits == math.inf else f"{int(bits)}"
-        name = f"tx_psd_n{tag}_o{order}.csv"
+        name = f"tx_psd_n{_bits_tag(bits)}_o{order}.csv"
         names.append(name)
         _write_csv(ctx, name, ("freq_offset_hz", "psd_db"), list(zip(freqs, psd)),
                    notes=("unit-power baseband; PSD is relative (dBc/Hz)",))
@@ -794,7 +763,7 @@ def _run_aclr_sweep(ctx):
     n_sym = ctx.cfg[("tx", "n_symbols")]
     nperseg = ctx.cfg[("tx", "nperseg")]
     args = [(b, o, prbs, n_sym, nperseg, ctx.seed) for b in bits for o in orders]
-    results = _pool_map(ctx.jobs, _aclr_job, args)
+    results = network.pool_map(_aclr_job, args, ctx.jobs)
     rows = []
     table = {}
     for (b, o, *_), aclrs in zip(args, results):
@@ -854,7 +823,7 @@ def _run_evm_sweep(ctx):
     points = [float(x) for x in _grid(ctx.cfg[("tx", "inv_sigma_rf_db")], ctx.cfg[("tx", "rf_points")])]
     args = [(b, order, x, n_sym, ctx.seed) for b in bits for x in points]
     floor_args = [(b, order, math.inf, n_sym, ctx.seed) for b in bits]
-    results = _pool_map(ctx.jobs, _evm_job, args + floor_args)
+    results = network.pool_map(_evm_job, args + floor_args, ctx.jobs)
     rows = [(b, x, evm) for (b, _o, x, _n, _s), evm in zip(args, results[: len(args)])]
     _write_csv(ctx, "evm_sweep.csv", ("n_bits", "inv_sigma_rf_db", "evm_pct"), rows)
 
@@ -862,9 +831,8 @@ def _run_evm_sweep(ctx):
     num = ofdm.OfdmNumerology(fft_size=round(chain.chip_rate_hz / 120e3), used_prbs=ctx.cfg[("tx", "used_prbs")])
     floor_rows = []
     for (b, *_), measured in zip(floor_args, results[len(args):]):
-        alpha = 0.0 if b == math.inf else quantizer.alpha_of(b)
-        sig_v2 = 0.0 if b == math.inf else txchain.inband_quantization_noise(b, chain, num.occupied_bw_hz)
-        predicted = txchain.evm_prediction(alpha, 0.0, sig_v2)
+        sig_v2 = txchain.inband_quantization_noise(b, chain, num.occupied_bw_hz)
+        predicted = txchain.evm_prediction(quantizer.alpha_of(b), 0.0, sig_v2)
         floor_rows.append((b, measured, predicted))
         if ctx.check and b != math.inf and 3 <= b <= 6:
             if abs(measured - predicted) > 0.10 * predicted:
@@ -912,34 +880,19 @@ fig.savefig("evm_sweep.png", dpi=150)
 
 # ---------------------------------------------------------------- driver
 
-_RUNNERS = {
-    "power-table": _run_power_table,
-    "aqnm-curves": _run_aqnm_curves,
-    "link-validate": _run_link_validate,
-    "sdma-link": _run_sdma_link,
-    "cell-ofdma": _run_cell_ofdma,
-    "cell-sdma": _run_cell_sdma,
-    "tx-psd": _run_tx_psd,
-    "aclr-sweep": _run_aclr_sweep,
-    "evm-sweep": _run_evm_sweep,
+# preset name: (runner, config key behind --bits, config key behind --snr)
+_PRESETS = {
+    "power-table": (_run_power_table, None, None),
+    "aqnm-curves": (_run_aqnm_curves, ("aqnm", "bits"), ("aqnm", "gamma_db")),
+    "link-validate": (_run_link_validate, ("link", "adc_bits"), ("link", "snr_db")),
+    "sdma-link": (_run_sdma_link, ("sdma", "adc_bits"), ("sdma", "sir_db")),
+    "cell-ofdma": (lambda ctx: _run_cell(ctx, "OFDMA_PF"), ("cell", "adc_bits"), None),
+    "cell-sdma": (lambda ctx: _run_cell(ctx, "SDMA_GREEDY"), ("cell", "sdma_bits"), None),
+    "tx-psd": (_run_tx_psd, ("tx", "bits"), None),
+    "aclr-sweep": (_run_aclr_sweep, ("tx", "bits"), None),
+    "evm-sweep": (_run_evm_sweep, ("tx", "evm_bits"), None),
 }
-
-# which config key the --bits / --snr shortcuts map to, per preset
-_BITS_KEY = {
-    "aqnm-curves": ("aqnm", "bits"),
-    "link-validate": ("link", "adc_bits"),
-    "sdma-link": ("sdma", "adc_bits"),
-    "cell-ofdma": ("cell", "adc_bits"),
-    "cell-sdma": ("cell", "sdma_bits"),
-    "tx-psd": ("tx", "bits"),
-    "aclr-sweep": ("tx", "bits"),
-    "evm-sweep": ("tx", "evm_bits"),
-}
-_SNR_KEY = {
-    "link-validate": ("link", "snr_db"),
-    "sdma-link": ("sdma", "sir_db"),
-    "aqnm-curves": ("aqnm", "gamma_db"),
-}
+PRESETS = tuple(_PRESETS)
 
 
 def run_preset(preset):
@@ -952,7 +905,7 @@ def run_preset(preset):
     out_dir.mkdir(parents=True, exist_ok=True)
     ctx = _RunContext(cfg=cfg, out_dir=out_dir, preset=preset.name,
                       stamp=preset.timestamp, check=preset.check)
-    _RUNNERS[preset.name](ctx)
+    _PRESETS[preset.name][0](ctx)
     if ctx.failures:
         for f in ctx.failures:
             print(f"check failed: {f}", file=sys.stderr)
@@ -1003,16 +956,14 @@ def main(argv=None):
         return 1
 
     overrides = []
-    if ns.bits is not None:
-        if name not in _BITS_KEY:
-            print(f"config error: --bits does not apply to {name}", file=sys.stderr)
+    _, bits_key, snr_key = _PRESETS[name]
+    for flag, value, key in (("--bits", ns.bits, bits_key), ("--snr", ns.snr, snr_key)):
+        if value is None:
+            continue
+        if key is None:
+            print(f"config error: {flag} does not apply to {name}", file=sys.stderr)
             return 1
-        overrides.append((*_BITS_KEY[name], ns.bits))
-    if ns.snr is not None:
-        if name not in _SNR_KEY:
-            print(f"config error: --snr does not apply to {name}", file=sys.stderr)
-            return 1
-        overrides.append((*_SNR_KEY[name], ns.snr))
+        overrides.append((*key, value))
 
     try:
         base = validate_config(text)

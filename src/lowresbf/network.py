@@ -25,6 +25,7 @@ from enum import IntEnum
 import numpy as np
 
 from . import quantizer
+from .sinr import sinr_quantized
 
 __all__ = [
     "LinkState",
@@ -46,6 +47,7 @@ __all__ = [
     "run_drop",
     "run_drop_detailed",
     "run_drops",
+    "pool_map",
 ]
 
 _C_M_S = 299792458.0
@@ -146,8 +148,7 @@ class NetworkConfig:
             if len(shape) != 2 or min(shape) < 1:
                 raise ValueError("array shapes are (rows, cols) of positive ints")
         for b in (self.n_adc_bits, *self.eval_bits):
-            if b != math.inf:
-                quantizer.make_spec(b)
+            quantizer.make_spec(b)
 
     @property
     def n_tx(self):
@@ -297,7 +298,7 @@ def covariance_from_clusters(powers, cos_uv, shape, spread_cos=0.0):
 
 def _draw_clusters(rng, batch_shape, mean_extra):
     n_cl = 1 + rng.poisson(mean_extra, batch_shape)
-    k_max = int(n_cl.max())
+    k_max = int(n_cl.max(initial=1))  # a batch without links still gets one slot
     mask = np.arange(k_max)[(None,) * len(batch_shape)] < n_cl[..., None]
     powers = np.where(mask, rng.exponential(1.0, (*batch_shape, k_max)), 0.0)
     powers = powers / powers.sum(-1, keepdims=True)
@@ -471,7 +472,7 @@ def _alpha_list(cfg):
     for b in bits:
         if b not in seen:
             seen.append(b)
-    return seen, [0.0 if b == math.inf else quantizer.alpha_of(b) for b in seen]
+    return seen, [quantizer.alpha_of(b) for b in seen]
 
 
 def run_drop_detailed(cfg, seed=None):
@@ -528,6 +529,9 @@ def run_drop_detailed(cfg, seed=None):
 
     bits_list, alphas = _alpha_list(cfg)
     n_a = len(alphas)
+    # one row per ADC width, plus the resolution-blind row that feeds the
+    # PF history (alpha = 0 gives exactly the unquantized SINR)
+    alpha_rows = np.array([*alphas, 0.0])[:, None]
     psd, n0 = cfg.tx_psd_mw_hz, cfg.noise_psd_mw_hz
     state = SchedulerState(served_bits=np.full(n_act, 1.0))
     lin_sinr = np.zeros((n_a, n_act))
@@ -540,60 +544,42 @@ def run_drop_detailed(cfg, seed=None):
     for _ in range(cfg.n_ttis):
         gamma_est = psd * gain_srv * e_srv * g_srv / (n0 + i_lag)
         se_est = (1.0 - cfg.overhead) * _capped_se(gamma_est, cfg)
-        shares = [None] * n_bs
-        groups = [None] * n_bs
-        for c in range(n_bs):
-            mem = members[c]
-            if mem.size == 0:
-                continue
-            if sdma:
-                groups[c] = schedule_sdma_greedy(state, gamma_est[mem], coupling[c], mem, cfg)
-                if drop.interior_bs[c]:
-                    beam_counts.append(len(groups[c]))
-            else:
-                shares[c] = schedule_ofdma_pf(state, se_est[mem], mem, cfg.bw_hz)
-
-        # actual interference from every other cell's beams this TTI
+        # per scheduled user: power divisor (group size), leakage ratio psi
+        # and bandwidth; div = 0 marks a user not scheduled this TTI
+        div = np.zeros(n_act)
+        psi = np.zeros(n_act)
+        bw = np.zeros(n_act)
         i_now = np.zeros(n_act)
         for c in range(n_bs):
             mem = members[c]
             if mem.size == 0:
                 continue
             if sdma:
-                gr = groups[c]
+                gr = schedule_sdma_greedy(state, gamma_est[mem], coupling[c], mem, cfg)
+                if drop.interior_bs[c]:
+                    beam_counts.append(len(gr))
                 contrib = (psd / len(gr)) * y_inter[:, c] * w_tx[c][:, gr].sum(1)
+                sub = coupling[c][np.ix_(gr, gr)]
+                div[mem[gr]] = len(gr)
+                psi[mem[gr]] = sub.sum(0) - np.diag(sub)
+                bw[mem[gr]] = cfg.bw_hz
             else:
-                contrib = psd * y_inter[:, c] * (w_tx[c] @ (shares[c] / cfg.bw_hz))
+                shares = schedule_ofdma_pf(state, se_est[mem], mem, cfg.bw_hz)
+                contrib = psd * y_inter[:, c] * (w_tx[c] @ (shares / cfg.bw_hz))
+                div[mem] = 1.0
+                bw[mem] = shares
+            # this cell's beams interfere at every user it does not serve
             contrib[mem] = 0.0
             i_now += contrib
 
         gamma = psd * gain_srv * e_srv * g_srv / (n0 + i_now)
-        for c in range(n_bs):
-            mem = members[c]
-            if mem.size == 0:
-                continue
-            if sdma:
-                gr = groups[c]
-                sel = mem[gr]
-                k = len(gr)
-                gp = gamma[sel] / k
-                sub = coupling[c][np.ix_(gr, gr)]
-                psi = sub.sum(0) - np.diag(sub)
-                for ai, a in enumerate(alphas):
-                    s = (1.0 - a) * gp / (1.0 + (1.0 - a) * psi * gp + (psi + 1.0) * (a / g_srv[sel]) * gp)
-                    lin_sinr[ai, sel] += s
-                    rate_sum[ai, sel] += rate_from_sinr(s, cfg.bw_hz, cfg)
-                sched_cnt[sel] += 1
-                s_blind = gp / (1.0 + psi * gp)
-                state.served_bits[sel] += rate_from_sinr(s_blind, cfg.bw_hz, cfg) * cfg.tti_s
-            else:
-                g = gamma[mem]
-                for ai, a in enumerate(alphas):
-                    s = (1.0 - a) * g / (1.0 + (a / g_srv[mem]) * g)
-                    lin_sinr[ai, mem] += s
-                    rate_sum[ai, mem] += rate_from_sinr(s, shares[c], cfg)
-                sched_cnt[mem] += 1
-                state.served_bits[mem] += rate_from_sinr(g, shares[c], cfg) * cfg.tti_s
+        sel = np.nonzero(div)[0]
+        s = sinr_quantized(gamma[sel] / div[sel], g_srv[sel], psi[sel], alpha_rows)
+        r = rate_from_sinr(s, bw[sel], cfg)
+        lin_sinr[:, sel] += s[:-1]
+        rate_sum[:, sel] += r[:-1]
+        sched_cnt[sel] += 1
+        state.served_bits[sel] += r[-1] * cfg.tti_s
         i_lag = i_now
         state.tti_index += 1
 
@@ -632,8 +618,15 @@ def run_drops(cfg, n_drops, n_jobs=1):
     child of SeedSequence(cfg.seed).
     """
     seeds = np.random.SeedSequence(cfg.seed).spawn(n_drops)
-    jobs = [(cfg, s) for s in seeds]
-    if n_jobs <= 1 or n_drops == 1:
-        return [_drop_job(j) for j in jobs]
-    with ProcessPoolExecutor(max_workers=min(n_jobs, n_drops)) as pool:
-        return list(pool.map(_drop_job, jobs))
+    return pool_map(_drop_job, [(cfg, s) for s in seeds], n_jobs)
+
+
+def pool_map(fn, args, n_jobs):
+    """[fn(a) for a in args], on up to n_jobs worker processes when n_jobs > 1.
+
+    fn must be a module-level function, so workers can import it.
+    """
+    if n_jobs <= 1 or len(args) <= 1:
+        return [fn(a) for a in args]
+    with ProcessPoolExecutor(max_workers=min(n_jobs, len(args))) as pool:
+        return list(pool.map(fn, args))

@@ -34,6 +34,8 @@ __all__ = [
     "ofdm_demodulate",
     "agc_normalize",
     "fir_lowpass",
+    "fir_circular",
+    "fir_zero_phase_response",
     "osr_gain_db",
     "run_link_trial",
     "run_sdma_link_trial",
@@ -198,26 +200,29 @@ def _frac_delay(x, tau):
     return np.fft.ifft(np.fft.fft(x) * ramp)
 
 
-def _fir_circular(x, num, taps=129):
-    """Band-edge FIR applied circularly with its group delay removed.
+def fir_circular(x, h):
+    """Odd-length FIR h applied circularly to x, group delay removed.
 
-    Circular application preserves the cyclic structure the equalizer
-    relies on; the per-bin response used as the genie reference is the
-    same filter evaluated on the FFT bin grid.
+    The delay (len(h)-1)/2 is taken out by a phase ramp on x's FFT grid.
+    Circular application preserves the cyclic structure of the signal.
     """
-    h = firwin(taps, num.occupied_bw_hz / 2, fs=num.chip_rate_hz)
     n = x.size
-    d = (taps - 1) // 2
-    H = np.fft.fft(h, n) * np.exp(2j * np.pi * np.arange(n) * d / n)
-    return np.fft.ifft(np.fft.fft(x) * H), h
-
-
-def _fir_bin_response(h, num):
     d = (len(h) - 1) // 2
-    padded = np.zeros(num.fft_size)
+    H = np.fft.fft(h, n) * np.exp(2j * np.pi * np.arange(n) * d / n)
+    return np.fft.ifft(np.fft.fft(x) * H)
+
+
+def fir_zero_phase_response(h, n):
+    """Response of odd-length FIR h on an n-point FFT grid, group delay removed.
+
+    The delay is rolled out of the zero-padded taps before the FFT.  This
+    is the response fir_circular applies; the two forms differ in the
+    last bits (about 4e-14 for a 129-tap filter), so each caller keeps
+    the form its outputs were recorded with.
+    """
+    padded = np.zeros(n)
     padded[: len(h)] = h
-    resp = np.fft.fft(np.roll(padded, -d))
-    return resp[_bin_map(num)]
+    return np.fft.fft(np.roll(padded, -((len(h) - 1) // 2)))
 
 
 def _equalize(rx_grid, tx_grid, ref):
@@ -259,12 +264,15 @@ def _run_chain(cfg, interferer_psi):
     y = ComplexSampleBlock(x + noise, num.chip_rate_hz)
     y = agc_normalize(y)
     y = quantizer.quantize(y, quantizer.make_spec(cfg.n_adc))
-    filtered, h = _fir_circular(y.samples, num)
+    # band-edge FIR, applied circularly so the equalizer sees cyclic
+    # symbols; the genie reference is the same filter on the FFT bin grid
+    h = firwin(129, num.occupied_bw_hz / 2, fs=num.chip_rate_hz)
+    filtered = fir_circular(y.samples, h)
     rx = ofdm_demodulate(ComplexSampleBlock(filtered, num.chip_rate_hz), num, cfg.n_symbols)
 
     k_signed = np.arange(num.n_subcarriers) - num.n_subcarriers // 2
     timing = np.exp(-2j * np.pi * k_signed * RX_TIMING_OFFSET / num.fft_size)
-    ref = _fir_bin_response(h, num) * timing
+    ref = fir_zero_phase_response(h, num.fft_size)[_bin_map(num)] * timing
     return _equalize(rx, grid.symbols, ref)
 
 

@@ -122,7 +122,7 @@ def _solve(n_bits):
 def _check_bits(n_bits):
     if n_bits == math.inf:
         return math.inf
-    if isinstance(n_bits, bool) or int(n_bits) != n_bits or not (1 <= n_bits <= _MAX_BITS):
+    if isinstance(n_bits, bool) or not math.isfinite(n_bits) or int(n_bits) != n_bits or not (1 <= n_bits <= _MAX_BITS):
         raise ValueError(f"n_bits must be an integer in 1..{_MAX_BITS} or math.inf, got {n_bits!r}")
     return int(n_bits)
 

@@ -16,6 +16,7 @@ __all__ = [
     "GAMMA_CAP",
     "LinkQuality",
     "sinr_beamformed",
+    "sinr_quantized",
     "sinr_orthogonal_quantized",
     "sinr_saturation",
     "sinr_sdma_quantized",
@@ -68,15 +69,25 @@ def sinr_beamformed(gammas, k):
     return float(g[k] / (1.0 + g.sum() - g[k]))
 
 
+def sinr_quantized(g, G, psi, alpha):
+    """Quantized SINR of a stream with psi*g of co-scheduled interference.
+
+    (1-a)*g / (1 + (1-a)*psi*g + (psi+1)*(a/G)*g): the numerator keeps
+    the correlated part of the quantizer output, the denominator adds the
+    co-scheduled streams and the per-antenna distortion of every stream
+    left after the combiner's gain G.  Plain broadcasting arrays, with no
+    checks and no cap on g.
+    """
+    return (1.0 - alpha) * g / (1.0 + (1.0 - alpha) * psi * g + (psi + 1.0) * (alpha / G) * g)
+
+
 def sinr_orthogonal_quantized(gamma_bf, alpha, G):
     """Quantized SINR for orthogonal transmission.
 
-    (1-alpha)*gamma / (1 + (alpha/G)*gamma): the numerator keeps the
-    correlated part of the quantizer output, the denominator adds the
-    per-antenna distortion left after the combiner's gain G.
+    (1-alpha)*gamma / (1 + (alpha/G)*gamma), which is sinr_quantized at
+    psi = 0 exactly: the psi terms add an exact 0.0 and multiply by 1.0.
     """
-    gamma_bf = np.minimum(gamma_bf, GAMMA_CAP)
-    return (1.0 - alpha) * gamma_bf / (1.0 + (alpha / G) * gamma_bf)
+    return sinr_quantized(np.minimum(gamma_bf, GAMMA_CAP), G, 0.0, alpha)
 
 
 def sinr_saturation(alpha, G):
@@ -87,13 +98,8 @@ def sinr_saturation(alpha, G):
 
 
 def sinr_sdma_quantized(q, alpha):
-    """Quantized SINR with psi*gamma_prime of co-scheduled interference.
-
-    (1-a)*g / (1 + (1-a)*psi*g + (psi+1)*(a/G)*g).  At psi = 0 this is
-    exactly the orthogonal expression.
-    """
-    g, G, psi = q.gamma_prime, q.bf_gain, q.psi
-    return (1.0 - alpha) * g / (1.0 + (1.0 - alpha) * psi * g + (psi + 1.0) * (alpha / G) * g)
+    """sinr_quantized on the fields of a checked, capped LinkQuality q."""
+    return sinr_quantized(q.gamma_prime, q.bf_gain, q.psi, alpha)
 
 
 def sdma_beta(q, alpha):

@@ -21,7 +21,7 @@ from scipy.signal import firwin, welch
 
 from . import quantizer
 from .quantizer import ComplexSampleBlock
-from .ofdm import OfdmNumerology, ofdm_modulate, random_grid
+from .ofdm import OfdmNumerology, fir_circular, fir_zero_phase_response, ofdm_modulate, random_grid
 
 __all__ = [
     "DacChainConfig",
@@ -60,8 +60,7 @@ class DacChainConfig:
             raise ValueError("lpf_order must be a nonnegative integer")
         if self.lpf_fc_hz <= 0 or self.dac_fs_hz <= 0:
             raise ValueError("frequencies must be positive")
-        if self.n_bits != math.inf:
-            quantizer.make_spec(self.n_bits)  # reject bad bit widths early
+        quantizer.make_spec(self.n_bits)  # reject bad bit widths early
 
     @property
     def chip_rate_hz(self):
@@ -120,10 +119,7 @@ def dac_convert(baseband, cfg):
     if cfg.interp_m > 1:
         up = np.zeros(x.size * cfg.interp_m, dtype=complex)
         up[:: cfg.interp_m] = x
-        taps = _interp_taps(cfg)
-        d = (INTERP_TAPS - 1) // 2
-        H = np.fft.fft(taps, up.size) * np.exp(2j * np.pi * np.arange(up.size) * d / up.size)
-        up = np.fft.ifft(np.fft.fft(up) * H)
+        up = fir_circular(up, _interp_taps(cfg))
     else:
         up = x.astype(complex)
     if cfg.n_bits != math.inf:
@@ -211,11 +207,7 @@ def _chain_bin_response(cfg, num, k_signed):
     n_dac = num.fft_size * m
     n_an = n_dac * L
     if m > 1:
-        taps = _interp_taps(cfg)
-        d = (INTERP_TAPS - 1) // 2
-        padded = np.zeros(n_dac)
-        padded[:INTERP_TAPS] = taps
-        h_int = np.fft.fft(np.roll(padded, -d))[np.asarray(k_signed) % n_dac]
+        h_int = fir_zero_phase_response(_interp_taps(cfg), n_dac)[np.asarray(k_signed) % n_dac]
     else:
         h_int = np.ones(len(k_signed))
     zoh = _zoh_response(k_signed, n_an, L)

@@ -5,6 +5,7 @@ Presets run at toy scale here; the statistical claims behind --check are
 exercised at full scale by the acceptance suite.
 """
 
+import hashlib
 import math
 import py_compile
 
@@ -72,6 +73,29 @@ def test_bad_cell_fields_named(key, value):
     with pytest.raises(cli.ConfigError) as err:
         cli.validate_config("", overrides=[("cell", key, value)])
     assert any(m.startswith(f"cell.{key} ") for m in err.value.violations)
+
+
+@pytest.mark.parametrize("sec,key,value,field", [
+    ("run", "jobs", "0", "run.jobs"), ("run", "jobs", "-3", "run.jobs"),
+    ("link", "n_symbols", "1", "link.n_symbols"), ("sdma", "n_symbols", "2", "sdma.n_symbols"),
+])
+def test_small_counts_named(sec, key, value, field):
+    with pytest.raises(cli.ConfigError) as err:
+        cli.validate_config("", overrides=[(sec, key, value)])
+    assert any(m.startswith(f"{field} ") for m in err.value.violations)
+
+
+@pytest.mark.parametrize("args", [
+    ["power-table", "--jobs", "-3"],
+    ["link-validate", "--config", "{ini}"],
+])
+def test_small_counts_exit_one(tmp_path, capsys, args):
+    ini = tmp_path / "c.ini"
+    ini.write_text("[link]\nn_symbols = 1\nsnr_points = 1\n")
+    argv = [a.format(ini=ini) for a in args] + ["--out", str(tmp_path / "out")]
+    assert cli.main(argv) == 1
+    assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_cell_fields_at_their_limits_accepted():
@@ -156,6 +180,14 @@ def test_domain_error_exits_two(tmp_path, capsys):
     rc = cli.main(["tx-psd", "--config", cfg.as_posix(), "--out", str(tmp_path / "out")])
     assert rc == 2
     assert "domain error" in capsys.readouterr().err
+
+
+def test_cell_drop_without_users_exits_two(tmp_path, capsys):
+    cfg = tmp_path / "cell.ini"
+    cfg.write_text("[cell]\nradius_m = 1000\ndrops = 1\nttis = 2\n")
+    rc = cli.main(["cell-ofdma", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert "no scheduled interior users" in capsys.readouterr().err
 
 
 def test_failed_check_exits_three(tmp_path, capsys):
@@ -327,3 +359,35 @@ def test_evm_sweep_artifacts(tmp_path):
     meas, pred = float(frows[0][1]), float(frows[0][2])
     assert meas == pytest.approx(pred, rel=0.3)  # 2 symbols; the 10% claim runs at full scale
     py_compile.compile(str(out / "evm_sweep_plot.py"), doraise=True)
+
+
+@pytest.mark.parametrize("preset,config,digests", [
+    ("aqnm-curves", "[aqnm]\nbits = 1,4,inf\ngamma_points = 5\n", {
+        "aqnm_alpha.csv": "f4af798910276757cbd454ad5c32ebaf8b42678152923b7405c029360383df01",
+        "aqnm_sinr.csv": "706708b67b5d7c10cf16f46d1e169eed54c23368def83a9c854f475fa8e5fc0b",
+    }),
+    ("link-validate", "[link]\nadc_bits = 3,inf\nsnr_db = 10:10\nsnr_points = 1\nn_symbols = 3\nused_prbs = 100\n", {
+        "link_validate.csv": "f1c5ee7bbe5a2f4ce7f600a2cabd336a2a035afe4658e4ec25f85e6ebe23d3db",
+    }),
+    ("sdma-link", "[sdma]\nadc_bits = 3\nsir_db = 20:20\nsir_points = 1\ngamma0_db = 0\nn_symbols = 3\n"
+                  "used_prbs = 100\n", {
+        "sdma_link_g0.csv": "ad759d4f3115d7d04e027c40df07ffb99a5e055eb0389a61084b13f1b0348178",
+    }),
+    ("aclr-sweep", "[tx]\nbits = 4,inf\nlpf_orders = 0,1\nn_symbols = 2\nnperseg = 1024\n", {
+        "aclr_sweep.csv": "e37c88b65fad78bb1cd2a39d89ec630ba54cf84d864dd004b3b27a4cb5ac153b",
+    }),
+    ("evm-sweep", "[tx]\nevm_bits = 4,inf\nevm_lpf_order = 1\nn_symbols = 2\ninv_sigma_rf_db = 40:40\n"
+                  "rf_points = 1\n", {
+        "evm_floor.csv": "1d68a93230f112bfa8c1ac8e6fbe9fd6c07671d44c74b291516f8feb6e0095bc",
+        "evm_sweep.csv": "5148c4b92195591178efc7e2a317b3557cfcd50a8f150949909a17fe33cd4ea6",
+    }),
+])
+def test_waveform_csvs_bit_identical(tmp_path, preset, config, digests):
+    # digests recorded before the FIR helpers and the infinite-resolution
+    # paths were folded together; each config includes an inf width
+    cfg = tmp_path / "c.ini"
+    cfg.write_text(config)
+    out = tmp_path / "out"
+    assert cli.main([preset, "--config", str(cfg), "--out", str(out), "--no-timestamp"]) == 0
+    got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.glob("*.csv")}
+    assert got == digests

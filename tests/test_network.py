@@ -360,3 +360,15 @@ def test_config_rejects_fixed_ue_count_below_one(count):
 def test_single_fixed_ue_drop_runs():
     drop = network.generate_layout(network.NetworkConfig(area_m=400.0, fixed_ue_count=1), seed=0)
     assert len(drop.ue_positions) == 1
+
+
+@pytest.mark.parametrize("scheduler", network.SCHEDULERS)
+def test_drop_with_every_user_in_outage(scheduler):
+    # one site of radius 1000 m; at seed 1 both users sit beyond the
+    # distance where every link is in outage
+    cfg = network.NetworkConfig(cell_radius_m=1000.0, fixed_ue_count=2, scheduler=scheduler, n_ttis=3)
+    assert network.generate_layout(cfg, seed=1).active_ue.size == 0
+    result = network.run_drop_detailed(cfg, seed=1)
+    assert result.ue_results == []
+    assert result.beam_counts.size == 0
+    assert result.n_ues_total == 2

@@ -88,6 +88,13 @@ def test_bits_domain():
         quantizer.optimal_step(math.inf)
 
 
+@pytest.mark.parametrize("bad", [math.nan, -math.inf])
+@pytest.mark.parametrize("fn", [quantizer.alpha_of, quantizer.make_spec])
+def test_nonfinite_bits_rejected_by_name(fn, bad):
+    with pytest.raises(ValueError, match="n_bits must be"):
+        fn(bad)
+
+
 def test_alpha_strictly_decreasing():
     alphas = [quantizer.alpha_of(n) for n in range(1, 11)]
     assert all(a > b > 0 for a, b in zip(alphas, alphas[1:]))

@@ -46,6 +46,8 @@ def test_config_validation():
         txchain.DacChainConfig(lpf_order=-1)
     with pytest.raises(ValueError):
         txchain.DacChainConfig(n_bits=0)
+    with pytest.raises(ValueError, match="n_bits must be"):
+        txchain.DacChainConfig(n_bits=math.nan)
     cfg = txchain.DacChainConfig()
     assert cfg.chip_rate_hz == pytest.approx(CHIP)
     assert cfg.analog_rate_hz == pytest.approx(983.04e6 * 8)
