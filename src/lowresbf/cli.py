@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import network, ofdm, power, quantizer, sinr, txchain
+from . import network, ofdm, parallel, power, quantizer, sinr, txchain
 
 ACLR_LIMIT_BS_DB = 28.0
 ACLR_LIMIT_UE_DB = 17.0
@@ -438,7 +438,7 @@ def _run_link_validate(ctx):
         n_dac = n_adc + offset
         for i, s in enumerate(snrs):
             args.append((float(s), n_adc, n_dac, prbs, n_sym, ctx.seed + i))
-    results = network.pool_map(_link_job, args, ctx.jobs)
+    results = parallel.pool_map(_link_job, args, ctx.jobs)
     rows = [
         (s, n_adc, n_dac, prbs, meas, pred)
         for (s, n_adc, n_dac, _p, _n, _sd), (meas, pred) in zip(args, results)
@@ -503,7 +503,7 @@ def _run_sdma_link(ctx):
         for n_adc in all_bits:
             for i, s in enumerate(sirs):
                 args.append((s, float(gamma0), n_adc, prbs, n_sym, ctx.seed + i))
-        results = network.pool_map(_sdma_job, args, ctx.jobs)
+        results = parallel.pool_map(_sdma_job, args, ctx.jobs)
         rows = [
             (s, n_adc, math.inf, prbs, meas, pred)
             for (s, _g, n_adc, _p, _n, _sd), (meas, pred) in zip(args, results)
@@ -632,41 +632,50 @@ def _check_dominance(ctx, drops_out, bits_list):
                     return
 
 
-def _run_cell(ctx, scheduler):
-    sdma = scheduler == "SDMA_GREEDY"
-    stem = ctx.preset.replace("-", "_")
-    bits = ctx.cfg[_PRESETS[ctx.preset][1]]  # the resolution list --bits overrides
+def _run_cell(ctx, scheduler, bits, stem):
+    """Drops, per-UE CSV, CDFs, plot and rate-dominance check of a cell preset.
+
+    bits[0] is the width the drop is scheduled at; the rest are also
+    recorded, plus infinite resolution.  Returns the drops and every
+    recorded width, for the preset's own outputs and checks.
+    """
     eval_bits = tuple(bits[1:]) + ((math.inf,) if math.inf not in bits else ())
-    beams = ctx.cfg[("cell", "beams")]
-    ncfg = _network_config(ctx, scheduler, bits[0], eval_bits, beams)
+    ncfg = _network_config(ctx, scheduler, bits[0], eval_bits, ctx.cfg[("cell", "beams")])
     drops_out = network.run_drops(ncfg, ctx.cfg[("cell", "drops")], n_jobs=ctx.jobs)
     rows = _collect_cell_rows(drops_out, scheduler)
     _write_csv(ctx, f"{stem}_ue.csv",
                ("drop", "ue", "serving_bs", "sinr_db", "rate_bps", "n_bits", "scheduler", "interior"),
                rows, notes=_NETWORK_NOTES)
-    if sdma:
-        counts = np.concatenate([r.beam_counts for r in drops_out])
-        hist = [(k, int((counts == k).sum())) for k in range(1, beams + 1)]
-        _write_csv(ctx, f"{stem}_beams.csv", ("n_beams", "count"), hist, notes=_NETWORK_NOTES)
     all_bits = (bits[0],) + eval_bits
     _write_cdfs(ctx, stem, drops_out, all_bits)
     _write_plot(ctx, f"{stem}_plot.py", _CELL_PLOT.format(
         stem=stem, bits=", ".join(f'"{_bits_tag(b)}"' for b in all_bits)))
+    if ctx.check:
+        _check_dominance(ctx, drops_out, all_bits)
+    return drops_out, all_bits
 
-    if not ctx.check:
-        return
-    _check_dominance(ctx, drops_out, all_bits)
-    if sdma and beams == 2:
-        frac = (counts == 2).mean()
-        if frac <= 0.9:
-            ctx.fail(f"2-beam usage fraction {frac:.3f} not > 0.9")
-    if not sdma and 3 in all_bits:
+
+def _run_cell_ofdma(ctx):
+    drops_out, all_bits = _run_cell(ctx, "OFDMA_PF", ctx.cfg[("cell", "adc_bits")], "cell_ofdma")
+    if ctx.check and 3 in all_bits:
         loss = _interior_metric(drops_out, math.inf, "sinr_db") - _interior_metric(drops_out, 3, "sinr_db")
         med, p90 = np.percentile(loss, 50), np.percentile(loss, 90)
         if not (0.5 <= med <= 2.0):
             ctx.fail(f"3-bit median SINR loss {med:.2f} dB outside [0.5, 2]")
         if not (2.0 <= p90 <= 6.0):
             ctx.fail(f"3-bit 90th-percentile SINR loss {p90:.2f} dB outside [2, 6]")
+
+
+def _run_cell_sdma(ctx):
+    drops_out, _ = _run_cell(ctx, "SDMA_GREEDY", ctx.cfg[("cell", "sdma_bits")], "cell_sdma")
+    beams = ctx.cfg[("cell", "beams")]
+    counts = np.concatenate([r.beam_counts for r in drops_out])
+    hist = [(k, int((counts == k).sum())) for k in range(1, beams + 1)]
+    _write_csv(ctx, "cell_sdma_beams.csv", ("n_beams", "count"), hist, notes=_NETWORK_NOTES)
+    if ctx.check and beams == 2:
+        frac = (counts == 2).mean()
+        if frac <= 0.9:
+            ctx.fail(f"2-beam usage fraction {frac:.3f} not > 0.9")
 
 
 _CELL_PLOT = _LOAD_SNIPPET + '''
@@ -715,7 +724,7 @@ def _run_tx_psd(ctx):
     nperseg = ctx.cfg[("tx", "nperseg")]
     cases = ctx.cfg[("tx", "psd_cases")]
     args = [(b, o, prbs, n_sym, nperseg, ctx.seed) for b, o in cases]
-    results = network.pool_map(_psd_job, args, ctx.jobs)
+    results = parallel.pool_map(_psd_job, args, ctx.jobs)
     names = []
     for (bits, order, *_), (freqs, psd, block_var) in zip(args, results):
         name = f"tx_psd_n{_bits_tag(bits)}_o{order}.csv"
@@ -763,7 +772,7 @@ def _run_aclr_sweep(ctx):
     n_sym = ctx.cfg[("tx", "n_symbols")]
     nperseg = ctx.cfg[("tx", "nperseg")]
     args = [(b, o, prbs, n_sym, nperseg, ctx.seed) for b in bits for o in orders]
-    results = network.pool_map(_aclr_job, args, ctx.jobs)
+    results = parallel.pool_map(_aclr_job, args, ctx.jobs)
     rows = []
     table = {}
     for (b, o, *_), aclrs in zip(args, results):
@@ -823,7 +832,7 @@ def _run_evm_sweep(ctx):
     points = [float(x) for x in _grid(ctx.cfg[("tx", "inv_sigma_rf_db")], ctx.cfg[("tx", "rf_points")])]
     args = [(b, order, x, n_sym, ctx.seed) for b in bits for x in points]
     floor_args = [(b, order, math.inf, n_sym, ctx.seed) for b in bits]
-    results = network.pool_map(_evm_job, args + floor_args, ctx.jobs)
+    results = parallel.pool_map(_evm_job, args + floor_args, ctx.jobs)
     rows = [(b, x, evm) for (b, _o, x, _n, _s), evm in zip(args, results[: len(args)])]
     _write_csv(ctx, "evm_sweep.csv", ("n_bits", "inv_sigma_rf_db", "evm_pct"), rows)
 
@@ -886,8 +895,8 @@ _PRESETS = {
     "aqnm-curves": (_run_aqnm_curves, ("aqnm", "bits"), ("aqnm", "gamma_db")),
     "link-validate": (_run_link_validate, ("link", "adc_bits"), ("link", "snr_db")),
     "sdma-link": (_run_sdma_link, ("sdma", "adc_bits"), ("sdma", "sir_db")),
-    "cell-ofdma": (lambda ctx: _run_cell(ctx, "OFDMA_PF"), ("cell", "adc_bits"), None),
-    "cell-sdma": (lambda ctx: _run_cell(ctx, "SDMA_GREEDY"), ("cell", "sdma_bits"), None),
+    "cell-ofdma": (_run_cell_ofdma, ("cell", "adc_bits"), None),
+    "cell-sdma": (_run_cell_sdma, ("cell", "sdma_bits"), None),
     "tx-psd": (_run_tx_psd, ("tx", "bits"), None),
     "aclr-sweep": (_run_aclr_sweep, ("tx", "bits"), None),
     "evm-sweep": (_run_evm_sweep, ("tx", "evm_bits"), None),

@@ -18,13 +18,13 @@ from interior cells; the finite area has no wrap-around.
 """
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from enum import IntEnum
 
 import numpy as np
 
 from . import quantizer
+from .parallel import pool_map
 from .sinr import sinr_quantized
 
 __all__ = [
@@ -47,7 +47,6 @@ __all__ = [
     "run_drop",
     "run_drop_detailed",
     "run_drops",
-    "pool_map",
 ]
 
 _C_M_S = 299792458.0
@@ -619,14 +618,3 @@ def run_drops(cfg, n_drops, n_jobs=1):
     """
     seeds = np.random.SeedSequence(cfg.seed).spawn(n_drops)
     return pool_map(_drop_job, [(cfg, s) for s in seeds], n_jobs)
-
-
-def pool_map(fn, args, n_jobs):
-    """[fn(a) for a in args], on up to n_jobs worker processes when n_jobs > 1.
-
-    fn must be a module-level function, so workers can import it.
-    """
-    if n_jobs <= 1 or len(args) <= 1:
-        return [fn(a) for a in args]
-    with ProcessPoolExecutor(max_workers=min(n_jobs, len(args))) as pool:
-        return list(pool.map(fn, args))

@@ -203,26 +203,18 @@ def _frac_delay(x, tau):
 def fir_circular(x, h):
     """Odd-length FIR h applied circularly to x, group delay removed.
 
-    The delay (len(h)-1)/2 is taken out by a phase ramp on x's FFT grid.
     Circular application preserves the cyclic structure of the signal.
     """
-    n = x.size
-    d = (len(h) - 1) // 2
-    H = np.fft.fft(h, n) * np.exp(2j * np.pi * np.arange(n) * d / n)
-    return np.fft.ifft(np.fft.fft(x) * H)
+    return np.fft.ifft(np.fft.fft(x) * fir_zero_phase_response(h, x.size))
 
 
 def fir_zero_phase_response(h, n):
     """Response of odd-length FIR h on an n-point FFT grid, group delay removed.
 
-    The delay is rolled out of the zero-padded taps before the FFT.  This
-    is the response fir_circular applies; the two forms differ in the
-    last bits (about 4e-14 for a 129-tap filter), so each caller keeps
-    the form its outputs were recorded with.
+    The delay (len(h)-1)/2 is taken out by a phase ramp.
     """
-    padded = np.zeros(n)
-    padded[: len(h)] = h
-    return np.fft.fft(np.roll(padded, -((len(h) - 1) // 2)))
+    d = (len(h) - 1) // 2
+    return np.fft.fft(h, n) * np.exp(2j * np.pi * np.arange(n) * d / n)
 
 
 def _equalize(rx_grid, tx_grid, ref):

@@ -122,9 +122,7 @@ def dac_convert(baseband, cfg):
         up = fir_circular(up, _interp_taps(cfg))
     else:
         up = x.astype(complex)
-    if cfg.n_bits != math.inf:
-        blk = quantizer.quantize(ComplexSampleBlock(up, cfg.dac_fs_hz), quantizer.make_spec(cfg.n_bits))
-        up = blk.samples
+    up = quantizer.quantize(ComplexSampleBlock(up, cfg.dac_fs_hz), quantizer.make_spec(cfg.n_bits)).samples
     z = np.repeat(up, cfg.zoh_oversample)
     return ComplexSampleBlock(z, cfg.analog_rate_hz)
 
