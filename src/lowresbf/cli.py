@@ -41,30 +41,38 @@ class ConfigError(Exception):
 
 # ---------------------------------------------------------------- config
 
-def _cast_int(text):
-    return int(text)
+def _finite(text):
+    v = float(text)
+    if not math.isfinite(v):
+        raise ValueError(f"{v} is not finite")
+    return v
 
 
-def _cast_float(text):
-    return float(text)
+def _bit_width(tok):
+    """One resolution token, 'inf' or an integer, held to the quantizer's width rule."""
+    tok = tok.strip()
+    return quantizer._check_bits(math.inf if tok == "inf" else int(tok))
 
 
 def _cast_bits(text):
-    """Comma list of resolutions; 'inf' allowed, each finite entry >= 1."""
-    out = []
-    for tok in text.split(","):
-        tok = tok.strip()
-        b = math.inf if tok == "inf" else int(tok)
-        if b < 1:
-            raise ValueError(f"resolution {b} below 1 bit")
-        out.append(b)
-    if not out:
-        raise ValueError("empty list")
-    return tuple(out)
+    """Comma list of resolutions."""
+    return tuple(_bit_width(t) for t in text.split(","))
 
 
 def _cast_floats(text):
-    return tuple(float(t) for t in text.split(","))
+    return tuple(_finite(t) for t in text.split(","))
+
+
+def _order(tok):
+    """One filter order: a whole number >= 0, as a float."""
+    v = _finite(tok)
+    if v < 0 or not v.is_integer():
+        raise ValueError(f"filter order {v:g} is not a whole number >= 0")
+    return v
+
+
+def _cast_orders(text):
+    return tuple(_order(t) for t in text.split(","))
 
 
 def _cast_range(text):
@@ -72,7 +80,7 @@ def _cast_range(text):
     lo, _, hi = text.partition(":")
     if not _:
         raise ValueError("expected lo:hi")
-    lo, hi = float(lo), float(hi)
+    lo, hi = _finite(lo), _finite(hi)
     if hi < lo:
         raise ValueError("range upper bound below lower")
     return lo, hi
@@ -82,66 +90,76 @@ def _cast_cases(text):
     """'bits:order' pairs, comma separated."""
     out = []
     for tok in text.split(","):
-        b, _, o = tok.strip().partition(":")
+        b, _, o = tok.partition(":")
         if not _:
             raise ValueError("expected bits:order pairs")
-        bits = math.inf if b.strip() == "inf" else int(b)
-        out.append((bits, int(o)))
+        out.append((_bit_width(b), int(_order(o))))
     return tuple(out)
 
 
+# domain rules: (test, what a violation says after "sec.key ")
+_AT_LEAST_1 = (lambda v: v >= 1, "must be at least 1")
+_AT_LEAST_0 = (lambda v: v >= 0, "must be at least 0")
+_POSITIVE = (lambda v: 0 < v < math.inf, "must be positive and finite")
+_NONNEGATIVE = (lambda v: 0 <= v < math.inf, "must be nonnegative and finite")
+_SYMBOLS = (lambda v: v >= 3, "must be at least 3 (2 pilot symbols plus 1 data symbol)")
+_PRBS = (lambda v: 1 <= v <= ofdm.OfdmNumerology.max_prbs,
+         f"must be in 1..{ofdm.OfdmNumerology.max_prbs}")
+_UE_COUNT = (lambda v: v == -1 or v >= 1, "must be -1 (Poisson count) or at least 1")
+
+# section: key: (cast, default text, domain rule or None)
 _SCHEMA = {
     "run": {
-        "seed": (_cast_int, "0"),
-        "jobs": (_cast_int, "1"),
-        "out": (str, "results"),
+        "seed": (int, "0", _AT_LEAST_0),
+        "jobs": (int, "1", _AT_LEAST_1),
+        "out": (str, "results", None),
     },
     "link": {
-        "adc_bits": (_cast_bits, "2,3,4,5"),
-        "dac_offset": (_cast_int, "2"),
-        "snr_db": (_cast_range, "-5:25"),
-        "snr_points": (_cast_int, "10"),
-        "n_symbols": (_cast_int, "24"),
-        "used_prbs": (_cast_int, "274"),
+        "adc_bits": (_cast_bits, "2,3,4,5", None),
+        "dac_offset": (int, "2", _AT_LEAST_0),
+        "snr_db": (_cast_range, "-5:25", None),
+        "snr_points": (int, "10", _AT_LEAST_1),
+        "n_symbols": (int, "24", _SYMBOLS),
+        "used_prbs": (int, "274", _PRBS),
     },
     "sdma": {
-        "adc_bits": (_cast_bits, "3,4"),
-        "sir_db": (_cast_range, "0:40"),
-        "sir_points": (_cast_int, "9"),
-        "gamma0_db": (_cast_floats, "0,15"),
-        "n_symbols": (_cast_int, "24"),
-        "used_prbs": (_cast_int, "200"),
+        "adc_bits": (_cast_bits, "3,4", None),
+        "sir_db": (_cast_range, "0:40", None),
+        "sir_points": (int, "9", _AT_LEAST_1),
+        "gamma0_db": (_cast_floats, "0,15", None),
+        "n_symbols": (int, "24", _SYMBOLS),
+        "used_prbs": (int, "200", _PRBS),
     },
     "aqnm": {
-        "bits": (_cast_bits, "1,2,3,4,5,6,7,8"),
-        "gamma_db": (_cast_range, "-10:50"),
-        "gamma_points": (_cast_int, "61"),
+        "bits": (_cast_bits, "1,2,3,4,5,6,7,8", None),
+        "gamma_db": (_cast_range, "-10:50", None),
+        "gamma_points": (int, "61", _AT_LEAST_1),
     },
     "tx": {
-        "bits": (_cast_bits, "3,4,5,inf"),
-        "lpf_orders": (_cast_floats, "0,1"),
-        "n_symbols": (_cast_int, "16"),
-        "nperseg": (_cast_int, "4096"),
-        "used_prbs": (_cast_int, "275"),
-        "psd_cases": (_cast_cases, "3:0,4:1,inf:0"),
-        "evm_bits": (_cast_bits, "3,4,5,6"),
-        "evm_lpf_order": (_cast_int, "1"),
-        "inv_sigma_rf_db": (_cast_range, "20:50"),
-        "rf_points": (_cast_int, "7"),
+        "bits": (_cast_bits, "3,4,5,inf", None),
+        "lpf_orders": (_cast_orders, "0,1", None),
+        "n_symbols": (int, "16", _AT_LEAST_1),
+        "nperseg": (int, "4096", _AT_LEAST_1),
+        "used_prbs": (int, "275", _PRBS),
+        "psd_cases": (_cast_cases, "3:0,4:1,inf:0", None),
+        "evm_bits": (_cast_bits, "3,4,5,6", None),
+        "evm_lpf_order": (int, "1", _AT_LEAST_0),
+        "inv_sigma_rf_db": (_cast_range, "20:50", None),
+        "rf_points": (int, "7", _AT_LEAST_1),
     },
     "cell": {
-        "drops": (_cast_int, "6"),
-        "ttis": (_cast_int, "200"),
-        "adc_bits": (_cast_bits, "3,4"),
-        "sdma_bits": (_cast_bits, "4"),
-        "beams": (_cast_int, "4"),
-        "bw_hz": (_cast_float, "1e9"),
-        "area_m": (_cast_float, "1000"),
-        "radius_m": (_cast_float, "100"),
-        "mean_ues": (_cast_float, "10"),
-        "cluster_spread": (_cast_float, "0.30"),
-        "mean_extra_clusters": (_cast_float, "2.0"),
-        "fixed_ues": (_cast_int, "-1"),  # -1 draws a Poisson count
+        "drops": (int, "6", _AT_LEAST_1),
+        "ttis": (int, "200", _AT_LEAST_1),
+        "adc_bits": (_cast_bits, "3,4", None),
+        "sdma_bits": (_cast_bits, "4", None),
+        "beams": (int, "4", _AT_LEAST_1),
+        "bw_hz": (float, "1e9", _POSITIVE),
+        "area_m": (float, "1000", _POSITIVE),
+        "radius_m": (float, "100", _POSITIVE),
+        "mean_ues": (float, "10", _POSITIVE),
+        "cluster_spread": (float, "0.30", _NONNEGATIVE),
+        "mean_extra_clusters": (float, "2.0", _NONNEGATIVE),
+        "fixed_ues": (int, "-1", _UE_COUNT),  # -1 draws a Poisson count
     },
 }
 
@@ -149,62 +167,55 @@ _SCHEMA = {
 def validate_config(text, overrides=()):
     """Resolve INI text against the schema; defaults fill missing keys.
 
-    Returns the flat {(section, key): value} mapping.  Raises
-    ConfigError listing every unknown section/key, parse failure, and
-    domain violation at once.
+    Defaults, then file items, then overrides are cast and checked in
+    that order, and the last valid value wins.  Returns the flat
+    {(section, key): value} mapping.  Raises ConfigError listing every
+    unknown section/key, parse failure, and domain violation at once,
+    including bad values that a later override replaces.
     """
     parser = configparser.ConfigParser(interpolation=None)
-    violations = []
     try:
         parser.read_string(text)
     except configparser.Error as exc:
         raise ConfigError([f"INI parse error: {exc}"]) from exc
 
-    resolved = {}
-    for sec, keys in _SCHEMA.items():
-        for key, (cast, default) in keys.items():
-            resolved[(sec, key)] = cast(default)
+    violations = []
+    items = [(sec, key, row[1]) for sec, keys in _SCHEMA.items() for key, row in keys.items()]
     for sec in parser.sections():
-        if sec not in _SCHEMA:
+        if sec in _SCHEMA:
+            items.extend((sec, key, raw) for key, raw in parser.items(sec))
+        else:
             violations.append(f"unknown section [{sec}]")
-            continue
-        for key, raw in parser.items(sec):
-            if key not in _SCHEMA[sec]:
-                violations.append(f"unknown key {sec}.{key}")
-                continue
-            cast = _SCHEMA[sec][key][0]
-            try:
-                resolved[(sec, key)] = cast(raw)
-            except ValueError as exc:
-                violations.append(f"bad value for {sec}.{key}: {exc}")
-    for sec, key, raw in overrides:
-        if (sec, key) not in resolved:
+    items.extend(overrides)
+
+    resolved = {}
+    for sec, key, raw in items:
+        if key not in _SCHEMA.get(sec, ()):
             violations.append(f"unknown key {sec}.{key}")
             continue
-        cast = _SCHEMA[sec][key][0]
+        cast, _, domain = _SCHEMA[sec][key]
         try:
-            resolved[(sec, key)] = cast(raw)
+            value = cast(raw)
         except ValueError as exc:
             violations.append(f"bad value for {sec}.{key}: {exc}")
+            continue
+        if domain and not domain[0](value):
+            violations.append(f"{sec}.{key} {domain[1]}")
+            continue
+        resolved[(sec, key)] = value
 
-    # domain checks run on whatever resolved (failed casts keep defaults),
-    # so one pass reports every violation class together
-    for key in ("bw_hz", "area_m", "radius_m", "mean_ues"):
-        if not 0 < resolved[("cell", key)] < math.inf:
-            violations.append(f"cell.{key} must be positive and finite")
-    for key in ("cluster_spread", "mean_extra_clusters"):
-        if not 0 <= resolved[("cell", key)] < math.inf:
-            violations.append(f"cell.{key} must be nonnegative and finite")
-    if resolved[("cell", "fixed_ues")] != -1 and resolved[("cell", "fixed_ues")] < 1:
-        violations.append("cell.fixed_ues must be -1 (Poisson count) or at least 1")
-    for sec, key in (("run", "jobs"), ("link", "snr_points"), ("sdma", "sir_points"),
-                     ("aqnm", "gamma_points"), ("tx", "rf_points"), ("cell", "drops"), ("cell", "ttis"),
-                     ("cell", "beams")):
-        if resolved[(sec, key)] < 1:
-            violations.append(f"{sec}.{key} must be at least 1")
-    for sec in ("link", "sdma"):
-        if resolved[(sec, "n_symbols")] < 3:
-            violations.append(f"{sec}.n_symbols must be at least 3 (2 pilot symbols plus 1 data symbol)")
+    # cross-key feasibility, on values that passed their own rows
+    offset = resolved[("link", "dac_offset")]
+    for b in resolved[("link", "adc_bits")]:
+        try:
+            quantizer._check_bits(b + offset)
+        except ValueError as exc:
+            violations.append(f"link.dac_offset must keep every link.adc_bits + offset a DAC width: {exc}")
+            break
+    chain, num = txchain.DacChainConfig(), ofdm.OfdmNumerology()  # as _tx_waveform builds them
+    n_tx = resolved[("tx", "n_symbols")] * num.symbol_len * chain.interp_m * chain.zoh_oversample
+    if resolved[("tx", "nperseg")] > n_tx:
+        violations.append(f"tx.nperseg must not exceed the {n_tx} waveform samples of tx.n_symbols")
     if violations:
         raise ConfigError(violations)
     return resolved
@@ -212,14 +223,11 @@ def validate_config(text, overrides=()):
 
 @dataclass(frozen=True)
 class ExperimentPreset:
-    """One named experiment with its resolved config and output target."""
+    """One named experiment: its config text, (section, key, text) overrides and run flags."""
 
     name: str
     overrides: tuple = ()
-    output_dir: str = "results"
-    seed: int = 0
     config_text: str = ""
-    jobs: int = 1
     timestamp: bool = True
     check: bool = False
 
@@ -837,7 +845,7 @@ def _run_evm_sweep(ctx):
     _write_csv(ctx, "evm_sweep.csv", ("n_bits", "inv_sigma_rf_db", "evm_pct"), rows)
 
     chain = txchain.DacChainConfig(lpf_order=order)
-    num = ofdm.OfdmNumerology(fft_size=round(chain.chip_rate_hz / 120e3), used_prbs=ctx.cfg[("tx", "used_prbs")])
+    num = txchain._evm_numerology(chain)  # the frame measure_evm runs
     floor_rows = []
     for (b, *_), measured in zip(floor_args, results[len(args):]):
         sig_v2 = txchain.inband_quantization_noise(b, chain, num.occupied_bw_hz)
@@ -906,10 +914,7 @@ PRESETS = tuple(_PRESETS)
 
 def run_preset(preset):
     """Run one experiment preset; returns the process exit code."""
-    overrides = [("run", "seed", str(preset.seed)), ("run", "out", preset.output_dir),
-                 ("run", "jobs", str(preset.jobs))]
-    overrides.extend(preset.overrides)
-    cfg = validate_config(preset.config_text, overrides)
+    cfg = validate_config(preset.config_text, preset.overrides)
     out_dir = Path(cfg[("run", "out")])
     out_dir.mkdir(parents=True, exist_ok=True)
     ctx = _RunContext(cfg=cfg, out_dir=out_dir, preset=preset.name,
@@ -942,9 +947,9 @@ def main(argv=None):
                     help="experiment preset: " + ", ".join(PRESETS))
     ap.add_argument("--preset", choices=PRESETS, help="alternative to the positional preset")
     ap.add_argument("--config", help="INI config file (strict keys; empty means all defaults)")
-    ap.add_argument("--seed", type=int, default=None, help="override run.seed")
-    ap.add_argument("--jobs", type=int, default=None, help="worker pool size (default 1)")
-    ap.add_argument("--out", default=None, help="output directory (default from config)")
+    ap.add_argument("--seed", default=None, help="override run.seed")
+    ap.add_argument("--jobs", default=None, help="override run.jobs, the worker pool size")
+    ap.add_argument("--out", default=None, help="override run.out, the output directory")
     ap.add_argument("--no-timestamp", action="store_true", help="omit the timestamp header line")
     ap.add_argument("--check", action="store_true",
                     help="verify the preset's acceptance properties; exit 3 on violation")
@@ -966,7 +971,9 @@ def main(argv=None):
 
     overrides = []
     _, bits_key, snr_key = _PRESETS[name]
-    for flag, value, key in (("--bits", ns.bits, bits_key), ("--snr", ns.snr, snr_key)):
+    flags = (("--seed", ns.seed, ("run", "seed")), ("--jobs", ns.jobs, ("run", "jobs")),
+             ("--out", ns.out, ("run", "out")), ("--bits", ns.bits, bits_key), ("--snr", ns.snr, snr_key))
+    for flag, value, key in flags:
         if value is None:
             continue
         if key is None:
@@ -975,18 +982,8 @@ def main(argv=None):
         overrides.append((*key, value))
 
     try:
-        base = validate_config(text)
-        preset = ExperimentPreset(
-            name=name,
-            overrides=tuple(overrides),
-            output_dir=ns.out if ns.out is not None else base[("run", "out")],
-            seed=ns.seed if ns.seed is not None else base[("run", "seed")],
-            config_text=text,
-            jobs=ns.jobs if ns.jobs is not None else base[("run", "jobs")],
-            timestamp=not ns.no_timestamp,
-            check=ns.check,
-        )
-        return run_preset(preset)
+        return run_preset(ExperimentPreset(name=name, overrides=tuple(overrides), config_text=text,
+                                           timestamp=not ns.no_timestamp, check=ns.check))
     except ConfigError as exc:
         for v in exc.violations:
             print(f"config error: {v}", file=sys.stderr)

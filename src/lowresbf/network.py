@@ -190,7 +190,6 @@ class SchedulerState:
     """Cumulative scheduled data per active user, for PF weighting."""
 
     served_bits: np.ndarray
-    tti_index: int = 0
 
 
 @dataclass(frozen=True)
@@ -580,7 +579,6 @@ def run_drop_detailed(cfg, seed=None):
         sched_cnt[sel] += 1
         state.served_bits[sel] += r[-1] * cfg.tti_s
         i_lag = i_now
-        state.tti_index += 1
 
     results = []
     interior_ue = drop.interior_bs[srv]

@@ -155,10 +155,7 @@ def ofdm_modulate(grid, num, n_dac=math.inf):
     spec[:, _bin_map(num)] = grid.symbols
     x = np.fft.ifft(spec, axis=1) * (num.fft_size / math.sqrt(n_sc))
     x = np.concatenate([x[:, -num.cp_len:], x], axis=1)
-    block = ComplexSampleBlock(x.ravel(), num.chip_rate_hz)
-    if n_dac != math.inf:
-        block = quantizer.quantize(block, quantizer.make_spec(n_dac))
-    return block
+    return quantizer.quantize(ComplexSampleBlock(x.ravel(), num.chip_rate_hz), quantizer.make_spec(n_dac))
 
 
 def ofdm_demodulate(block, num, n_symbols):

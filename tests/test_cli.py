@@ -10,6 +10,8 @@ import math
 import py_compile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lowresbf import cli
 
@@ -391,3 +393,96 @@ def test_waveform_csvs_bit_identical(tmp_path, preset, config, digests):
     assert cli.main([preset, "--config", str(cfg), "--out", str(out), "--no-timestamp"]) == 0
     got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.glob("*.csv")}
     assert got == digests
+
+
+# ---------------------------------------------------------------- boundary
+
+_BAD_INPUTS = [
+    ("aqnm-curves", "[aqnm]\ngamma_db = nan:nan\ngamma_points = 2\n", [], "aqnm.gamma_db"),
+    ("evm-sweep", "[tx]\ninv_sigma_rf_db = nan:nan\nrf_points = 1\nevm_bits = 4\nn_symbols = 2\n", [],
+     "tx.inv_sigma_rf_db"),
+    ("aclr-sweep", "[tx]\nlpf_orders = 0.5\nbits = 4\nn_symbols = 2\nnperseg = 1024\n", [], "tx.lpf_orders"),
+    ("link-validate", "[link]\nsnr_db = -inf:inf\nadc_bits = 3\nsnr_points = 1\nn_symbols = 3\n", [],
+     "link.snr_db"),
+    ("sdma-link", "[sdma]\ngamma0_db = nan\nadc_bits = 3\nsir_points = 1\nn_symbols = 3\n", [],
+     "sdma.gamma0_db"),
+    ("link-validate", "[link]\ndac_offset = -5\nadc_bits = 3\nsnr_points = 1\nn_symbols = 3\n", [],
+     "link.dac_offset"),
+    ("link-validate", "[link]\nused_prbs = 0\nadc_bits = 3\nsnr_points = 1\nn_symbols = 3\n", [],
+     "link.used_prbs"),
+    ("sdma-link", "[sdma]\nused_prbs = 300\nadc_bits = 3\nsir_points = 1\nn_symbols = 3\n", [],
+     "sdma.used_prbs"),
+    ("tx-psd", "[tx]\nn_symbols = 0\npsd_cases = 4:0\n", [], "tx.n_symbols"),
+    ("tx-psd", "[tx]\nnperseg = 0\npsd_cases = 4:0\nn_symbols = 2\n", [], "tx.nperseg"),
+    ("tx-psd", "[tx]\npsd_cases = 0:0\nn_symbols = 2\nnperseg = 1024\n", [], "tx.psd_cases"),
+    ("evm-sweep", "[tx]\nevm_lpf_order = -1\nevm_bits = 4\nrf_points = 1\nn_symbols = 2\n", [],
+     "tx.evm_lpf_order"),
+    ("link-validate", "[link]\nadc_bits = 3\nsnr_points = 1\nn_symbols = 3\n", ["--seed", "-1"], "run.seed"),
+    # cross-key: each value is fine alone
+    ("link-validate", "[link]\nadc_bits = 15\ndac_offset = 2\nsnr_points = 1\nn_symbols = 3\n", [],
+     "link.dac_offset"),
+    ("tx-psd", "[tx]\nnperseg = 1000000\nn_symbols = 1\npsd_cases = 4:0\n", [], "tx.nperseg"),
+]
+
+
+@pytest.mark.parametrize("preset,config,flags,field", _BAD_INPUTS,
+                         ids=[f"{i}-{case[3]}" for i, case in enumerate(_BAD_INPUTS)])
+def test_bad_input_exits_one_naming_field(tmp_path, capsys, preset, config, flags, field):
+    ini = tmp_path / "c.ini"
+    ini.write_text(config)
+    out = tmp_path / "out"
+    rc = cli.main([preset, "--config", str(ini), "--out", str(out), "--no-timestamp", *flags])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert field in err and "config error" in err
+    assert not out.exists()
+
+
+def test_bad_file_value_reported_under_override():
+    with pytest.raises(cli.ConfigError) as err:
+        cli.validate_config("[link]\nused_prbs = 0\n", overrides=[("link", "used_prbs", "100")])
+    assert err.value.violations == ["link.used_prbs must be in 1..275"]
+
+
+def test_evm_floor_independent_of_tx_used_prbs(tmp_path):
+    # measure_evm always runs a fully occupied frame, so the predicted
+    # floor must not follow tx.used_prbs either
+    floors = []
+    for prbs in (100, 275):
+        ini = tmp_path / f"p{prbs}.ini"
+        ini.write_text(f"[tx]\nevm_bits = 4\nevm_lpf_order = 1\nn_symbols = 2\nrf_points = 1\nused_prbs = {prbs}\n")
+        out = tmp_path / f"out{prbs}"
+        assert cli.main(["evm-sweep", "--config", str(ini), "--out", str(out), "--no-timestamp"]) == 0
+        floors.append(read_csv(out / "evm_floor.csv"))
+    assert floors[0] == floors[1]
+
+
+_NUMBER = st.one_of(st.integers(-300, 300), st.floats(-1e3, 1e3),
+                    st.sampled_from([math.nan, math.inf, -math.inf])).map(str)
+_TEXT = st.one_of(_NUMBER, st.lists(_NUMBER, min_size=1, max_size=4).map(",".join),
+                  st.tuples(_NUMBER, _NUMBER).map(":".join))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from([(sec, key) for sec, keys in cli._SCHEMA.items() for key in keys]), _TEXT)
+def test_schema_text_resolves_in_domain_or_names_key(sec_key, text):
+    sec, key = sec_key
+    cast, _, domain = cli._SCHEMA[sec][key]
+    try:
+        value = cli.validate_config("", overrides=[(sec, key, text)])[(sec, key)]
+    except cli.ConfigError as err:
+        assert any(f"{sec}.{key}" in v for v in err.violations)
+        return
+    assert domain is None or domain[0](value)
+    if cast is str:
+        return
+    leaves = value if isinstance(value, tuple) else (value,)
+    if cast is cli._cast_bits:
+        assert all(v == math.inf or (isinstance(v, int) and 1 <= v <= 16) for v in leaves)
+    elif cast is cli._cast_cases:
+        assert all(b == math.inf or 1 <= b <= 16 for b, _ in value)
+        assert all(isinstance(o, int) and o >= 0 for _, o in value)
+    else:
+        assert all(math.isfinite(v) for v in leaves)
+    if cast is cli._cast_orders:
+        assert all(v >= 0 and v.is_integer() for v in leaves)
