@@ -8,6 +8,11 @@ exercised at full scale by the acceptance suite.
 import hashlib
 import math
 import py_compile
+import runpy
+import sys
+import types
+
+import numpy as np
 
 import pytest
 from hypothesis import given, settings
@@ -393,6 +398,176 @@ def test_waveform_csvs_bit_identical(tmp_path, preset, config, digests):
     assert cli.main([preset, "--config", str(cfg), "--out", str(out), "--no-timestamp"]) == 0
     got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.glob("*.csv")}
     assert got == digests
+
+
+# ---------------------------------------------------------------- plot scripts
+
+class _Line:
+    def get_color(self):
+        return "C0"
+
+
+class _Axes:
+    """Records what a matplotlib Axes would show; styling arguments are ignored."""
+
+    def __init__(self):
+        self.shown = {"xlabel": None, "ylabel": None, "title": None, "xscale": "linear",
+                      "yscale": "linear", "xlim": None, "legend": False, "hlines": [], "calls": []}
+
+    def _draw(self, method, n_points, kw):
+        self.shown["calls"].append((method, kw.get("label"), n_points))
+        return [_Line()]
+
+    def plot(self, xs, ys, *fmt, **kw):
+        assert len(xs) == len(ys)
+        return self._draw("plot", len(xs), kw)
+
+    def bar(self, xs, heights, **kw):
+        assert len(xs) == len(heights)
+        return self._draw("bar", len(xs), kw)
+
+    def axhline(self, y, **kw):
+        self.shown["hlines"].append("%.4g" % y)
+        return self._draw("axhline", 1, kw)[0]
+
+    def set_xlabel(self, text):
+        self.shown["xlabel"] = text
+
+    def set_ylabel(self, text):
+        self.shown["ylabel"] = text
+
+    def set_title(self, text):
+        self.shown["title"] = text
+
+    def set_xscale(self, scale):
+        self.shown["xscale"] = scale
+
+    def set_yscale(self, scale):
+        self.shown["yscale"] = scale
+
+    def set_xlim(self, lo, hi):
+        self.shown["xlim"] = (lo, hi)
+
+    def grid(self, *args, **kw):
+        pass
+
+    def legend(self, **kw):
+        self.shown["legend"] = True
+
+
+class _Figure:
+    def __init__(self, axes):
+        self.axes = axes
+        self.saved = []
+
+    def autofmt_xdate(self, **kw):
+        pass
+
+    def tight_layout(self):
+        pass
+
+    def savefig(self, name, **kw):
+        self.saved.append(name)
+
+
+def _stub_matplotlib(monkeypatch):
+    """Put a recording matplotlib.pyplot in sys.modules; returns the list of figures it makes."""
+    figures = []
+
+    def subplots(nrows=1, ncols=1, figsize=None, squeeze=True):
+        # shaped like matplotlib's: one Axes, a 1-D row, or 2-D with squeeze=False
+        grid = np.empty((nrows, ncols), dtype=object)
+        for idx in np.ndindex(grid.shape):
+            grid[idx] = _Axes()
+        figures.append(_Figure(list(grid.flat)))
+        if squeeze:
+            grid = grid.squeeze()
+            return figures[-1], grid.item() if grid.ndim == 0 else grid
+        return figures[-1], grid
+
+    mpl, pyplot = types.ModuleType("matplotlib"), types.ModuleType("matplotlib.pyplot")
+    pyplot.subplots = subplots
+    mpl.pyplot = pyplot
+    monkeypatch.setitem(sys.modules, "matplotlib", mpl)
+    monkeypatch.setitem(sys.modules, "matplotlib.pyplot", pyplot)
+    return figures
+
+
+def _shown(xlabel, ylabel, calls, title=None, xscale="linear", yscale="linear", xlim=None, hlines=()):
+    """One axes as the recording stub reports it; every figure has a legend."""
+    return {"xlabel": xlabel, "ylabel": ylabel, "title": title, "xscale": xscale, "yscale": yscale,
+            "xlim": xlim, "legend": True, "hlines": list(hlines), "calls": calls}
+
+
+def _cdf_axes(bits):
+    curves = [("plot", f"{b} bits", 99) for b in bits]
+    return [_shown("SINR (dB)", "CDF", curves), _shown("rate (bps)", "CDF", curves, xscale="log")]
+
+
+# (preset, toy config of the artifact tests above, [savefig names, *axes]);
+# recorded before the scripts shared one preamble and epilogue
+_PLOT_CASES = [
+    ("power-table", "", [
+        ["power_table.png"],
+        _shown(None, "power (mW)", [("bar", "rffe", 8), ("bar", "gain", 8), ("bar", "converter", 8)]),
+    ]),
+    ("aqnm-curves", "", [
+        ["aqnm_curves.png"],
+        _shown("pre-quantization SNR (dB)", "quantized SINR (dB)",
+               [("plot", f"{b} bits", 61) for b in range(1, 9)]),
+    ]),
+    ("link-validate", "[link]\nadc_bits = 3\nsnr_db = 10:10\nsnr_points = 1\nn_symbols = 3\n", [
+        ["link_validate.png"],
+        _shown("input SNR (dB)", "post-equalization SNR (dB)",
+               [("plot", "3-bit simulated", 1), ("plot", "3-bit predicted", 1)]),
+    ]),
+    ("sdma-link", "[sdma]\nadc_bits = 3\nsir_db = 20:20\nsir_points = 1\ngamma0_db = 0\nn_symbols = 3\n", [
+        ["sdma_link.png"],
+        _shown("SIR (dB)", "post-equalization SINR (dB)",
+               [("plot", "3-bit simulated", 1), ("plot", "3-bit predicted", 1),
+                ("plot", "inf-bit simulated", 1), ("plot", "inf-bit predicted", 1)],
+               title="sdma_link_g0.csv"),
+    ]),
+    ("cell-ofdma", "[cell]\ndrops = 1\nttis = 4\nadc_bits = 3\narea_m = 600\nfixed_ues = 40\n", [
+        ["cell_ofdma_cdf.png"], *_cdf_axes(("3", "inf")),
+    ]),
+    ("cell-sdma", "[cell]\ndrops = 1\nttis = 4\nsdma_bits = 4\nbeams = 4\narea_m = 600\nfixed_ues = 40\n", [
+        ["cell_sdma_cdf.png"], *_cdf_axes(("4", "inf")),
+    ]),
+    ("tx-psd", "[tx]\npsd_cases = 4:0\nn_symbols = 2\nnperseg = 1024\n", [
+        ["tx_psd.png"],
+        _shown("frequency offset (MHz)", "PSD (dBc/Hz)", [("plot", "n4_o0", 1024)], xlim=(-1200, 1200)),
+    ]),
+    ("aclr-sweep", "[tx]\nbits = 4\nlpf_orders = 0\nn_symbols = 2\nnperseg = 1024\n", [
+        ["aclr_sweep.png"],
+        _shown("DAC resolution (bits)", "ACLR, first adjacent channel (dB)",
+               [("plot", "LPF order 0", 1), ("axhline", "28 dB (wide-area)", 1),
+                ("axhline", "17 dB (local-area)", 1)],
+               hlines=("28", "17")),
+    ]),
+    ("evm-sweep", "[tx]\nevm_bits = 4\nevm_lpf_order = 0\nn_symbols = 2\ninv_sigma_rf_db = 40:40\n"
+                  "rf_points = 1\n", [
+        ["evm_sweep.png"],
+        _shown("1/sigma_RF^2 (dB)", "EVM (%)",
+               [("plot", "4 bits", 1), ("axhline", None, 1), ("axhline", None, 1), ("axhline", None, 1)],
+               yscale="log", hlines=("6.877", "8", "3.5")),
+    ]),
+]
+
+
+@pytest.mark.parametrize("preset,config,figure", _PLOT_CASES, ids=[c[0] for c in _PLOT_CASES])
+def test_plot_script_draws_figure(tmp_path, monkeypatch, preset, config, figure):
+    # runs the emitted script against a recording matplotlib and pins what
+    # each axes shows; grid and legend styling are left out
+    ini = tmp_path / "c.ini"
+    ini.write_text(config)
+    out = tmp_path / "out"
+    assert cli.main([preset, "--config", str(ini), "--out", str(out), "--no-timestamp"]) == 0
+    figures = _stub_matplotlib(monkeypatch)
+    monkeypatch.chdir(out)
+    runpy.run_path(preset.replace("-", "_") + "_plot.py")
+    [fig] = figures
+    assert [fig.saved] + [ax.shown for ax in fig.axes] == figure
 
 
 # ---------------------------------------------------------------- boundary
