@@ -2,9 +2,12 @@
 
 Each preset reproduces one study end to end: it resolves an INI config
 (strict keys, defaults matching the reference design tables), runs the
-mapped library pipeline, and writes CSV files plus a standalone
-matplotlib script per figure.  Plotting stays out of the library
-dependencies; the emitted scripts consume only the CSVs next to them.
+mapped library pipeline, and writes CSV files plus one standalone
+matplotlib script, <preset>_plot.py with underscores for dashes.  Every
+script is one shared preamble (imports, CSV loader, curve grouping),
+the preset's figure body, and one shared epilogue (grid, legend, layout,
+savefig).  Plotting stays out of the library dependencies; the emitted
+scripts consume only the CSVs next to them.
 
 Every output embeds the fully resolved config and the seed as header
 comments, so a CSV is reproducible from its own header.  Reruns with
@@ -29,6 +32,8 @@ from . import network, ofdm, parallel, power, quantizer, sinr, txchain
 
 ACLR_LIMIT_BS_DB = 28.0
 ACLR_LIMIT_UE_DB = 17.0
+EVM_LIMIT_64QAM_PCT = 8.0
+EVM_LIMIT_256QAM_PCT = 3.5
 
 
 class ConfigError(Exception):
@@ -212,10 +217,10 @@ def validate_config(text, overrides=()):
         except ValueError as exc:
             violations.append(f"link.dac_offset must keep every link.adc_bits + offset a DAC width: {exc}")
             break
-    chain, num = txchain.DacChainConfig(), ofdm.OfdmNumerology()  # as _tx_waveform builds them
+    chain, num = txchain.DacChainConfig(), ofdm.OfdmNumerology()  # as _psd_job builds them
     n_tx = resolved[("tx", "n_symbols")] * num.symbol_len * chain.interp_m * chain.zoh_oversample
-    if resolved[("tx", "nperseg")] > n_tx:
-        violations.append(f"tx.nperseg must not exceed the {n_tx} waveform samples of tx.n_symbols")
+    if 4 * resolved[("tx", "nperseg")] > n_tx:  # the 4 Welch segments of txchain.estimate_psd
+        violations.append(f"tx.nperseg must be at most {n_tx // 4}, a quarter of the tx.n_symbols waveform")
     if violations:
         raise ConfigError(violations)
     return resolved
@@ -285,11 +290,11 @@ def _write_csv(ctx, name, columns, rows, notes=()):
     return path
 
 
-def _write_plot(ctx, name, body):
-    (ctx.out_dir / name).write_text(body)
+# An emitted script is this preamble, one preset's figure body (which
+# makes `fig`), the epilogue and a savefig line.
+_PLOT_PREAMBLE = '''import csv
 
-
-_LOAD_SNIPPET = '''import csv
+import matplotlib.pyplot as plt
 
 
 def value(text):
@@ -300,9 +305,34 @@ def value(text):
 
 
 def load(path):
-    rows = [r for r in csv.reader(open(path)) if r and not r[0].lstrip().startswith("#")]
-    return rows[0], [[value(x) for x in r] for r in rows[1:]]
+    """Data rows of a CSV, as dicts keyed by column name."""
+    with open(path) as f:
+        rows = [r for r in csv.reader(f) if r and not r[0].lstrip().startswith("#")]
+    return [dict(zip(rows[0], map(value, r))) for r in rows[1:]]
+
+
+def curves(rows, key, x, *ys):
+    """(key, xs, *ys) for each value of column key; keys and xs ascend."""
+    groups = {}
+    for r in rows:
+        groups.setdefault(r[key], []).append([r[c] for c in (x, *ys)])
+    return [(k, *zip(*sorted(pts, key=lambda p: p[0]))) for k, pts in sorted(groups.items())]
+
+
 '''
+
+_PLOT_EPILOGUE = '''
+for ax in fig.axes:
+    ax.grid(True, alpha=0.4, which="both")
+    ax.legend(fontsize=8)
+fig.tight_layout()
+'''
+
+
+def _write_plot(ctx, png, body):
+    """Write <preset>_plot.py, which draws body's figure from the CSVs beside it into png."""
+    script = _PLOT_PREAMBLE + body + _PLOT_EPILOGUE + f"fig.savefig({png!r}, dpi=150)\n"
+    (ctx.out_dir / (ctx.preset.replace("-", "_") + "_plot.py")).write_text(script)
 
 
 def _grid(bounds, points):
@@ -350,31 +380,19 @@ def _run_power_table(ctx):
                 if abs(budget.total_mw - want) > 0.01 * want:
                     ctx.fail(f"{side}-{label} total {budget.total_mw:.2f} mW off reference {want} by >1%")
     _write_csv(ctx, "power_table.csv", ("arch", "stage", "mw"), rows)
-    _write_plot(ctx, "power_table_plot.py", _POWER_PLOT)
+    _write_plot(ctx, "power_table.png", _POWER_PLOT)
 
 
-_POWER_PLOT = _LOAD_SNIPPET + '''
-import matplotlib.pyplot as plt
-
-head, rows = load("power_table.csv")
-archs, stages = [], ("rffe", "gain", "converter")
-data = {}
-for arch, stage, mw in rows:
-    if arch not in archs and stage == "total":
-        archs.append(arch)
-    data[(arch, stage)] = mw
-
+_POWER_PLOT = '''mw = {(r["arch"], r["stage"]): r["mw"] for r in load("power_table.csv")}
+archs = [arch for arch, stage in mw if stage == "total"]
 fig, ax = plt.subplots(figsize=(8, 4))
 bottom = [0.0] * len(archs)
-for stage in stages:
-    vals = [data[(a, stage)] for a in archs]
+for stage in ("rffe", "gain", "converter"):
+    vals = [mw[(a, stage)] for a in archs]
     ax.bar(archs, vals, bottom=bottom, label=stage)
     bottom = [b + v for b, v in zip(bottom, vals)]
 ax.set_ylabel("power (mW)")
-ax.legend()
 fig.autofmt_xdate(rotation=30)
-fig.tight_layout()
-fig.savefig("power_table.png", dpi=150)
 '''
 
 
@@ -393,7 +411,7 @@ def _run_aqnm_curves(ctx):
             s = sinr.sinr_orthogonal_quantized(10.0 ** (g_db / 10.0), a, 1.0)
             sinr_rows.append((g_db, b, 10.0 * math.log10(s), sat))
     _write_csv(ctx, "aqnm_sinr.csv", ("gamma_db", "n_bits", "sinr_db", "saturation_db"), sinr_rows)
-    _write_plot(ctx, "aqnm_curves_plot.py", _AQNM_PLOT)
+    _write_plot(ctx, "aqnm_curves.png", _AQNM_PLOT)
 
     if ctx.check:
         if abs(quantizer.alpha_of(1) - (1.0 - 2.0 / math.pi)) > 1e-9:
@@ -403,24 +421,11 @@ def _run_aqnm_curves(ctx):
             ctx.fail("alpha not strictly decreasing in resolution")
 
 
-_AQNM_PLOT = _LOAD_SNIPPET + '''
-import matplotlib.pyplot as plt
-
-head, rows = load("aqnm_sinr.csv")
-curves = {}
-for g_db, n_bits, s_db, sat_db in rows:
-    curves.setdefault(n_bits, []).append((g_db, s_db))
-
-fig, ax = plt.subplots(figsize=(7, 5))
-for n_bits, pts in sorted(curves.items()):
-    xs, ys = zip(*pts)
-    ax.plot(xs, ys, label=f"{n_bits:g} bits")
+_AQNM_PLOT = '''fig, ax = plt.subplots(figsize=(7, 5))
+for n_bits, gammas, sinrs in curves(load("aqnm_sinr.csv"), "n_bits", "gamma_db", "sinr_db"):
+    ax.plot(gammas, sinrs, label=f"{n_bits:g} bits")
 ax.set_xlabel("pre-quantization SNR (dB)")
 ax.set_ylabel("quantized SINR (dB)")
-ax.grid(True, alpha=0.4)
-ax.legend()
-fig.tight_layout()
-fig.savefig("aqnm_curves.png", dpi=150)
 '''
 
 
@@ -454,7 +459,7 @@ def _run_link_validate(ctx):
     _write_csv(ctx, "link_validate.csv",
                ("snr_db", "n_adc", "n_dac", "used_prbs", "post_eq_db", "predicted_db"), rows,
                notes=("trial seed = run.seed + SNR point index",))
-    _write_plot(ctx, "link_validate_plot.py", _LINK_PLOT)
+    _write_plot(ctx, "link_validate.png", _LINK_PLOT)
 
     if ctx.check:
         for s, n_adc, _d, _p, meas, pred in rows:
@@ -462,25 +467,13 @@ def _run_link_validate(ctx):
                 ctx.fail(f"|simulated-predicted| = {abs(meas - pred):.3f} dB at n={n_adc}, snr={s:g}")
 
 
-_LINK_PLOT = _LOAD_SNIPPET + '''
-import matplotlib.pyplot as plt
-
-head, rows = load("link_validate.csv")
-curves = {}
-for snr, n_adc, n_dac, prbs, meas, pred in rows:
-    curves.setdefault(n_adc, []).append((snr, meas, pred))
-
+_LINK_PLOT = '''rows = load("link_validate.csv")
 fig, ax = plt.subplots(figsize=(7, 5))
-for n_adc, pts in sorted(curves.items()):
-    xs, ms, ps = zip(*pts)
-    line, = ax.plot(xs, ms, "o", label=f"{n_adc:g}-bit simulated")
-    ax.plot(xs, ps, "-", color=line.get_color(), label=f"{n_adc:g}-bit predicted")
+for n_adc, snrs, meas, pred in curves(rows, "n_adc", "snr_db", "post_eq_db", "predicted_db"):
+    line, = ax.plot(snrs, meas, "o", label=f"{n_adc:g}-bit simulated")
+    ax.plot(snrs, pred, "-", color=line.get_color(), label=f"{n_adc:g}-bit predicted")
 ax.set_xlabel("input SNR (dB)")
 ax.set_ylabel("post-equalization SNR (dB)")
-ax.grid(True, alpha=0.4)
-ax.legend(fontsize=8)
-fig.tight_layout()
-fig.savefig("link_validate.png", dpi=150)
 '''
 
 
@@ -535,32 +528,19 @@ def _run_sdma_link(ctx):
                             ctx.fail(f"g0=15: n=3 loss {loss:.3f} dB at SIR {s:g} outside 2±0.7")
                         if n_adc == 4 and loss >= 1.0:
                             ctx.fail(f"g0=15: n=4 loss {loss:.3f} dB at SIR {s:g} not < 1")
-    _write_plot(ctx, "sdma_link_plot.py", _SDMA_PLOT.format(
-        files=", ".join(f'"sdma_link_g{g:g}.csv"' for g in ctx.cfg[("sdma", "gamma0_db")])))
+    files = [f"sdma_link_g{g:g}.csv" for g in ctx.cfg[("sdma", "gamma0_db")]]
+    _write_plot(ctx, "sdma_link.png", f"files = {files!r}\n" + _SDMA_PLOT)
 
 
-_SDMA_PLOT = _LOAD_SNIPPET + '''
-import matplotlib.pyplot as plt
-
-files = [{files}]
-fig, axes = plt.subplots(1, len(files), figsize=(6 * len(files), 5), squeeze=False)
+_SDMA_PLOT = '''fig, axes = plt.subplots(1, len(files), figsize=(6 * len(files), 5), squeeze=False)
 for ax, path in zip(axes[0], files):
-    head, rows = load(path)
-    curves = {{}}
-    for sir, n_adc, n_dac, prbs, meas, pred in rows:
-        if sir != float("inf"):
-            curves.setdefault(n_adc, []).append((sir, meas, pred))
-    for n_adc, pts in sorted(curves.items()):
-        xs, ms, ps = zip(*pts)
-        line, = ax.plot(xs, ms, "o-", label=f"{{n_adc:g}}-bit simulated")
-        ax.plot(xs, ps, "--", color=line.get_color(), label=f"{{n_adc:g}}-bit predicted")
+    rows = [r for r in load(path) if r["sir_db"] != float("inf")]
+    for n_adc, sirs, meas, pred in curves(rows, "n_adc", "sir_db", "post_eq_db", "predicted_db"):
+        line, = ax.plot(sirs, meas, "o-", label=f"{n_adc:g}-bit simulated")
+        ax.plot(sirs, pred, "--", color=line.get_color(), label=f"{n_adc:g}-bit predicted")
     ax.set_xlabel("SIR (dB)")
     ax.set_ylabel("post-equalization SINR (dB)")
     ax.set_title(path)
-    ax.grid(True, alpha=0.4)
-    ax.legend(fontsize=8)
-fig.tight_layout()
-fig.savefig("sdma_link.png", dpi=150)
 '''
 
 
@@ -656,8 +636,8 @@ def _run_cell(ctx, scheduler, bits, stem):
                rows, notes=_NETWORK_NOTES)
     all_bits = (bits[0],) + eval_bits
     _write_cdfs(ctx, stem, drops_out, all_bits)
-    _write_plot(ctx, f"{stem}_plot.py", _CELL_PLOT.format(
-        stem=stem, bits=", ".join(f'"{_bits_tag(b)}"' for b in all_bits)))
+    tags = [_bits_tag(b) for b in all_bits]
+    _write_plot(ctx, f"{stem}_cdf.png", f"stem = {stem!r}\nbits = {tags!r}\n" + _CELL_PLOT)
     if ctx.check:
         _check_dominance(ctx, drops_out, all_bits)
     return drops_out, all_bits
@@ -686,44 +666,29 @@ def _run_cell_sdma(ctx):
             ctx.fail(f"2-beam usage fraction {frac:.3f} not > 0.9")
 
 
-_CELL_PLOT = _LOAD_SNIPPET + '''
-import matplotlib.pyplot as plt
-
-bits = [{bits}]
-fig, axes = plt.subplots(1, 2, figsize=(11, 4.5))
-for metric, ax, xlabel in (("sinr", axes[0], "SINR (dB)"), ("rate", axes[1], "rate (bps)")):
+_CELL_PLOT = '''fig, axes = plt.subplots(1, 2, figsize=(11, 4.5))
+for ax, metric, xlabel in zip(axes, ("sinr", "rate"), ("SINR (dB)", "rate (bps)")):
     for b in bits:
-        head, rows = load(f"{stem}_{{metric}}_cdf_n{{b}}.csv")
-        xs = [v for p, v in rows]
-        ps = [p / 100.0 for p, v in rows]
-        ax.plot(xs, ps, label=f"{{b}} bits")
+        rows = load(f"{stem}_{metric}_cdf_n{b}.csv")
+        ax.plot([r["value"] for r in rows], [r["percentile"] / 100.0 for r in rows], label=f"{b} bits")
     ax.set_xlabel(xlabel)
     ax.set_ylabel("CDF")
-    ax.grid(True, alpha=0.4)
-    ax.legend()
-    if metric == "rate":
-        ax.set_xscale("log")
-fig.tight_layout()
-fig.savefig("{stem}_cdf.png", dpi=150)
+axes[1].set_xscale("log")
 '''
 
 
 # ---------------------------------------------------------------- tx
 
-def _tx_waveform(bits, order, prbs, n_symbols, seed):
+def _psd_job(args):
+    """Welch PSD of one DAC-chain output, and the output's power."""
+    bits, order, prbs, n_sym, nperseg, seed = args
     num = ofdm.OfdmNumerology(used_prbs=prbs)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    grid = ofdm.random_grid("QPSK", n_symbols, num.n_subcarriers, rng)
+    grid = ofdm.random_grid("QPSK", n_sym, num.n_subcarriers, rng)
     base = ofdm.ofdm_modulate(grid, num)
     cfg = txchain.DacChainConfig(n_bits=bits, lpf_order=order)
-    return txchain.apply_reconstruction_lpf(txchain.dac_convert(base, cfg), cfg)
-
-
-def _psd_job(args):
-    bits, order, prbs, n_sym, nperseg, seed = args
-    out = _tx_waveform(bits, order, prbs, n_sym, seed)
-    report = txchain.estimate_psd(out, nperseg)
-    return report.freqs_hz, report.psd_dbm_per_hz, np.var(out.samples)
+    out = txchain.apply_reconstruction_lpf(txchain.dac_convert(base, cfg), cfg)
+    return txchain.estimate_psd(out, nperseg), np.var(out.samples)
 
 
 def _run_tx_psd(ctx):
@@ -734,43 +699,28 @@ def _run_tx_psd(ctx):
     args = [(b, o, prbs, n_sym, nperseg, ctx.seed) for b, o in cases]
     results = parallel.pool_map(_psd_job, args, ctx.jobs)
     names = []
-    for (bits, order, *_), (freqs, psd, block_var) in zip(args, results):
+    for (bits, order, *_), (report, block_var) in zip(args, results):
         name = f"tx_psd_n{_bits_tag(bits)}_o{order}.csv"
         names.append(name)
+        freqs, psd = report.freqs_hz, report.psd_dbm_per_hz
         _write_csv(ctx, name, ("freq_offset_hz", "psd_db"), list(zip(freqs, psd)),
                    notes=("unit-power baseband; PSD is relative (dBc/Hz)",))
         if ctx.check:
-            total = np.trapezoid(10.0 ** (np.asarray(psd) / 10.0), freqs)
+            total = np.trapezoid(10.0 ** (psd / 10.0), freqs)
             if abs(total - block_var) > 0.03 * block_var:
                 ctx.fail(f"PSD integral off block power by >3% for n={bits:g}, order {order}")
-    _write_plot(ctx, "tx_psd_plot.py", _PSD_PLOT.format(files=", ".join(f'"{n}"' for n in names)))
+    _write_plot(ctx, "tx_psd.png", f"files = {names!r}\n" + _PSD_PLOT)
 
 
-_PSD_PLOT = _LOAD_SNIPPET + '''
-import matplotlib.pyplot as plt
-
-fig, ax = plt.subplots(figsize=(8, 5))
-for path in [{files}]:
-    head, rows = load(path)
-    xs = [f / 1e6 for f, p in rows]
-    ys = [p for f, p in rows]
-    ax.plot(xs, ys, lw=0.8, label=path.replace("tx_psd_", "").replace(".csv", ""))
+_PSD_PLOT = '''fig, ax = plt.subplots(figsize=(8, 5))
+for path in files:
+    rows = load(path)
+    ax.plot([r["freq_offset_hz"] / 1e6 for r in rows], [r["psd_db"] for r in rows], lw=0.8,
+            label=path.replace("tx_psd_", "").replace(".csv", ""))
 ax.set_xlabel("frequency offset (MHz)")
 ax.set_ylabel("PSD (dBc/Hz)")
 ax.set_xlim(-1200, 1200)
-ax.grid(True, alpha=0.4)
-ax.legend()
-fig.tight_layout()
-fig.savefig("tx_psd.png", dpi=150)
 '''
-
-
-def _aclr_job(args):
-    bits, order, prbs, n_sym, nperseg, seed = args
-    out = _tx_waveform(bits, order, prbs, n_sym, seed)
-    report = txchain.estimate_psd(out, nperseg)
-    plan = txchain.ChannelPlan()
-    return tuple(txchain.measure_aclr(report, plan, i) for i in (-2, -1, 1, 2))
 
 
 def _run_aclr_sweep(ctx):
@@ -780,16 +730,17 @@ def _run_aclr_sweep(ctx):
     n_sym = ctx.cfg[("tx", "n_symbols")]
     nperseg = ctx.cfg[("tx", "nperseg")]
     args = [(b, o, prbs, n_sym, nperseg, ctx.seed) for b in bits for o in orders]
-    results = parallel.pool_map(_aclr_job, args, ctx.jobs)
+    results = parallel.pool_map(_psd_job, args, ctx.jobs)
+    plan = txchain.ChannelPlan()
     rows = []
     table = {}
-    for (b, o, *_), aclrs in zip(args, results):
-        for idx, val in zip((-2, -1, 1, 2), aclrs):
-            rows.append((b, o, idx, val, ACLR_LIMIT_BS_DB, ACLR_LIMIT_UE_DB))
-            table[(b, o, idx)] = val
+    for (b, o, *_), (report, _var) in zip(args, results):
+        for idx in (-2, -1, 1, 2):
+            table[(b, o, idx)] = txchain.measure_aclr(report, plan, idx)
+            rows.append((b, o, idx, table[(b, o, idx)], ACLR_LIMIT_BS_DB, ACLR_LIMIT_UE_DB))
     _write_csv(ctx, "aclr_sweep.csv",
                ("n_bits", "lpf_order", "adj_index", "aclr_db", "limit_bs_db", "limit_ue_db"), rows)
-    _write_plot(ctx, "aclr_sweep_plot.py", _ACLR_PLOT)
+    _write_plot(ctx, "aclr_sweep.png", _ACLR_PLOT)
 
     if ctx.check:
         for b in bits:
@@ -798,31 +749,19 @@ def _run_aclr_sweep(ctx):
             if b != math.inf and b >= 4 and 1 in orders and table[(b, 1, 1)] < ACLR_LIMIT_BS_DB:
                 ctx.fail(f"n={b:g}, order 1: ACLR1 {table[(b, 1, 1)]:.2f} dB below {ACLR_LIMIT_BS_DB}")
         if math.inf in bits and 0 in orders and table[(math.inf, 0, 2)] >= ACLR_LIMIT_BS_DB:
-            ctx.fail("infinite resolution, order 0: ACLR2 unexpectedly meets the 28 dB limit")
+            ctx.fail(f"infinite resolution, order 0: ACLR2 unexpectedly meets "
+                     f"the {ACLR_LIMIT_BS_DB:g} dB limit")
 
 
-_ACLR_PLOT = _LOAD_SNIPPET + '''
-import matplotlib.pyplot as plt
-
-head, rows = load("aclr_sweep.csv")
-curves = {}
-for b, o, idx, val, lim_bs, lim_ue in rows:
-    if idx == 1:
-        curves.setdefault(o, []).append((b, val))
-
+_ACLR_PLOT = '''rows = load("aclr_sweep.csv")
+first = [r for r in rows if r["adj_index"] == 1 and r["n_bits"] != float("inf")]
 fig, ax = plt.subplots(figsize=(7, 5))
-for o, pts in sorted(curves.items()):
-    finite = sorted((b, v) for b, v in pts if b != float("inf"))
-    xs, ys = zip(*finite)
-    ax.plot(xs, ys, "o-", label=f"LPF order {o:g}")
-ax.axhline(28, color="k", ls="--", lw=0.8, label="28 dB (wide-area)")
-ax.axhline(17, color="k", ls=":", lw=0.8, label="17 dB (local-area)")
+for order, bits, aclrs in curves(first, "lpf_order", "n_bits", "aclr_db"):
+    ax.plot(bits, aclrs, "o-", label=f"LPF order {order:g}")
+for limit, ls, area in (("limit_bs_db", "--", "wide-area"), ("limit_ue_db", ":", "local-area")):
+    ax.axhline(rows[0][limit], color="k", ls=ls, lw=0.8, label=f"{rows[0][limit]:g} dB ({area})")
 ax.set_xlabel("DAC resolution (bits)")
 ax.set_ylabel("ACLR, first adjacent channel (dB)")
-ax.grid(True, alpha=0.4)
-ax.legend()
-fig.tight_layout()
-fig.savefig("aclr_sweep.png", dpi=150)
 '''
 
 
@@ -855,12 +794,14 @@ def _run_evm_sweep(ctx):
             if abs(measured - predicted) > 0.10 * predicted:
                 ctx.fail(f"n={b:g}: EVM floor {measured:.3f}% off prediction {predicted:.3f}% by >10%")
     _write_csv(ctx, "evm_floor.csv", ("n_bits", "measured_pct", "predicted_pct"), floor_rows)
-    _write_plot(ctx, "evm_sweep_plot.py", _EVM_PLOT)
+    limits = (EVM_LIMIT_64QAM_PCT, EVM_LIMIT_256QAM_PCT)
+    _write_plot(ctx, "evm_sweep.png", f"limits = {limits!r}\n" + _EVM_PLOT)
 
     if ctx.check:
         at = {(b, x): evm for b, x, evm in rows}
         ref = max(p for p in points)
-        for b, threshold, should_pass in ((4, 8.0, True), (6, 3.5, True), (5, 3.5, False)):
+        for b, threshold, should_pass in ((4, EVM_LIMIT_64QAM_PCT, True), (6, EVM_LIMIT_256QAM_PCT, True),
+                                          (5, EVM_LIMIT_256QAM_PCT, False)):
             if b in bits and (b, ref) in at:
                 ok = at[(b, ref)] < threshold
                 if ok != should_pass:
@@ -868,30 +809,16 @@ def _run_evm_sweep(ctx):
                     ctx.fail(f"n={b}: EVM {at[(b, ref)]:.2f}% unexpectedly {verdict} the {threshold}% threshold")
 
 
-_EVM_PLOT = _LOAD_SNIPPET + '''
-import matplotlib.pyplot as plt
-
-head, rows = load("evm_sweep.csv")
-fhead, frows = load("evm_floor.csv")
-curves = {}
-for b, x, evm in rows:
-    curves.setdefault(b, []).append((x, evm))
-floors = {b: pred for b, meas, pred in frows}
-
+_EVM_PLOT = '''floors = {r["n_bits"]: r["predicted_pct"] for r in load("evm_floor.csv")}
 fig, ax = plt.subplots(figsize=(7, 5))
-for b, pts in sorted(curves.items()):
-    xs, ys = zip(*pts)
-    line, = ax.plot(xs, ys, "o-", label=f"{b:g} bits")
-    ax.axhline(floors[b], color=line.get_color(), ls="--", lw=0.8)
-for lim in (8.0, 3.5):
-    ax.axhline(lim, color="k", ls=":", lw=0.8)
+for n_bits, points, evms in curves(load("evm_sweep.csv"), "n_bits", "inv_sigma_rf_db", "evm_pct"):
+    line, = ax.plot(points, evms, "o-", label=f"{n_bits:g} bits")
+    ax.axhline(floors[n_bits], color=line.get_color(), ls="--", lw=0.8)
+for limit in limits:
+    ax.axhline(limit, color="k", ls=":", lw=0.8)
 ax.set_xlabel("1/sigma_RF^2 (dB)")
 ax.set_ylabel("EVM (%)")
 ax.set_yscale("log")
-ax.grid(True, alpha=0.4, which="both")
-ax.legend()
-fig.tight_layout()
-fig.savefig("evm_sweep.png", dpi=150)
 '''
 
 

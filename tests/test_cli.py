@@ -181,10 +181,10 @@ def test_nan_bandwidth_exits_one_before_running(tmp_path, capsys):
 
 
 def test_domain_error_exits_two(tmp_path, capsys):
-    # waveform too short for the requested spectral resolution
-    cfg = tmp_path / "psd.ini"
-    cfg.write_text("[tx]\npsd_cases = 4:0\nn_symbols = 1\nnperseg = 65536\n")
-    rc = cli.main(["tx-psd", "--config", cfg.as_posix(), "--out", str(tmp_path / "out")])
+    # a drop whose users are all in outage leaves no CDF to write
+    cfg = tmp_path / "cell.ini"
+    cfg.write_text("[cell]\nradius_m = 1000\ndrops = 1\nttis = 2\n")
+    rc = cli.main(["cell-sdma", "--config", cfg.as_posix(), "--out", str(tmp_path / "out")])
     assert rc == 2
     assert "domain error" in capsys.readouterr().err
 
@@ -597,6 +597,7 @@ _BAD_INPUTS = [
     ("link-validate", "[link]\nadc_bits = 15\ndac_offset = 2\nsnr_points = 1\nn_symbols = 3\n", [],
      "link.dac_offset"),
     ("tx-psd", "[tx]\nnperseg = 1000000\nn_symbols = 1\npsd_cases = 4:0\n", [], "tx.nperseg"),
+    ("tx-psd", "[tx]\nnperseg = 65536\nn_symbols = 1\npsd_cases = 4:0\n", [], "tx.nperseg"),
 ]
 
 
