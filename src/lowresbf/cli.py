@@ -60,8 +60,11 @@ def _bit_width(tok):
 
 
 def _cast_bits(text):
-    """Comma list of resolutions."""
-    return tuple(_bit_width(t) for t in text.split(","))
+    """Comma list of resolutions, each listed once."""
+    bits = tuple(_bit_width(t) for t in text.split(","))
+    if len(set(bits)) != len(bits):
+        raise ValueError("each width may appear only once")
+    return bits
 
 
 def _cast_floats(text):
@@ -416,7 +419,7 @@ def _run_aqnm_curves(ctx):
     if ctx.check:
         if abs(quantizer.alpha_of(1) - (1.0 - 2.0 / math.pi)) > 1e-9:
             ctx.fail("1-bit alpha deviates from 1 - 2/pi")
-        finite = [a for b, a in alpha_rows if b != math.inf]
+        finite = [a for b, a in sorted(alpha_rows) if b != math.inf]
         if any(a2 >= a1 for a1, a2 in zip(finite, finite[1:])):
             ctx.fail("alpha not strictly decreasing in resolution")
 
@@ -553,26 +556,6 @@ _NETWORK_NOTES = (
 )
 
 
-def _network_config(ctx, scheduler, primary_bits, eval_bits, beams):
-    c = ctx.cfg
-    fixed = c[("cell", "fixed_ues")]
-    return network.NetworkConfig(
-        area_m=c[("cell", "area_m")],
-        cell_radius_m=c[("cell", "radius_m")],
-        bw_hz=c[("cell", "bw_hz")],
-        mean_ues_per_cell=c[("cell", "mean_ues")],
-        n_adc_bits=primary_bits,
-        eval_bits=eval_bits,
-        n_beams_max=beams,
-        scheduler=scheduler,
-        n_ttis=c[("cell", "ttis")],
-        seed=ctx.seed,
-        cluster_spread_cos=c[("cell", "cluster_spread")],
-        mean_extra_clusters=c[("cell", "mean_extra_clusters")],
-        fixed_ue_count=None if fixed < 0 else fixed,
-    )
-
-
 def _collect_cell_rows(drops_out, scheduler):
     rows = []
     for di, res in enumerate(drops_out):
@@ -623,18 +606,32 @@ def _check_dominance(ctx, drops_out, bits_list):
 def _run_cell(ctx, scheduler, bits, stem):
     """Drops, per-UE CSV, CDFs, plot and rate-dominance check of a cell preset.
 
-    bits[0] is the width the drop is scheduled at; the rest are also
-    recorded, plus infinite resolution.  Returns the drops and every
-    recorded width, for the preset's own outputs and checks.
+    Every width in bits is recorded on the same resolution-blind
+    schedules, plus infinite resolution if bits lacks it.  Returns the
+    drops and every recorded width, for the preset's own outputs and checks.
     """
-    eval_bits = tuple(bits[1:]) + ((math.inf,) if math.inf not in bits else ())
-    ncfg = _network_config(ctx, scheduler, bits[0], eval_bits, ctx.cfg[("cell", "beams")])
-    drops_out = network.run_drops(ncfg, ctx.cfg[("cell", "drops")], n_jobs=ctx.jobs)
+    all_bits = bits if math.inf in bits else bits + (math.inf,)
+    c = ctx.cfg
+    fixed = c[("cell", "fixed_ues")]
+    ncfg = network.NetworkConfig(
+        area_m=c[("cell", "area_m")],
+        cell_radius_m=c[("cell", "radius_m")],
+        bw_hz=c[("cell", "bw_hz")],
+        mean_ues_per_cell=c[("cell", "mean_ues")],
+        adc_bits=all_bits,
+        n_beams_max=c[("cell", "beams")],
+        scheduler=scheduler,
+        n_ttis=c[("cell", "ttis")],
+        seed=ctx.seed,
+        cluster_spread_cos=c[("cell", "cluster_spread")],
+        mean_extra_clusters=c[("cell", "mean_extra_clusters")],
+        fixed_ue_count=None if fixed < 0 else fixed,
+    )
+    drops_out = network.run_drops(ncfg, c[("cell", "drops")], n_jobs=ctx.jobs)
     rows = _collect_cell_rows(drops_out, scheduler)
     _write_csv(ctx, f"{stem}_ue.csv",
                ("drop", "ue", "serving_bs", "sinr_db", "rate_bps", "n_bits", "scheduler", "interior"),
                rows, notes=_NETWORK_NOTES)
-    all_bits = (bits[0],) + eval_bits
     _write_cdfs(ctx, stem, drops_out, all_bits)
     tags = [_bits_tag(b) for b in all_bits]
     _write_plot(ctx, f"{stem}_cdf.png", f"stem = {stem!r}\nbits = {tags!r}\n" + _CELL_PLOT)

@@ -10,6 +10,11 @@ group, equal power split) allocates the resources, inter-cell
 interference is accumulated from the other cells' active beams, and
 quantized SINRs and rates are recorded per user.
 
+The reference system is fixed by module constants: FC_HZ, BS_ARRAY,
+UE_ARRAY, TX_POWER_DBM, NOISE_FIGURE_DB, TTI_S, OVERHEAD,
+SHANNON_LOSS_DB, MAX_SE_BPS_HZ and PATHLOSS.  NetworkConfig holds only
+what a run varies; resolution is the axis the model studies.
+
 Schedulers are resolution-blind: they rank users on unquantized SINR
 estimates, so runs at different ADC widths share schedules and the
 AQNM dominance comparison is exact per user and TTI.  Resolution only
@@ -18,7 +23,7 @@ from interior cells; the finite area has no wrap-around.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import IntEnum
 
 import numpy as np
@@ -32,19 +37,16 @@ __all__ = [
     "PathlossParams",
     "NetworkConfig",
     "NetworkDrop",
-    "SchedulerState",
     "UeResult",
     "DropResult",
     "free_space_pathloss_db",
     "pathloss_db",
     "generate_layout",
     "covariance_from_clusters",
-    "generate_covariances",
     "longterm_beams",
     "schedule_ofdma_pf",
     "schedule_sdma_greedy",
     "rate_from_sinr",
-    "run_drop",
     "run_drop_detailed",
     "run_drops",
 ]
@@ -65,7 +67,7 @@ class PathlossParams:
 
     Defaults follow the published 28 GHz measurement fits, including the
     distance-driven LOS/NLOS/outage state probabilities.  These are
-    configuration, not ground truth; acceptance bands that depend on
+    model assumptions, not ground truth; acceptance bands that depend on
     them are widened accordingly.
     """
 
@@ -87,9 +89,20 @@ class PathlossParams:
         return p_out, p_los, 1.0 - p_out - p_los
 
 
+FC_HZ = 28e9
+TX_POWER_DBM = 35.0
+NOISE_FIGURE_DB = 8.0
+MAX_SE_BPS_HZ = 7.4063
+BS_ARRAY = (8, 8)
+UE_ARRAY = (4, 4)
+TTI_S = 125e-6
+OVERHEAD = 0.20
+SHANNON_LOSS_DB = 3.0
+PATHLOSS = PathlossParams()
+_NOISE_PSD_MW_HZ = 10.0 ** ((-174.0 + NOISE_FIGURE_DB) / 10.0)
+
 _FINITE_FIELDS = (
-    "area_m", "cell_radius_m", "fc_hz", "bw_hz", "tx_power_dbm", "noise_figure_db", "max_se_bps_hz",
-    "tti_s", "shannon_loss_db", "mean_ues_per_cell", "mean_extra_clusters", "cluster_spread_cos",
+    "area_m", "cell_radius_m", "bw_hz", "mean_ues_per_cell", "mean_extra_clusters", "cluster_spread_cos",
 )
 
 
@@ -97,23 +110,14 @@ _FINITE_FIELDS = (
 class NetworkConfig:
     area_m: float = 1000.0
     cell_radius_m: float = 100.0
-    fc_hz: float = 28e9
     bw_hz: float = 1e9
-    tx_power_dbm: float = 35.0
-    noise_figure_db: float = 8.0
-    max_se_bps_hz: float = 7.4063
-    bs_array: tuple = (8, 8)
-    ue_array: tuple = (4, 4)
-    tti_s: float = 125e-6
-    overhead: float = 0.20
-    shannon_loss_db: float = 3.0
     mean_ues_per_cell: float = 10.0
-    n_adc_bits: float = math.inf
+    # ADC widths recorded on the same resolution-blind schedules, each once
+    adc_bits: tuple = (math.inf,)
     n_beams_max: int = 4
     scheduler: str = "OFDMA_PF"
     n_ttis: int = 200
     seed: int = 0
-    pathloss: PathlossParams = field(default_factory=PathlossParams)
     # cluster geometry: Poisson(mean_extra_clusters)+1 clusters per link,
     # exponential powers, each cluster spread as a Gaussian in direction
     # cosines (0 reproduces pure point clusters)
@@ -121,20 +125,16 @@ class NetworkConfig:
     cluster_spread_cos: float = 0.30
     # None draws Poisson(mean_ues_per_cell x n_bs) users; an int fixes the total
     fixed_ue_count: int = None
-    # extra ADC widths evaluated on the same schedules as n_adc_bits
-    eval_bits: tuple = ()
 
     def __post_init__(self):
         for name in _FINITE_FIELDS:
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
-        for name in ("area_m", "cell_radius_m", "bw_hz", "tti_s"):
+        for name in ("area_m", "cell_radius_m", "bw_hz"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
         if self.fixed_ue_count is not None and self.fixed_ue_count < 1:
             raise ValueError("fixed_ue_count must be at least 1 (None draws a Poisson count)")
-        if not (0 <= self.overhead < 1):
-            raise ValueError("overhead must sit in [0, 1)")
         if self.scheduler not in SCHEDULERS:
             raise ValueError(f"scheduler must be one of {SCHEDULERS}")
         if self.n_beams_max < 1 or self.n_ttis < 1:
@@ -143,27 +143,14 @@ class NetworkConfig:
             raise ValueError("mean_ues_per_cell must be positive")
         if self.cluster_spread_cos < 0 or self.mean_extra_clusters < 0:
             raise ValueError("cluster parameters must be nonnegative")
-        for shape in (self.bs_array, self.ue_array):
-            if len(shape) != 2 or min(shape) < 1:
-                raise ValueError("array shapes are (rows, cols) of positive ints")
-        for b in (self.n_adc_bits, *self.eval_bits):
+        if not self.adc_bits or len(set(self.adc_bits)) != len(self.adc_bits):
+            raise ValueError("adc_bits must list at least one width, each once")
+        for b in self.adc_bits:
             quantizer.make_spec(b)
 
     @property
-    def n_tx(self):
-        return self.bs_array[0] * self.bs_array[1]
-
-    @property
-    def n_rx(self):
-        return self.ue_array[0] * self.ue_array[1]
-
-    @property
-    def noise_psd_mw_hz(self):
-        return 10.0 ** ((-174.0 + self.noise_figure_db) / 10.0)
-
-    @property
     def tx_psd_mw_hz(self):
-        return 10.0 ** (self.tx_power_dbm / 10.0) / self.bw_hz
+        return 10.0 ** (TX_POWER_DBM / 10.0) / self.bw_hz
 
 
 @dataclass(frozen=True)
@@ -183,13 +170,6 @@ class NetworkDrop:
     cluster_cos_tx: np.ndarray   # (n_active, n_bs, k_max, 2)
     cluster_cos_rx: np.ndarray
     interior_bs: np.ndarray
-
-
-@dataclass
-class SchedulerState:
-    """Cumulative scheduled data per active user, for PF weighting."""
-
-    served_bits: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -214,7 +194,7 @@ def free_space_pathloss_db(d_m, fc_hz):
     return 20.0 * np.log10(4.0 * np.pi * d * fc_hz / _C_M_S)
 
 
-def pathloss_db(d_m, state, params, rng, fc_hz=28e9):
+def pathloss_db(d_m, state, params, rng):
     """Pathloss with shadowing for drawn link states; outage means +inf.
 
     The shadowed value is floored at free space for the carrier, which
@@ -232,7 +212,7 @@ def pathloss_db(d_m, state, params, rng, fc_hz=28e9):
         params.los_intercept_db + 10.0 * params.los_exponent * np.log10(d) + params.los_shadow_db * shadow,
         params.nlos_intercept_db + 10.0 * params.nlos_exponent * np.log10(d) + params.nlos_shadow_db * shadow,
     )
-    pl = np.maximum(pl, free_space_pathloss_db(d, fc_hz))
+    pl = np.maximum(pl, free_space_pathloss_db(d, FC_HZ))
     return np.where(st == LinkState.OUTAGE, np.inf, pl)
 
 
@@ -305,14 +285,6 @@ def _draw_clusters(rng, batch_shape, mean_extra):
     return powers, cos_tx, cos_rx
 
 
-def generate_covariances(cfg, rng, n_links=1):
-    """Draw cluster geometry and build (cov_tx, cov_rx) for n_links links."""
-    powers, cos_tx, cos_rx = _draw_clusters(rng, (n_links,), cfg.mean_extra_clusters)
-    q_tx = covariance_from_clusters(powers, cos_tx, cfg.bs_array, cfg.cluster_spread_cos)
-    q_rx = covariance_from_clusters(powers, cos_rx, cfg.ue_array, cfg.cluster_spread_cos)
-    return q_tx, q_rx
-
-
 def _dominant_eig(q):
     lam, vec = np.linalg.eigh(q)
     # lowest index among numerically tied top eigenvalues, so isotropic
@@ -341,15 +313,17 @@ def longterm_beams(cov_tx, cov_rx):
     return v, u
 
 
-def schedule_ofdma_pf(state, spectral_effs, member_ids, bw_hz):
+def schedule_ofdma_pf(served_bits, spectral_effs, member_ids, bw_hz):
     """Proportional-fair bandwidth split: weight = SE / served bits.
+
+    served_bits holds the cumulative scheduled data of every active user.
 
     Returns absolute allocations that sum to bw_hz exactly.
     """
     mem = np.asarray(member_ids, dtype=int)
     if mem.size == 0:
         return np.zeros(0)
-    w = np.asarray(spectral_effs, dtype=float) / state.served_bits[mem]
+    w = np.asarray(spectral_effs, dtype=float) / served_bits[mem]
     tot = w.sum()
     frac = w / tot if tot > 0 else np.full(mem.size, 1.0 / mem.size)
     shares = frac * bw_hz
@@ -357,12 +331,12 @@ def schedule_ofdma_pf(state, spectral_effs, member_ids, bw_hz):
     return shares
 
 
-def _capped_se(sinr_linear, cfg):
+def _capped_se(sinr_linear):
     """Spectral efficiency min(cap, log2(1 + s/L)) before overhead."""
-    return np.minimum(cfg.max_se_bps_hz, np.log2(1.0 + sinr_linear / 10.0 ** (cfg.shannon_loss_db / 10.0)))
+    return np.minimum(MAX_SE_BPS_HZ, np.log2(1.0 + sinr_linear / 10.0 ** (SHANNON_LOSS_DB / 10.0)))
 
 
-def schedule_sdma_greedy(state, gamma_est, coupling, member_ids, cfg):
+def schedule_sdma_greedy(served_bits, gamma_est, coupling, member_ids, cfg):
     """Greedy spatial grouping: seed with the max PF weight, then admit
     the candidate with the best modeled sum-rate gain while it is
     strictly positive, up to n_beams_max beams.  Ties go to the lowest
@@ -378,7 +352,7 @@ def schedule_sdma_greedy(state, gamma_est, coupling, member_ids, cfg):
     mem = np.asarray(member_ids, dtype=int)
     if mem.size == 0:
         return np.zeros(0, dtype=int)
-    weights = (1.0 - cfg.overhead) * _capped_se(gamma_est, cfg) / state.served_bits[mem]
+    weights = (1.0 - OVERHEAD) * _capped_se(gamma_est) / served_bits[mem]
 
     def sum_rates(grp):
         """Modeled sum rate of each row of grp, an (n_groups, k) index array."""
@@ -386,7 +360,7 @@ def schedule_sdma_greedy(state, gamma_est, coupling, member_ids, cfg):
         sub = coupling[grp[:, :, None], grp[:, None, :]]
         psi = sub.sum(1) - np.diagonal(sub, axis1=1, axis2=2)
         s = gp / (1.0 + psi * gp)
-        return ((1.0 - cfg.overhead) * _capped_se(s, cfg)).sum(-1)
+        return ((1.0 - OVERHEAD) * _capped_se(s)).sum(-1)
 
     group = [int(np.argmax(weights))]
     best = sum_rates(np.array([group]))[0]
@@ -404,12 +378,12 @@ def schedule_sdma_greedy(state, gamma_est, coupling, member_ids, cfg):
     return np.array(sorted(group), dtype=int)
 
 
-def rate_from_sinr(sinr_linear, w_hz, cfg):
+def rate_from_sinr(sinr_linear, w_hz):
     """Shannon rate with implementation loss, overhead, and an SE cap."""
     s = np.asarray(sinr_linear, dtype=float)
     if np.any(s < 0):
         raise ValueError("SINR must be nonnegative")
-    return (1.0 - cfg.overhead) * w_hz * _capped_se(s, cfg)
+    return (1.0 - OVERHEAD) * w_hz * _capped_se(s)
 
 
 def generate_layout(cfg, seed=None):
@@ -423,10 +397,10 @@ def generate_layout(cfg, seed=None):
 
     d = np.hypot(ue[:, 0, None] - bs[None, :, 0], ue[:, 1, None] - bs[None, :, 1])
     d = np.maximum(d, 1.0)  # model fits are not meant below a meter
-    p_out, p_los, _ = cfg.pathloss.state_probabilities(d)
+    p_out, p_los, _ = PATHLOSS.state_probabilities(d)
     u01 = rng.random((n_ue, n_bs))
     state = np.where(u01 < p_out, LinkState.OUTAGE, np.where(u01 < p_out + p_los, LinkState.LOS, LinkState.NLOS))
-    pl = pathloss_db(d, state, cfg.pathloss, rng, cfg.fc_hz)
+    pl = pathloss_db(d, state, PATHLOSS, rng)
 
     gain = 10.0 ** (-pl / 10.0)
     association = np.where(np.isfinite(pl).any(axis=1), np.argmax(gain, axis=1), -1)
@@ -434,8 +408,8 @@ def generate_layout(cfg, seed=None):
 
     powers, cos_tx, cos_rx = _draw_clusters(rng, (len(active), n_bs), cfg.mean_extra_clusters)
     sel = (np.arange(len(active)), association[active])
-    cov_tx = covariance_from_clusters(powers[sel], cos_tx[sel], cfg.bs_array, cfg.cluster_spread_cos)
-    cov_rx = covariance_from_clusters(powers[sel], cos_rx[sel], cfg.ue_array, cfg.cluster_spread_cos)
+    cov_tx = covariance_from_clusters(powers[sel], cos_tx[sel], BS_ARRAY, cfg.cluster_spread_cos)
+    cov_rx = covariance_from_clusters(powers[sel], cos_rx[sel], UE_ARRAY, cfg.cluster_spread_cos)
 
     ring = math.sqrt(3.0) * cfg.cell_radius_m
     interior = (
@@ -464,15 +438,6 @@ def _quadform_sum(a, beam, taper, powers):
     return (powers * q).sum(-1)
 
 
-def _alpha_list(cfg):
-    bits = [cfg.n_adc_bits, *cfg.eval_bits]
-    seen = []
-    for b in bits:
-        if b not in seen:
-            seen.append(b)
-    return seen, [quantizer.alpha_of(b) for b in seen]
-
-
 def run_drop_detailed(cfg, seed=None):
     """One placement simulated for cfg.n_ttis TTIs; keeps beam usage.
 
@@ -492,8 +457,8 @@ def run_drop_detailed(cfg, seed=None):
     srv = drop.association[act]
     members = [np.nonzero(srv == c)[0] for c in range(n_bs)]
 
-    t_tx = _spread_taper(cfg.bs_array, cfg.cluster_spread_cos)
-    t_rx = _spread_taper(cfg.ue_array, cfg.cluster_spread_cos)
+    t_tx = _spread_taper(BS_ARRAY, cfg.cluster_spread_cos)
+    t_rx = _spread_taper(UE_ARRAY, cfg.cluster_spread_cos)
     v_s, e_srv = _dominant_eig(drop.cov_tx)
     u_s, g_srv = _dominant_eig(drop.cov_rx)
     gain_srv = 10.0 ** (-drop.pathloss_db[act, srv] / 10.0)
@@ -508,7 +473,7 @@ def run_drop_detailed(cfg, seed=None):
         near = np.nonzero(np.isfinite(drop.pathloss_db[act, c]))[0]
         p_near = drop.cluster_powers[near, c]
         cos_rx = drop.cluster_cos_rx[near, c]
-        a_rx = _steering(cfg.ue_array, cos_rx[..., 0], cos_rx[..., 1])
+        a_rx = _steering(UE_ARRAY, cos_rx[..., 0], cos_rx[..., 1])
         w_rx[near, c] = _quadform_sum(a_rx, u_s[near], t_rx, p_near)
         mem = members[c]
         if mem.size == 0:
@@ -516,7 +481,7 @@ def run_drop_detailed(cfg, seed=None):
             coupling[c] = np.zeros((0, 0))
             continue
         cos_tx = drop.cluster_cos_tx[near, c]
-        a_tx = _steering(cfg.bs_array, cos_tx[..., 0], cos_tx[..., 1])
+        a_tx = _steering(BS_ARRAY, cos_tx[..., 0], cos_tx[..., 1])
         w = np.zeros((n_act, mem.size))
         for j, m in enumerate(mem):
             w[near, j] = _quadform_sum(a_tx, v_s[m], t_tx, p_near)
@@ -525,13 +490,12 @@ def run_drop_detailed(cfg, seed=None):
 
     y_inter = 10.0 ** (-drop.pathloss_db[act] / 10.0) * w_rx  # pathloss x beam pickup, per cell
 
-    bits_list, alphas = _alpha_list(cfg)
-    n_a = len(alphas)
+    n_a = len(cfg.adc_bits)
     # one row per ADC width, plus the resolution-blind row that feeds the
     # PF history (alpha = 0 gives exactly the unquantized SINR)
-    alpha_rows = np.array([*alphas, 0.0])[:, None]
-    psd, n0 = cfg.tx_psd_mw_hz, cfg.noise_psd_mw_hz
-    state = SchedulerState(served_bits=np.full(n_act, 1.0))
+    alpha_rows = np.array([*(quantizer.alpha_of(b) for b in cfg.adc_bits), 0.0])[:, None]
+    psd, n0 = cfg.tx_psd_mw_hz, _NOISE_PSD_MW_HZ
+    served_bits = np.full(n_act, 1.0)
     lin_sinr = np.zeros((n_a, n_act))
     sched_cnt = np.zeros(n_act)
     rate_sum = np.zeros((n_a, n_act))
@@ -541,7 +505,7 @@ def run_drop_detailed(cfg, seed=None):
 
     for _ in range(cfg.n_ttis):
         gamma_est = psd * gain_srv * e_srv * g_srv / (n0 + i_lag)
-        se_est = (1.0 - cfg.overhead) * _capped_se(gamma_est, cfg)
+        se_est = (1.0 - OVERHEAD) * _capped_se(gamma_est)
         # per scheduled user: power divisor (group size), leakage ratio psi
         # and bandwidth; div = 0 marks a user not scheduled this TTI
         div = np.zeros(n_act)
@@ -553,7 +517,7 @@ def run_drop_detailed(cfg, seed=None):
             if mem.size == 0:
                 continue
             if sdma:
-                gr = schedule_sdma_greedy(state, gamma_est[mem], coupling[c], mem, cfg)
+                gr = schedule_sdma_greedy(served_bits, gamma_est[mem], coupling[c], mem, cfg)
                 if drop.interior_bs[c]:
                     beam_counts.append(len(gr))
                 contrib = (psd / len(gr)) * y_inter[:, c] * w_tx[c][:, gr].sum(1)
@@ -562,7 +526,7 @@ def run_drop_detailed(cfg, seed=None):
                 psi[mem[gr]] = sub.sum(0) - np.diag(sub)
                 bw[mem[gr]] = cfg.bw_hz
             else:
-                shares = schedule_ofdma_pf(state, se_est[mem], mem, cfg.bw_hz)
+                shares = schedule_ofdma_pf(served_bits, se_est[mem], mem, cfg.bw_hz)
                 contrib = psd * y_inter[:, c] * (w_tx[c] @ (shares / cfg.bw_hz))
                 div[mem] = 1.0
                 bw[mem] = shares
@@ -573,16 +537,16 @@ def run_drop_detailed(cfg, seed=None):
         gamma = psd * gain_srv * e_srv * g_srv / (n0 + i_now)
         sel = np.nonzero(div)[0]
         s = sinr_quantized(gamma[sel] / div[sel], g_srv[sel], psi[sel], alpha_rows)
-        r = rate_from_sinr(s, bw[sel], cfg)
+        r = rate_from_sinr(s, bw[sel])
         lin_sinr[:, sel] += s[:-1]
         rate_sum[:, sel] += r[:-1]
         sched_cnt[sel] += 1
-        state.served_bits[sel] += r[-1] * cfg.tti_s
+        served_bits[sel] += r[-1] * TTI_S
         i_lag = i_now
 
     results = []
     interior_ue = drop.interior_bs[srv]
-    for ai, b in enumerate(bits_list):
+    for ai, b in enumerate(cfg.adc_bits):
         for s in range(n_act):
             n_sched = sched_cnt[s]
             results.append(
@@ -596,11 +560,6 @@ def run_drop_detailed(cfg, seed=None):
                 )
             )
     return DropResult(ue_results=results, beam_counts=np.array(beam_counts, dtype=int), n_ues_total=len(drop.ue_positions))
-
-
-def run_drop(cfg, seed=None):
-    """Per-user time-averaged results for one drop (see run_drop_detailed)."""
-    return run_drop_detailed(cfg, seed).ue_results
 
 
 def _drop_job(args):

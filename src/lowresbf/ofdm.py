@@ -33,7 +33,6 @@ __all__ = [
     "ofdm_modulate",
     "ofdm_demodulate",
     "agc_normalize",
-    "fir_lowpass",
     "fir_circular",
     "fir_zero_phase_response",
     "osr_gain_db",
@@ -171,17 +170,6 @@ def agc_normalize(block):
     if p == 0:
         raise ValueError("all-zero block has no defined gain")
     return ComplexSampleBlock(block.samples / math.sqrt(p), block.sample_rate)
-
-
-def fir_lowpass(block, cutoff_hz, taps=129):
-    """Linear-phase windowed-sinc lowpass, group delay compensated."""
-    fs = block.sample_rate
-    if not (0 < cutoff_hz < fs / 2):
-        raise ValueError("cutoff must sit inside (0, fs/2)")
-    h = firwin(taps, cutoff_hz, fs=fs)
-    y = np.convolve(block.samples, h, mode="full")
-    d = (taps - 1) // 2
-    return ComplexSampleBlock(y[d:d + block.samples.size], fs)
 
 
 def osr_gain_db(n_fft, n_sc):

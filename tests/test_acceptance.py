@@ -330,17 +330,17 @@ def test_evm_resolution_thresholds():
 
 @pytest.fixture(scope="module")
 def cell_runs():
-    def run(scheduler, primary, eval_bits, beams):
+    def run(scheduler, adc_bits, beams):
         cfg = network.NetworkConfig(
-            n_adc_bits=primary, eval_bits=eval_bits, n_beams_max=beams,
+            adc_bits=adc_bits, n_beams_max=beams,
             scheduler=scheduler, n_ttis=200, seed=7,
         )
         return network.run_drops(cfg, 20, n_jobs=1)
 
     t0 = time.perf_counter()
-    ofdma = run("OFDMA_PF", 3, (4, math.inf), 4)
-    sdma4 = run("SDMA_GREEDY", 4, (), 4)
-    sdma2 = run("SDMA_GREEDY", 4, (), 2)
+    ofdma = run("OFDMA_PF", (3, 4, math.inf), 4)
+    sdma4 = run("SDMA_GREEDY", (4,), 4)
+    sdma2 = run("SDMA_GREEDY", (4,), 2)
     return ofdma, sdma4, sdma2, time.perf_counter() - t0
 
 

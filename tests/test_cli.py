@@ -207,6 +207,12 @@ def test_failed_check_exits_three(tmp_path, capsys):
     assert "2-beam usage fraction" in capsys.readouterr().err
 
 
+def test_aqnm_check_accepts_widths_out_of_order(tmp_path, capsys):
+    # the alpha ordering check compares widths in ascending order, not list order
+    rc = cli.main(["aqnm-curves", "--bits", "4,3", "--out", str(tmp_path / "out"), "--check", "--no-timestamp"])
+    assert rc == 0, capsys.readouterr().err
+
+
 def test_passing_check_exits_zero(tmp_path, capsys):
     rc = cli.main(["power-table", "--out", str(tmp_path / "out"), "--check"])
     assert rc == 0
@@ -598,6 +604,7 @@ _BAD_INPUTS = [
      "link.dac_offset"),
     ("tx-psd", "[tx]\nnperseg = 1000000\nn_symbols = 1\npsd_cases = 4:0\n", [], "tx.nperseg"),
     ("tx-psd", "[tx]\nnperseg = 65536\nn_symbols = 1\npsd_cases = 4:0\n", [], "tx.nperseg"),
+    ("cell-ofdma", "[cell]\ndrops = 1\nttis = 1\n", ["--bits", "3,3"], "cell.adc_bits"),
 ]
 
 
@@ -655,6 +662,7 @@ def test_schema_text_resolves_in_domain_or_names_key(sec_key, text):
     leaves = value if isinstance(value, tuple) else (value,)
     if cast is cli._cast_bits:
         assert all(v == math.inf or (isinstance(v, int) and 1 <= v <= 16) for v in leaves)
+        assert len(set(leaves)) == len(leaves)
     elif cast is cli._cast_cases:
         assert all(b == math.inf or 1 <= b <= 16 for b, _ in value)
         assert all(isinstance(o, int) and o >= 0 for _, o in value)

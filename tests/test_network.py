@@ -115,10 +115,11 @@ def test_spread_taper_keeps_trace_and_psd():
 
 
 def test_generate_covariances_batch():
-    cfg = network.NetworkConfig()
-    rng = np.random.default_rng(5)
-    q_tx, q_rx = network.generate_covariances(cfg, rng, n_links=8)
-    assert q_tx.shape == (8, 64, 64) and q_rx.shape == (8, 16, 16)
+    drop = network.generate_layout(toy_config(fixed_ue_count=8), seed=5)
+    q_tx, q_rx = drop.cov_tx, drop.cov_rx
+    n_act = drop.active_ue.size
+    assert n_act > 0
+    assert q_tx.shape == (n_act, 64, 64) and q_rx.shape == (n_act, 16, 16)
     for q, n in ((q_tx, 64), (q_rx, 16)):
         np.testing.assert_allclose(np.trace(q, axis1=-2, axis2=-1).real, n, rtol=1e-10)
         assert np.linalg.eigvalsh(q).min() > -1e-10
@@ -143,74 +144,68 @@ def test_longterm_beams_properties():
 
 
 def test_ofdma_pf_shares():
-    state = network.SchedulerState(served_bits=np.ones(3))
-    shares = network.schedule_ofdma_pf(state, np.array([2.0, 2.0]), [0, 1], 1e9)
+    shares = network.schedule_ofdma_pf(np.ones(3), np.array([2.0, 2.0]), [0, 1], 1e9)
     np.testing.assert_allclose(shares, 5e8)
     assert shares.sum() == 1e9  # closed exactly, not just approximately
-    state = network.SchedulerState(served_bits=np.array([4.0, 1.0, 1.0]))
-    shares = network.schedule_ofdma_pf(state, np.array([2.0, 2.0]), [0, 1], 1e9)
+    served = np.array([4.0, 1.0, 1.0])
+    shares = network.schedule_ofdma_pf(served, np.array([2.0, 2.0]), [0, 1], 1e9)
     assert shares[1] > shares[0]
-    assert network.schedule_ofdma_pf(state, np.array([]), [], 1e9).size == 0
+    assert network.schedule_ofdma_pf(served, np.array([]), [], 1e9).size == 0
 
 
 def test_ofdma_pf_long_run_fairness():
     # Unequal spectral efficiencies: PF hands both users the same
     # long-run bandwidth while served data tracks the efficiency ratio.
-    cfg = network.NetworkConfig()
     se = np.array([2.0, 1.0])
-    state = network.SchedulerState(served_bits=np.ones(2))
+    served = np.ones(2)
     totals = np.zeros(2)
     for _ in range(10_000):
-        shares = network.schedule_ofdma_pf(state, se, [0, 1], 1.0)
-        bits = shares * se
-        state.served_bits += bits
+        shares = network.schedule_ofdma_pf(served, se, [0, 1], 1.0)
+        served += shares * se
         totals += shares
     assert totals[0] / totals[1] == pytest.approx(1.0, rel=0.02)
-    assert state.served_bits[0] / state.served_bits[1] == pytest.approx(2.0, rel=0.02)
+    assert served[0] / served[1] == pytest.approx(2.0, rel=0.02)
 
 
 def test_sdma_greedy_single_beam_is_pf_pick():
     cfg = toy_config(n_beams_max=1, scheduler="SDMA_GREEDY")
-    state = network.SchedulerState(served_bits=np.array([1.0, 8.0, 2.0]))
+    served = np.array([1.0, 8.0, 2.0])
     gamma = np.array([50.0, 500.0, 60.0])
     coupling = np.zeros((3, 3))
-    group = network.schedule_sdma_greedy(state, gamma, coupling, [0, 1, 2], cfg)
-    weights = (1 - cfg.overhead) * np.minimum(
-        cfg.max_se_bps_hz, np.log2(1 + gamma / 10 ** 0.3)
-    ) / state.served_bits
+    group = network.schedule_sdma_greedy(served, gamma, coupling, [0, 1, 2], cfg)
+    weights = (1 - network.OVERHEAD) * np.minimum(
+        network.MAX_SE_BPS_HZ, np.log2(1 + gamma / 10 ** 0.3)
+    ) / served
     assert group.tolist() == [int(np.argmax(weights))]
 
 
 def test_sdma_greedy_admits_orthogonal_pair():
     cfg = toy_config(n_beams_max=4, scheduler="SDMA_GREEDY")
-    state = network.SchedulerState(served_bits=np.ones(2))
     gamma = np.array([200.0, 150.0])
-    group = network.schedule_sdma_greedy(state, gamma, np.zeros((2, 2)), [0, 1], cfg)
+    group = network.schedule_sdma_greedy(np.ones(2), gamma, np.zeros((2, 2)), [0, 1], cfg)
     assert group.tolist() == [0, 1]
 
 
 def test_sdma_greedy_rejects_fully_coupled_pair():
     cfg = toy_config(n_beams_max=4, scheduler="SDMA_GREEDY")
-    state = network.SchedulerState(served_bits=np.ones(2))
     gamma = np.array([100.0, 100.0])
     coupling = np.ones((2, 2))
-    group = network.schedule_sdma_greedy(state, gamma, coupling, [0, 1], cfg)
+    group = network.schedule_sdma_greedy(np.ones(2), gamma, coupling, [0, 1], cfg)
     assert group.size == 1
 
 
 def test_rate_from_sinr():
-    cfg = network.NetworkConfig()
-    assert network.rate_from_sinr(0.0, 1e9, cfg) == 0.0
-    cap = network.rate_from_sinr(1e12, 1e9, cfg)
+    assert network.rate_from_sinr(0.0, 1e9) == 0.0
+    cap = network.rate_from_sinr(1e12, 1e9)
     assert cap == pytest.approx(0.8 * 7.4063e9, rel=1e-9)
-    mid = network.rate_from_sinr(10.0 ** 0.3, 1e9, cfg)
+    mid = network.rate_from_sinr(10.0 ** 0.3, 1e9)
     assert mid == pytest.approx(0.8e9, rel=1e-9)
     with pytest.raises(ValueError):
-        network.rate_from_sinr(-0.1, 1e9, cfg)
+        network.rate_from_sinr(-0.1, 1e9)
 
 
 def test_run_drop_deterministic():
-    cfg = toy_config(n_adc_bits=3, eval_bits=(4, math.inf))
+    cfg = toy_config(adc_bits=(3, 4, math.inf))
     a = network.run_drop_detailed(cfg, seed=7)
     b = network.run_drop_detailed(cfg, seed=7)
     assert a.n_ues_total == b.n_ues_total
@@ -220,7 +215,7 @@ def test_run_drop_deterministic():
 
 
 def test_run_drops_jobs_invariant():
-    cfg = toy_config(n_adc_bits=4)
+    cfg = toy_config(adc_bits=(4,))
     serial = network.run_drops(cfg, 2, n_jobs=1)
     parallel = network.run_drops(cfg, 2, n_jobs=2)
     for x, y in zip(serial, parallel):
@@ -229,15 +224,15 @@ def test_run_drops_jobs_invariant():
         ]
 
 
-def _greedy_oracle(state, gamma_est, coupling, member_ids, cfg):
+def _greedy_oracle(served_bits, gamma_est, coupling, member_ids, cfg):
     """The one-candidate-at-a-time greedy loop the batched scheduler replaced."""
     mem = np.asarray(member_ids, dtype=int)
     if mem.size == 0:
         return np.zeros(0, dtype=int)
-    weights = (1.0 - cfg.overhead) * np.minimum(
-        cfg.max_se_bps_hz, np.log2(1.0 + gamma_est / 10.0 ** (cfg.shannon_loss_db / 10.0))
-    ) / state.served_bits[mem]
-    shannon_loss = 10.0 ** (cfg.shannon_loss_db / 10.0)
+    shannon_loss = 10.0 ** (network.SHANNON_LOSS_DB / 10.0)
+    weights = (1.0 - network.OVERHEAD) * np.minimum(
+        network.MAX_SE_BPS_HZ, np.log2(1.0 + gamma_est / shannon_loss)
+    ) / served_bits[mem]
 
     def sum_rate(group):
         k = len(group)
@@ -248,7 +243,7 @@ def _greedy_oracle(state, gamma_est, coupling, member_ids, cfg):
             sub = coupling[np.ix_(group, group)]
             psi = sub.sum(0) - np.diag(sub)
         s = gp / (1.0 + psi * gp)
-        return ((1.0 - cfg.overhead) * np.minimum(cfg.max_se_bps_hz, np.log2(1.0 + s / shannon_loss))).sum()
+        return ((1.0 - network.OVERHEAD) * np.minimum(network.MAX_SE_BPS_HZ, np.log2(1.0 + s / shannon_loss))).sum()
 
     group = [int(np.argmax(weights))]
     best = sum_rate(group)
@@ -282,8 +277,8 @@ def test_sdma_greedy_matches_oracle(case):
     gamma, coupling, served, n_beams = case
     cfg = toy_config(scheduler="SDMA_GREEDY", n_beams_max=n_beams)
     mem = np.arange(gamma.size)
-    got = network.schedule_sdma_greedy(network.SchedulerState(served.copy()), gamma, coupling, mem, cfg)
-    want = _greedy_oracle(network.SchedulerState(served.copy()), gamma, coupling, mem, cfg)
+    got = network.schedule_sdma_greedy(served.copy(), gamma, coupling, mem, cfg)
+    want = _greedy_oracle(served.copy(), gamma, coupling, mem, cfg)
     assert got.tolist() == want.tolist()
 
 
@@ -305,13 +300,13 @@ def test_drop_rows_bit_identical(scheduler, seed, digest):
     # digests of the dense-table, one-candidate-at-a-time implementation;
     # about 80% of these toy links are in outage, so the sparse tables and
     # the batched scheduler must reproduce every row bit for bit
-    cfg = toy_config(scheduler=scheduler, n_adc_bits=3, eval_bits=(4, math.inf), n_ttis=6)
+    cfg = toy_config(scheduler=scheduler, adc_bits=(3, 4, math.inf), n_ttis=6)
     assert _rows_sha256(network.run_drop_detailed(cfg, seed=seed)) == digest
 
 
 def test_resolution_dominance_per_ue():
-    cfg = toy_config(n_adc_bits=3, eval_bits=(4, math.inf))
-    results = network.run_drop(cfg, seed=2)
+    cfg = toy_config(adc_bits=(3, 4, math.inf))
+    results = network.run_drop_detailed(cfg, seed=2).ue_results
     by_bits = {}
     for r in results:
         by_bits.setdefault(r.n_bits, {})[r.ue_index] = r
@@ -322,9 +317,9 @@ def test_resolution_dominance_per_ue():
 
 
 def test_sdma_sinr_respects_saturation():
-    cfg = toy_config(scheduler="SDMA_GREEDY", n_adc_bits=3, n_ttis=6)
+    cfg = toy_config(scheduler="SDMA_GREEDY", adc_bits=(3,), n_ttis=6)
     result = network.run_drop_detailed(cfg, seed=4)
-    cap_db = 10 * math.log10(sinr.sinr_saturation(alpha_of(3), cfg.n_rx))
+    cap_db = 10 * math.log10(sinr.sinr_saturation(alpha_of(3), math.prod(network.UE_ARRAY)))
     finite = [r.sinr_db for r in result.ue_results if np.isfinite(r.sinr_db)]
     assert finite  # the toy drop schedules someone
     assert max(finite) <= cap_db + 0.1
@@ -335,17 +330,17 @@ def test_config_validation():
     with pytest.raises(ValueError):
         network.NetworkConfig(scheduler="ROUND_ROBIN")
     with pytest.raises(ValueError):
-        network.NetworkConfig(n_adc_bits=0)
+        network.NetworkConfig(adc_bits=(0,))
     with pytest.raises(ValueError):
-        network.NetworkConfig(eval_bits=(4, 0.5))
+        network.NetworkConfig(adc_bits=(4, 0.5))
     with pytest.raises(ValueError):
         network.NetworkConfig(area_m=-5.0)
     with pytest.raises(ValueError):
-        network.NetworkConfig(overhead=1.0)
+        network.NetworkConfig(adc_bits=(4, 4))
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
-@pytest.mark.parametrize("name", ["area_m", "bw_hz", "tx_power_dbm", "mean_ues_per_cell", "cluster_spread_cos"])
+@pytest.mark.parametrize("name", ["area_m", "bw_hz", "mean_ues_per_cell", "cluster_spread_cos"])
 def test_config_rejects_nonfinite_fields(name, value):
     with pytest.raises(ValueError, match=name):
         network.NetworkConfig(**{name: value})

@@ -82,26 +82,23 @@ def test_agc_normalize():
 
 def test_fir_lowpass_response():
     fs = 100.0
+    h = signal.firwin(129, 20.0, fs=fs)
     t = np.arange(8192) / fs
-    inband = quantizer.ComplexSampleBlock(np.exp(2j * np.pi * 5.0 * t), fs)
-    out = ofdm.fir_lowpass(inband, 20.0)
-    mid = slice(1000, 7000)  # avoid the linear-convolution edges
-    gain_db = 20 * np.log10(np.abs(out.samples[mid]).mean())
+    mid = slice(1000, 7000)  # away from the wrap of the non-periodic tones
+    out = ofdm.fir_circular(np.exp(2j * np.pi * 5.0 * t), h)
+    gain_db = 20 * np.log10(np.abs(out[mid]).mean())
     assert abs(gain_db) < 0.1
-    stop = quantizer.ComplexSampleBlock(np.exp(2j * np.pi * 30.0 * t), fs)
-    out = ofdm.fir_lowpass(stop, 20.0)
-    atten_db = -20 * np.log10(np.abs(out.samples[mid]).mean() + 1e-300)
+    out = ofdm.fir_circular(np.exp(2j * np.pi * 30.0 * t), h)
+    atten_db = -20 * np.log10(np.abs(out[mid]).mean() + 1e-300)
     assert atten_db >= 40.0
-    with pytest.raises(ValueError):
-        ofdm.fir_lowpass(inband, 60.0)
 
 
 def test_fir_lowpass_band_limits_white_noise():
     fs = 100.0
     rng = np.random.default_rng(5)
     x = (rng.standard_normal(65536) + 1j * rng.standard_normal(65536)) / math.sqrt(2)
-    out = ofdm.fir_lowpass(quantizer.ComplexSampleBlock(x, fs), 20.0)
-    f, psd = signal.welch(out.samples, fs=fs, nperseg=4096, return_onesided=False)
+    out = ofdm.fir_circular(x, signal.firwin(129, 20.0, fs=fs))
+    f, psd = signal.welch(out, fs=fs, nperseg=4096, return_onesided=False)
     inband = psd[np.abs(f) < 15.0].mean()
     outband = psd[np.abs(f) > 35.0].mean()
     assert 10 * math.log10(inband / outband) >= 40.0
