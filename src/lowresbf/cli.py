@@ -111,8 +111,7 @@ _AT_LEAST_0 = (lambda v: v >= 0, "must be at least 0")
 _POSITIVE = (lambda v: 0 < v < math.inf, "must be positive and finite")
 _NONNEGATIVE = (lambda v: 0 <= v < math.inf, "must be nonnegative and finite")
 _SYMBOLS = (lambda v: v >= 3, "must be at least 3 (2 pilot symbols plus 1 data symbol)")
-_PRBS = (lambda v: 1 <= v <= ofdm.OfdmNumerology.max_prbs,
-         f"must be in 1..{ofdm.OfdmNumerology.max_prbs}")
+_PRBS = (lambda v: 1 <= v <= ofdm.MAX_PRBS, f"must be in 1..{ofdm.MAX_PRBS}")
 _UE_COUNT = (lambda v: v == -1 or v >= 1, "must be -1 (Poisson count) or at least 1")
 
 # section: key: (cast, default text, domain rule or None)
@@ -220,8 +219,9 @@ def validate_config(text, overrides=()):
         except ValueError as exc:
             violations.append(f"link.dac_offset must keep every link.adc_bits + offset a DAC width: {exc}")
             break
-    chain, num = txchain.DacChainConfig(), ofdm.OfdmNumerology()  # as _psd_job builds them
-    n_tx = resolved[("tx", "n_symbols")] * num.symbol_len * chain.interp_m * chain.zoh_oversample
+    # samples of the _psd_job waveform: each symbol and its prefix, at the analog rate
+    n_an = (ofdm.FFT_SIZE + ofdm.CP_LEN) * txchain.INTERP_M * txchain.ZOH_OVERSAMPLE
+    n_tx = resolved[("tx", "n_symbols")] * n_an
     if 4 * resolved[("tx", "nperseg")] > n_tx:  # the 4 Welch segments of txchain.estimate_psd
         violations.append(f"tx.nperseg must be at most {n_tx // 4}, a quarter of the tx.n_symbols waveform")
     if violations:
@@ -596,6 +596,8 @@ def _check_dominance(ctx, drops_out, bits_list):
         by_bits = {}
         for r in res.ue_results:
             by_bits.setdefault(r.n_bits, {})[r.ue_index] = r.rate_bps
+        if not by_bits:  # a drop with no active users has nothing to compare
+            continue
         for lo, hi in zip(order, order[1:]):
             for ue, rate in by_bits[lo].items():
                 if rate > by_bits[hi][ue] + 1e-6:
@@ -728,12 +730,11 @@ def _run_aclr_sweep(ctx):
     nperseg = ctx.cfg[("tx", "nperseg")]
     args = [(b, o, prbs, n_sym, nperseg, ctx.seed) for b in bits for o in orders]
     results = parallel.pool_map(_psd_job, args, ctx.jobs)
-    plan = txchain.ChannelPlan()
     rows = []
     table = {}
     for (b, o, *_), (report, _var) in zip(args, results):
         for idx in (-2, -1, 1, 2):
-            table[(b, o, idx)] = txchain.measure_aclr(report, plan, idx)
+            table[(b, o, idx)] = txchain.measure_aclr(report, idx)
             rows.append((b, o, idx, table[(b, o, idx)], ACLR_LIMIT_BS_DB, ACLR_LIMIT_UE_DB))
     _write_csv(ctx, "aclr_sweep.csv",
                ("n_bits", "lpf_order", "adj_index", "aclr_db", "limit_bs_db", "limit_ue_db"), rows)
@@ -780,11 +781,9 @@ def _run_evm_sweep(ctx):
     rows = [(b, x, evm) for (b, _o, x, _n, _s), evm in zip(args, results[: len(args)])]
     _write_csv(ctx, "evm_sweep.csv", ("n_bits", "inv_sigma_rf_db", "evm_pct"), rows)
 
-    chain = txchain.DacChainConfig(lpf_order=order)
-    num = txchain._evm_numerology(chain)  # the frame measure_evm runs
     floor_rows = []
     for (b, *_), measured in zip(floor_args, results[len(args):]):
-        sig_v2 = txchain.inband_quantization_noise(b, chain, num.occupied_bw_hz)
+        sig_v2 = txchain.inband_quantization_noise(b, txchain.EVM_NUMEROLOGY.occupied_bw_hz)
         predicted = txchain.evm_prediction(quantizer.alpha_of(b), 0.0, sig_v2)
         floor_rows.append((b, measured, predicted))
         if ctx.check and b != math.inf and 3 <= b <= 6:

@@ -146,7 +146,7 @@ class NetworkConfig:
         if not self.adc_bits or len(set(self.adc_bits)) != len(self.adc_bits):
             raise ValueError("adc_bits must list at least one width, each once")
         for b in self.adc_bits:
-            quantizer.make_spec(b)
+            quantizer._check_bits(b)
 
     @property
     def tx_psd_mw_hz(self):

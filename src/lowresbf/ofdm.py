@@ -12,6 +12,10 @@ both converters on the same grid the second quantizer would see
 already-quantized levels and distort nothing.  The offset is the
 generic case for independent converter clocks and is compensated in
 the equalizer reference, so it costs nothing at infinite resolution.
+
+The frame is fixed by module constants: FFT_SIZE, SCS_HZ, SC_PER_PRB,
+MAX_PRBS, CP_LEN and CHIP_RATE_HZ (the 120 kHz, 4096-point NR profile
+at 491.52 MHz).  OfdmNumerology holds only the occupied band.
 """
 
 import math
@@ -44,45 +48,31 @@ __all__ = [
 
 RX_TIMING_OFFSET = 0.5  # ADC sampling instants, in samples, relative to the DAC grid
 
+FFT_SIZE = 4096
+SCS_HZ = 120e3
+SC_PER_PRB = 12
+MAX_PRBS = 275  # 3300 subcarriers, inside the FFT
+CP_LEN = 288
+CHIP_RATE_HZ = 491.52e6  # FFT_SIZE * SCS_HZ
+
 
 @dataclass(frozen=True)
 class OfdmNumerology:
-    """Wideband OFDM profile: 4096-point FFT at 120 kHz spacing by default."""
+    """Occupied band of the reference frame, in PRBs centered on DC."""
 
-    fft_size: int = 4096
-    scs_hz: float = 120e3
-    sc_per_prb: int = 12
-    max_prbs: int = 275
     used_prbs: int = 274
-    cp_fraction: float = 288 / 4096
 
     def __post_init__(self):
-        if not (0 < self.used_prbs <= self.max_prbs):
+        if not (0 < self.used_prbs <= MAX_PRBS):
             raise ValueError("used_prbs out of range")
-        if self.n_subcarriers > self.fft_size:
-            raise ValueError("occupied band exceeds FFT size")
-        if not (0 <= self.cp_fraction < 1):
-            raise ValueError("cp_fraction out of range")
 
     @property
     def n_subcarriers(self):
-        return self.used_prbs * self.sc_per_prb
-
-    @property
-    def chip_rate_hz(self):
-        return self.fft_size * self.scs_hz
-
-    @property
-    def cp_len(self):
-        return round(self.cp_fraction * self.fft_size)
-
-    @property
-    def symbol_len(self):
-        return self.fft_size + self.cp_len
+        return self.used_prbs * SC_PER_PRB
 
     @property
     def occupied_bw_hz(self):
-        return self.n_subcarriers * self.scs_hz
+        return self.n_subcarriers * SCS_HZ
 
 
 @dataclass(frozen=True)
@@ -138,29 +128,29 @@ def random_grid(modulation, n_symbols, n_subcarriers, rng):
 def _bin_map(num):
     # occupied band centered on DC, wrapped onto the FFT grid
     n_sc = num.n_subcarriers
-    return (np.arange(n_sc) - n_sc // 2) % num.fft_size
+    return (np.arange(n_sc) - n_sc // 2) % FFT_SIZE
 
 
 def ofdm_modulate(grid, num, n_dac=math.inf):
     """IFFT per symbol, cyclic prefix, unit average power, then DAC quantization.
 
-    The IFFT is scaled by fft_size/sqrt(n_subcarriers) so a unit-energy
+    The IFFT is scaled by FFT_SIZE/sqrt(n_subcarriers) so a unit-energy
     grid yields unit time-domain power.
     """
     n_sym, n_sc = grid.symbols.shape
     if n_sc != num.n_subcarriers:
         raise ValueError("grid width does not match numerology")
-    spec = np.zeros((n_sym, num.fft_size), dtype=complex)
+    spec = np.zeros((n_sym, FFT_SIZE), dtype=complex)
     spec[:, _bin_map(num)] = grid.symbols
-    x = np.fft.ifft(spec, axis=1) * (num.fft_size / math.sqrt(n_sc))
-    x = np.concatenate([x[:, -num.cp_len:], x], axis=1)
-    return quantizer.quantize(ComplexSampleBlock(x.ravel(), num.chip_rate_hz), quantizer.make_spec(n_dac))
+    x = np.fft.ifft(spec, axis=1) * (FFT_SIZE / math.sqrt(n_sc))
+    x = np.concatenate([x[:, -CP_LEN:], x], axis=1)
+    return quantizer.quantize(ComplexSampleBlock(x.ravel(), CHIP_RATE_HZ), n_dac)
 
 
 def ofdm_demodulate(block, num, n_symbols):
     """Strip prefixes, FFT, and pick the occupied bins."""
-    x = block.samples.reshape(n_symbols, num.symbol_len)[:, num.cp_len:]
-    spec = np.fft.fft(x, axis=1) * (math.sqrt(num.n_subcarriers) / num.fft_size)
+    x = block.samples.reshape(n_symbols, FFT_SIZE + CP_LEN)[:, CP_LEN:]
+    spec = np.fft.fft(x, axis=1) * (math.sqrt(num.n_subcarriers) / FFT_SIZE)
     return spec[:, _bin_map(num)]
 
 
@@ -232,24 +222,24 @@ def _run_chain(cfg, interferer_psi):
 
     if cfg.gamma0_db is not None:
         # per-bin SNR target: full-band noise is stronger by the oversampling ratio
-        osr = num.fft_size / num.n_subcarriers
+        osr = FFT_SIZE / num.n_subcarriers
         nvar = sig_pow * osr * 10.0 ** (-cfg.gamma0_db / 10.0)
     else:
         nvar = sig_pow * 10.0 ** (-cfg.snr_db / 10.0)
     noise = math.sqrt(nvar / 2.0) * (rng.standard_normal(x.size) + 1j * rng.standard_normal(x.size))
 
-    y = ComplexSampleBlock(x + noise, num.chip_rate_hz)
+    y = ComplexSampleBlock(x + noise, CHIP_RATE_HZ)
     y = agc_normalize(y)
-    y = quantizer.quantize(y, quantizer.make_spec(cfg.n_adc))
+    y = quantizer.quantize(y, cfg.n_adc)
     # band-edge FIR, applied circularly so the equalizer sees cyclic
     # symbols; the genie reference is the same filter on the FFT bin grid
-    h = firwin(129, num.occupied_bw_hz / 2, fs=num.chip_rate_hz)
+    h = firwin(129, num.occupied_bw_hz / 2, fs=CHIP_RATE_HZ)
     filtered = fir_circular(y.samples, h)
-    rx = ofdm_demodulate(ComplexSampleBlock(filtered, num.chip_rate_hz), num, cfg.n_symbols)
+    rx = ofdm_demodulate(ComplexSampleBlock(filtered, CHIP_RATE_HZ), num, cfg.n_symbols)
 
     k_signed = np.arange(num.n_subcarriers) - num.n_subcarriers // 2
-    timing = np.exp(-2j * np.pi * k_signed * RX_TIMING_OFFSET / num.fft_size)
-    ref = fir_zero_phase_response(h, num.fft_size)[_bin_map(num)] * timing
+    timing = np.exp(-2j * np.pi * k_signed * RX_TIMING_OFFSET / FFT_SIZE)
+    ref = fir_zero_phase_response(h, FFT_SIZE)[_bin_map(num)] * timing
     return _equalize(rx, grid.symbols, ref)
 
 
@@ -278,7 +268,7 @@ def predict_link_snr_db(snr_db, n_adc, num):
     1/OSR of the full-band noise, and the same factor dilutes the
     quantizer distortion.
     """
-    osr = num.fft_size / num.n_subcarriers
+    osr = FFT_SIZE / num.n_subcarriers
     gamma = 10.0 ** (np.asarray(snr_db, dtype=float) / 10.0) * osr
     alpha = quantizer.alpha_of(n_adc)
     q = sinr_model.sinr_orthogonal_quantized(gamma, alpha, osr)
@@ -287,7 +277,7 @@ def predict_link_snr_db(snr_db, n_adc, num):
 
 def predict_sdma_sinr_db(sir_db, gamma0_db, n_adc, num):
     """Closed-form post-equalization SINR for the interference trial."""
-    osr = num.fft_size / num.n_subcarriers
+    osr = FFT_SIZE / num.n_subcarriers
     psi = 0.0 if sir_db is None else 10.0 ** (-np.asarray(sir_db, dtype=float) / 10.0)
     q = sinr_model.LinkQuality(10.0 ** (gamma0_db / 10.0), osr, psi)
     return 10.0 * np.log10(sinr_model.sinr_sdma_quantized(q, quantizer.alpha_of(n_adc)))

@@ -15,39 +15,15 @@ import numpy as np
 from scipy.special import ndtr  # standard normal CDF, vectorized
 
 __all__ = [
-    "QuantizerSpec",
     "ComplexSampleBlock",
     "quantizer_mse",
     "optimal_step",
     "alpha_of",
-    "make_spec",
     "quantize",
     "measure_alpha",
 ]
 
 _MAX_BITS = 16
-
-
-@dataclass(frozen=True)
-class QuantizerSpec:
-    """Resolution, step size and inverse coding gain of a uniform quantizer.
-
-    n_bits is a positive integer or math.inf; step is calibrated for a
-    unit-variance real input; alpha is the minimal relative distortion.
-    """
-
-    n_bits: float
-    step: float
-    alpha: float
-
-    def __post_init__(self):
-        if self.n_bits != math.inf:
-            if int(self.n_bits) != self.n_bits or not (1 <= self.n_bits <= _MAX_BITS):
-                raise ValueError(f"n_bits must be in 1..{_MAX_BITS} or math.inf, got {self.n_bits}")
-            if self.step <= 0:
-                raise ValueError("finite resolution requires step > 0")
-        elif self.alpha != 0.0:
-            raise ValueError("infinite resolution must have alpha = 0")
 
 
 @dataclass(frozen=True)
@@ -143,33 +119,25 @@ def alpha_of(n_bits):
     return _solve(n)[1]
 
 
-def make_spec(n_bits):
-    """QuantizerSpec at the MSE-optimal step for this resolution."""
-    n = _check_bits(n_bits)
-    if n == math.inf:
-        return QuantizerSpec(math.inf, math.nan, 0.0)
-    step, alpha = _solve(n)
-    return QuantizerSpec(n, step, alpha)
-
-
 def _quantize_real(x, step, half):
     idx = np.floor(x / step)  # boundary inputs round toward +inf
     np.clip(idx, -half, half - 1, out=idx)
     return (idx + 0.5) * step
 
 
-def quantize(block, spec):
-    """Quantize real and imaginary parts independently.
+def quantize(block, n_bits):
+    """Quantize real and imaginary parts independently at n_bits.
 
-    The per-component step is spec.step / sqrt(2) so that the calibration
-    matches a unit-power complex input (variance 1/2 per component).
-    Infinite resolution returns the block unchanged.
+    The per-component step is optimal_step(n_bits) / sqrt(2) so that the
+    calibration matches a unit-power complex input (variance 1/2 per
+    component).  Infinite resolution returns the block unchanged.
     """
-    if spec.n_bits == math.inf:
+    n = _check_bits(n_bits)
+    if n == math.inf:
         return block
     y = block.samples
-    step = spec.step / math.sqrt(2.0)
-    half = 1 << (int(spec.n_bits) - 1)
+    step = _solve(n)[0] / math.sqrt(2.0)
+    half = 1 << (n - 1)
     out = _quantize_real(y.real, step, half) + 1j * _quantize_real(y.imag, step, half)
     return ComplexSampleBlock(out, block.sample_rate)
 

@@ -11,6 +11,12 @@ analog signal.
 All processing is complex baseband; the carrier frequency only labels
 plot axes.  Transmit power is normalized to 0 dBm, so PSD values are
 relative; ACLR and EVM are ratios and do not depend on that choice.
+
+The reference chain is fixed by module constants: INTERP_M, INTERP_TAPS,
+DAC_FS_HZ, ZOH_OVERSAMPLE and LPF_FC_HZ for the converter, CH_BW_HZ,
+MEAS_BW_HZ and N_ADJACENT for the channel raster, and EVM_NUMEROLOGY
+for the fully occupied frame measure_evm runs.  DacChainConfig holds
+only the DAC width and the reconstruction-filter order.
 """
 
 import math
@@ -21,11 +27,11 @@ from scipy.signal import firwin, welch
 
 from . import quantizer
 from .quantizer import ComplexSampleBlock
-from .ofdm import OfdmNumerology, fir_circular, fir_zero_phase_response, ofdm_modulate, random_grid
+from .ofdm import (CHIP_RATE_HZ, CP_LEN, FFT_SIZE, MAX_PRBS, SCS_HZ, OfdmNumerology, fir_circular,
+                   fir_zero_phase_response, ofdm_modulate, random_grid)
 
 __all__ = [
     "DacChainConfig",
-    "ChannelPlan",
     "SpectrumReport",
     "dac_convert",
     "butterworth_response",
@@ -37,53 +43,32 @@ __all__ = [
     "inband_quantization_noise",
 ]
 
+INTERP_M = 2  # chip rate to DAC rate
 INTERP_TAPS = 129  # anti-image FIR length; group delay (taps-1)/2 is compensated
+DAC_FS_HZ = INTERP_M * CHIP_RATE_HZ  # 983.04 MHz
+ZOH_OVERSAMPLE = 8  # hold length L: emulated analog samples per DAC sample
+LPF_FC_HZ = 400e6  # reconstruction-filter cutoff
+CH_BW_HZ = 400e6  # carrier raster
+MEAS_BW_HZ = 396e6  # measurement window inside each channel
+N_ADJACENT = 2  # adjacent channels on each side that ACLR probes
+EVM_NUMEROLOGY = OfdmNumerology(used_prbs=MAX_PRBS)
+
+
+def _check_order(order):
+    if isinstance(order, bool) or not (isinstance(order, int) and order >= 0):
+        raise ValueError(f"filter order must be a nonnegative integer, got {order!r}")
 
 
 @dataclass(frozen=True)
 class DacChainConfig:
-    """Converter chain: interpolate by m, quantize, hold, reconstruct."""
+    """DAC width and reconstruction-filter order of the reference chain."""
 
-    interp_m: int = 2
     n_bits: float = math.inf
-    zoh_oversample: int = 8
     lpf_order: int = 0
-    lpf_fc_hz: float = 400e6
-    dac_fs_hz: float = 983.04e6
 
     def __post_init__(self):
-        if not (isinstance(self.interp_m, int) and self.interp_m >= 1):
-            raise ValueError("interp_m must be an integer >= 1")
-        if not (isinstance(self.zoh_oversample, int) and self.zoh_oversample >= 4):
-            raise ValueError("zoh_oversample must be an integer >= 4")
-        if not (isinstance(self.lpf_order, int) and self.lpf_order >= 0):
-            raise ValueError("lpf_order must be a nonnegative integer")
-        if self.lpf_fc_hz <= 0 or self.dac_fs_hz <= 0:
-            raise ValueError("frequencies must be positive")
-        quantizer.make_spec(self.n_bits)  # reject bad bit widths early
-
-    @property
-    def chip_rate_hz(self):
-        return self.dac_fs_hz / self.interp_m
-
-    @property
-    def analog_rate_hz(self):
-        return self.dac_fs_hz * self.zoh_oversample
-
-
-@dataclass(frozen=True)
-class ChannelPlan:
-    """Carrier raster and the measurement window inside each channel."""
-
-    ch_bw_hz: float = 400e6
-    meas_bw_hz: float = 396e6
-    n_adjacent: int = 2
-
-    def __post_init__(self):
-        if not (0 < self.meas_bw_hz <= self.ch_bw_hz):
-            raise ValueError("need 0 < meas_bw <= ch_bw")
-        if self.n_adjacent < 2:
-            raise ValueError("plan must cover at least two adjacent channels")
+        _check_order(self.lpf_order)
+        quantizer._check_bits(self.n_bits)
 
 
 @dataclass(frozen=True)
@@ -100,9 +85,9 @@ class SpectrumReport:
         object.__setattr__(self, "psd_dbm_per_hz", p)
 
 
-def _interp_taps(cfg):
+def _interp_taps():
     # cut just under the pre-interpolation Nyquist; gain m restores amplitude
-    return firwin(INTERP_TAPS, 0.98 * cfg.chip_rate_hz / 2, fs=cfg.dac_fs_hz) * cfg.interp_m
+    return firwin(INTERP_TAPS, 0.98 * CHIP_RATE_HZ / 2, fs=DAC_FS_HZ) * INTERP_M
 
 
 def dac_convert(baseband, cfg):
@@ -113,30 +98,23 @@ def dac_convert(baseband, cfg):
     digital gain stage is set from the long-term signal statistics
     rather than per frame.
     """
-    if not math.isclose(baseband.sample_rate, cfg.chip_rate_hz, rel_tol=1e-9):
-        raise ValueError("baseband rate must equal dac_fs / interp_m")
-    x = baseband.samples
-    if cfg.interp_m > 1:
-        up = np.zeros(x.size * cfg.interp_m, dtype=complex)
-        up[:: cfg.interp_m] = x
-        up = fir_circular(up, _interp_taps(cfg))
-    else:
-        up = x.astype(complex)
-    up = quantizer.quantize(ComplexSampleBlock(up, cfg.dac_fs_hz), quantizer.make_spec(cfg.n_bits)).samples
-    z = np.repeat(up, cfg.zoh_oversample)
-    return ComplexSampleBlock(z, cfg.analog_rate_hz)
+    if not math.isclose(baseband.sample_rate, CHIP_RATE_HZ, rel_tol=1e-9):
+        raise ValueError("baseband rate must equal DAC_FS_HZ / INTERP_M")
+    up = np.zeros(baseband.samples.size * INTERP_M, dtype=complex)
+    up[::INTERP_M] = baseband.samples
+    up = fir_circular(up, _interp_taps())
+    up = quantizer.quantize(ComplexSampleBlock(up, DAC_FS_HZ), cfg.n_bits).samples
+    z = np.repeat(up, ZOH_OVERSAMPLE)
+    return ComplexSampleBlock(z, DAC_FS_HZ * ZOH_OVERSAMPLE)
 
 
-def butterworth_response(order, fc_hz, f_hz):
-    """Zero-phase Butterworth magnitude; order 0 means no filter at all."""
-    if not (isinstance(order, int) and order >= 0):
-        raise ValueError("order must be a nonnegative integer")
-    if fc_hz <= 0:
-        raise ValueError("cutoff must be positive")
+def butterworth_response(order, f_hz):
+    """Zero-phase Butterworth magnitude at the LPF_FC_HZ cutoff; order 0 means no filter at all."""
+    _check_order(order)
     f = np.asarray(f_hz, dtype=float)
     if order == 0:
         return np.ones_like(f)
-    return 1.0 / np.sqrt(1.0 + np.abs(f / fc_hz) ** (2 * order))
+    return 1.0 / np.sqrt(1.0 + np.abs(f / LPF_FC_HZ) ** (2 * order))
 
 
 def apply_reconstruction_lpf(block, cfg):
@@ -144,7 +122,7 @@ def apply_reconstruction_lpf(block, cfg):
     if cfg.lpf_order == 0:
         return block
     f = np.fft.fftfreq(block.samples.size, d=1.0 / block.sample_rate)
-    mag = butterworth_response(cfg.lpf_order, cfg.lpf_fc_hz, f)
+    mag = butterworth_response(cfg.lpf_order, f)
     y = np.fft.ifft(np.fft.fft(block.samples) * mag)
     return ComplexSampleBlock(y, block.sample_rate)
 
@@ -176,22 +154,23 @@ def _band_power(report, center_hz, width_hz):
     return np.trapezoid(10.0 ** (report.psd_dbm_per_hz[m] / 10.0), f[m])
 
 
-def measure_aclr(report, plan, adjacent_index):
+def measure_aclr(report, adjacent_index):
     """In-channel to adjacent-channel power ratio in dB.
 
-    Both powers integrate the measurement bandwidth, centered on the
-    carrier and on the adjacent carrier at adjacent_index times the
-    channel spacing (negative index probes the other side).
+    Both powers integrate MEAS_BW_HZ, centered on the carrier and on the
+    adjacent carrier at adjacent_index times CH_BW_HZ (negative index
+    probes the other side).
     """
-    if not (isinstance(adjacent_index, int) and 1 <= abs(adjacent_index) <= plan.n_adjacent):
-        raise ValueError("adjacent_index must be a nonzero integer within the plan")
-    p_in = _band_power(report, 0.0, plan.meas_bw_hz)
-    p_ac = _band_power(report, adjacent_index * plan.ch_bw_hz, plan.meas_bw_hz)
+    if not (isinstance(adjacent_index, int) and 1 <= abs(adjacent_index) <= N_ADJACENT):
+        raise ValueError(f"adjacent_index must be a nonzero integer within +-{N_ADJACENT}")
+    p_in = _band_power(report, 0.0, MEAS_BW_HZ)
+    p_ac = _band_power(report, adjacent_index * CH_BW_HZ, MEAS_BW_HZ)
     return 10.0 * math.log10(p_in / p_ac)
 
 
-def _zoh_response(k_signed, n_fft_analog, L):
+def _zoh_response(k_signed, n_fft_analog):
     # L-fold hold of the converter stream, seen on the analog FFT grid
+    L = ZOH_OVERSAMPLE
     k = np.asarray(k_signed, dtype=float)
     num = np.sin(np.pi * k * L / n_fft_analog)
     den = np.sin(np.pi * k / n_fft_analog)
@@ -199,25 +178,13 @@ def _zoh_response(k_signed, n_fft_analog, L):
     return mag * np.exp(-1j * np.pi * k * (L - 1) / n_fft_analog)
 
 
-def _chain_bin_response(cfg, num, k_signed):
+def _chain_bin_response(cfg, k_signed):
     """Deterministic per-subcarrier gain of the infinite-resolution chain."""
-    m, L = cfg.interp_m, cfg.zoh_oversample
-    n_dac = num.fft_size * m
-    n_an = n_dac * L
-    if m > 1:
-        h_int = fir_zero_phase_response(_interp_taps(cfg), n_dac)[np.asarray(k_signed) % n_dac]
-    else:
-        h_int = np.ones(len(k_signed))
-    zoh = _zoh_response(k_signed, n_an, L)
-    lpf = butterworth_response(cfg.lpf_order, cfg.lpf_fc_hz, np.asarray(k_signed) * num.scs_hz)
-    return h_int * zoh * lpf / (m * L)
-
-
-def _evm_numerology(cfg):
-    n_fft = round(cfg.chip_rate_hz / 120e3)
-    if abs(n_fft * 120e3 - cfg.chip_rate_hz) > 1e-3:
-        raise ValueError("chip rate must be a multiple of the 120 kHz subcarrier spacing")
-    return OfdmNumerology(fft_size=n_fft, used_prbs=275)
+    n_dac = FFT_SIZE * INTERP_M
+    h_int = fir_zero_phase_response(_interp_taps(), n_dac)[np.asarray(k_signed) % n_dac]
+    zoh = _zoh_response(k_signed, n_dac * ZOH_OVERSAMPLE)
+    lpf = butterworth_response(cfg.lpf_order, np.asarray(k_signed) * SCS_HZ)
+    return h_int * zoh * lpf / (INTERP_M * ZOH_OVERSAMPLE)
 
 
 def measure_evm(cfg, sigma_rf_sq=0.0, modulation="64QAM", n_symbols=24, seed=0):
@@ -230,35 +197,34 @@ def measure_evm(cfg, sigma_rf_sq=0.0, modulation="64QAM", n_symbols=24, seed=0):
     so the correlated part of the quantization error is counted, as the
     analytic model requires.
     """
-    if sigma_rf_sq < 0:
-        raise ValueError("noise power must be nonnegative")
-    num = _evm_numerology(cfg)
+    if not (0 <= sigma_rf_sq < math.inf):
+        raise ValueError(f"noise power must be nonnegative and finite, got {sigma_rf_sq!r}")
+    num = EVM_NUMEROLOGY
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     grid = random_grid(modulation, n_symbols, num.n_subcarriers, rng)
     base = ofdm_modulate(grid, num)
     z = apply_reconstruction_lpf(dac_convert(base, cfg), cfg)
     x = z.samples
     if sigma_rf_sq > 0:
-        osr = num.fft_size / num.n_subcarriers
-        var = sigma_rf_sq * cfg.interp_m * cfg.zoh_oversample * osr  # unit per-subcarrier pickup
+        osr = FFT_SIZE / num.n_subcarriers
+        var = sigma_rf_sq * INTERP_M * ZOH_OVERSAMPLE * osr  # unit per-subcarrier pickup
         x = x + math.sqrt(var / 2.0) * (rng.standard_normal(x.size) + 1j * rng.standard_normal(x.size))
 
-    m, L = cfg.interp_m, cfg.zoh_oversample
-    n_an = num.fft_size * m * L
-    cp_an = num.cp_len * m * L
+    L = ZOH_OVERSAMPLE
+    n_an = FFT_SIZE * INTERP_M * L
+    cp_an = CP_LEN * INTERP_M * L
     # back the FFT window into the prefix so the noncausal half of the
-    # anti-image filter never reads the next symbol; the shift is a known
-    # phase ramp folded into the reference below
-    guard = (INTERP_TAPS - 1) // 2 if m > 1 else 0
-    if num.cp_len * m < guard:
-        raise ValueError("cyclic prefix shorter than the interpolation filter half-length")
+    # anti-image filter never reads the next symbol (the prefix is longer
+    # than that half); the shift is a known phase ramp folded into the
+    # reference below
+    guard = (INTERP_TAPS - 1) // 2
     start = cp_an - guard * L
     sym = x.reshape(n_symbols, n_an + cp_an)[:, start:start + n_an]
     spec = np.fft.fft(sym, axis=1) * (math.sqrt(num.n_subcarriers) / n_an)
     k_signed = np.arange(num.n_subcarriers) - num.n_subcarriers // 2
     rx = spec[:, k_signed % n_an]
 
-    ref = _chain_bin_response(cfg, num, k_signed)
+    ref = _chain_bin_response(cfg, k_signed)
     ref = ref * np.exp(-2j * np.pi * k_signed * (guard * L) / n_an)
     err = rx / ref[None, :] - grid.symbols
     return 100.0 * math.sqrt(np.mean(np.abs(err) ** 2) / np.mean(np.abs(grid.symbols) ** 2))
@@ -266,21 +232,21 @@ def measure_evm(cfg, sigma_rf_sq=0.0, modulation="64QAM", n_symbols=24, seed=0):
 
 def evm_prediction(alpha, sigma_rf_sq, sigma_v_sq, sig_power=1.0):
     """Analytic EVM percent: distortion gain alpha plus noise-to-signal terms."""
-    if min(alpha, sigma_rf_sq, sigma_v_sq) < 0:
-        raise ValueError("inputs must be nonnegative")
-    if sig_power <= 0:
-        raise ValueError("signal power must be positive")
+    if not all(0 <= v < math.inf for v in (alpha, sigma_rf_sq, sigma_v_sq)):
+        raise ValueError("inputs must be nonnegative and finite")
+    if not (0 < sig_power < math.inf):
+        raise ValueError("signal power must be positive and finite")
     return 100.0 * math.sqrt(alpha**2 + (sigma_rf_sq + sigma_v_sq) / sig_power)
 
 
-def inband_quantization_noise(n_bits, cfg, occupied_bw_hz):
+def inband_quantization_noise(n_bits, occupied_bw_hz):
     """Per-subcarrier quantization noise power for a unit-power signal.
 
     The converter noise alpha(1-alpha) spreads uniformly over the
-    converter rate; interpolating by m leaves only a 1/m share of it
-    inside any fixed band.
+    converter rate DAC_FS_HZ; interpolating by INTERP_M leaves only a
+    1/INTERP_M share of it inside any fixed band.
     """
-    if not (0 < occupied_bw_hz <= cfg.dac_fs_hz):
+    if not (0 < occupied_bw_hz <= DAC_FS_HZ):
         raise ValueError("occupied bandwidth must fit inside the converter rate")
     a = quantizer.alpha_of(n_bits)
-    return a * (1.0 - a) * occupied_bw_hz / cfg.dac_fs_hz
+    return a * (1.0 - a) * occupied_bw_hz / DAC_FS_HZ

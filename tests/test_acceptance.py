@@ -104,9 +104,8 @@ def test_quantizer_alpha_oracle():
     for n_bits in range(2, 7):
         gen = np.random.default_rng(100 + n_bits)
         x = (gen.standard_normal(1_000_000) + 1j * gen.standard_normal(1_000_000)) / math.sqrt(2)
-        spec = quantizer.make_spec(n_bits)
-        q = quantizer.quantize(quantizer.ComplexSampleBlock(x, 1.0), spec)
-        v = q.samples - (1.0 - spec.alpha) * x
+        q = quantizer.quantize(quantizer.ComplexSampleBlock(x, 1.0), n_bits)
+        v = q.samples - (1.0 - quantizer.alpha_of(n_bits)) * x
         corr = abs(np.vdot(x, v)) / math.sqrt(np.vdot(x, x).real * np.vdot(v, v).real)
         worst_corr = max(worst_corr, corr)
         assert corr < 0.02, f"n={n_bits}: |corr(error, input)| = {corr:.4f}"
@@ -258,7 +257,6 @@ def test_sdma_loss_interference_limited(sdma_measurements):
 
 @pytest.fixture(scope="module")
 def aclr_table():
-    plan = txchain.ChannelPlan()
     num = ofdm.OfdmNumerology(used_prbs=275)
     table = {}
     t0 = time.perf_counter()
@@ -270,7 +268,7 @@ def aclr_table():
         out = txchain.apply_reconstruction_lpf(txchain.dac_convert(base, cfg), cfg)
         report = txchain.estimate_psd(out, 4096)
         for idx in (1, 2):
-            table[(bits, order, idx)] = txchain.measure_aclr(report, plan, idx)
+            table[(bits, order, idx)] = txchain.measure_aclr(report, idx)
     return table, time.perf_counter() - t0
 
 
@@ -298,14 +296,13 @@ def test_aclr_zoh_image_breaks_wide_area_limit(aclr_table):
 
 
 def test_evm_floor_matches_prediction():
-    chain = txchain.DacChainConfig(lpf_order=1)
-    num = ofdm.OfdmNumerology(fft_size=round(chain.chip_rate_hz / 120e3), used_prbs=275)
+    num = ofdm.OfdmNumerology(used_prbs=275)
     report = []
     for n_bits in (3, 4, 5, 6):
         cfg = txchain.DacChainConfig(n_bits=n_bits, lpf_order=1)
         measured = txchain.measure_evm(cfg, sigma_rf_sq=0.0, n_symbols=8, seed=0)
         alpha = quantizer.alpha_of(n_bits)
-        sig_v2 = txchain.inband_quantization_noise(n_bits, chain, num.occupied_bw_hz)
+        sig_v2 = txchain.inband_quantization_noise(n_bits, num.occupied_bw_hz)
         predicted = txchain.evm_prediction(alpha, 0.0, sig_v2)
         rel = abs(measured - predicted) / predicted
         assert rel <= 0.10, f"n={n_bits}: floor {measured:.3f}% vs model {predicted:.3f}%"

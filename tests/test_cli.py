@@ -197,6 +197,17 @@ def test_cell_drop_without_users_exits_two(tmp_path, capsys):
     assert "no scheduled interior users" in capsys.readouterr().err
 
 
+def test_cell_check_skips_drop_without_users(tmp_path, capsys):
+    # at this density drop 3 of 4 has no users; the dominance check passes over it
+    cfg = tmp_path / "cell.ini"
+    cfg.write_text("[cell]\ndrops = 4\nttis = 2\nmean_ues = 0.02\n")
+    flags = ["--config", str(cfg), "--seed", "0", "--check", "--no-timestamp"]
+    assert cli.main(["cell-sdma", *flags, "--out", str(tmp_path / "sdma")]) == 0
+    assert cli.main(["cell-ofdma", *flags, "--out", str(tmp_path / "ofdma")]) == 3
+    err = capsys.readouterr().err
+    assert "3-bit median SINR loss" in err and "90th-percentile SINR loss" in err
+
+
 def test_failed_check_exits_three(tmp_path, capsys):
     # two-beam pairing needs scheduler history; a 30-TTI run stays below 90%
     cfg = tmp_path / "cell.ini"

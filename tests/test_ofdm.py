@@ -13,9 +13,9 @@ NUM = ofdm.OfdmNumerology()
 
 
 def test_numerology_defaults():
-    assert NUM.chip_rate_hz == pytest.approx(491.52e6)
+    assert ofdm.CHIP_RATE_HZ == pytest.approx(491.52e6)
     assert NUM.n_subcarriers == 3288
-    assert NUM.cp_len == 288
+    assert ofdm.CP_LEN == 288
     assert NUM.occupied_bw_hz == pytest.approx(3288 * 120e3)
     with pytest.raises(ValueError):
         ofdm.OfdmNumerology(used_prbs=276)
@@ -42,7 +42,7 @@ def test_modulate_single_subcarrier_is_tone():
     symbols = np.zeros((1, NUM.n_subcarriers), dtype=complex)
     symbols[0, 100] = 1.0
     block = ofdm.ofdm_modulate(ofdm.ResourceGrid(symbols), NUM)
-    body = block.samples[NUM.cp_len:]  # FFT window without the prefix
+    body = block.samples[ofdm.CP_LEN:]  # FFT window without the prefix
     spec = np.abs(np.fft.fft(body)) ** 2
     assert spec.max() / spec.sum() > 0.999
 
@@ -146,7 +146,7 @@ def test_sdma_trial_reduces_to_link_trial():
     # sir_db=None removes the interferer; gamma0 sets the same full-band
     # noise power that snr_db = gamma0 - OSR would, so the chains agree.
     num = ofdm.OfdmNumerology(used_prbs=200)
-    osr_db = ofdm.osr_gain_db(num.fft_size, num.n_subcarriers)
+    osr_db = ofdm.osr_gain_db(ofdm.FFT_SIZE, num.n_subcarriers)
     sdma = ofdm.run_sdma_link_trial(
         ofdm.LinkTrialConfig(0.0, math.inf, math.inf, num, 6, 9, sir_db=None, gamma0_db=12.0)
     )

@@ -70,10 +70,8 @@ def test_frozen_regression_values():
 
 def test_infinite_resolution():
     assert quantizer.alpha_of(math.inf) == 0.0
-    spec = quantizer.make_spec(math.inf)
-    assert spec.alpha == 0.0
     block = quantizer.ComplexSampleBlock(np.array([0.3 - 0.7j, 1.2 + 0.1j]), 1.0)
-    assert quantizer.quantize(block, spec) is block
+    assert quantizer.quantize(block, math.inf) is block
 
 
 def test_fine_resolution_limit():
@@ -89,7 +87,10 @@ def test_bits_domain():
 
 
 @pytest.mark.parametrize("bad", [math.nan, -math.inf])
-@pytest.mark.parametrize("fn", [quantizer.alpha_of, quantizer.make_spec])
+@pytest.mark.parametrize("fn", [
+    quantizer.alpha_of,
+    pytest.param(lambda n: quantizer.quantize(quantizer.ComplexSampleBlock(np.ones(1), 1.0), n), id="quantize"),
+])
 def test_nonfinite_bits_rejected_by_name(fn, bad):
     with pytest.raises(ValueError, match="n_bits must be"):
         fn(bad)
@@ -130,12 +131,12 @@ def test_error_decomposition(n_bits):
     predicted energy alpha(1-alpha)E|y|^2."""
     rng = np.random.default_rng(31 + n_bits)
     y = (rng.standard_normal(1_000_000) + 1j * rng.standard_normal(1_000_000)) / math.sqrt(2)
-    spec = quantizer.make_spec(n_bits)
-    q = quantizer.quantize(quantizer.ComplexSampleBlock(y, 1.0), spec).samples
-    v = q - (1.0 - spec.alpha) * y
+    alpha = quantizer.alpha_of(n_bits)
+    q = quantizer.quantize(quantizer.ComplexSampleBlock(y, 1.0), n_bits).samples
+    v = q - (1.0 - alpha) * y
     corr = abs(np.vdot(v, y)) / (np.linalg.norm(v) * np.linalg.norm(y))
     assert corr < 0.02
-    predicted = spec.alpha * (1.0 - spec.alpha) * np.mean(np.abs(y) ** 2)
+    predicted = alpha * (1.0 - alpha) * np.mean(np.abs(y) ** 2)
     assert np.mean(np.abs(v) ** 2) == pytest.approx(predicted, rel=0.05)
 
 
@@ -143,7 +144,7 @@ def test_quantize_distortion_monte_carlo():
     rng = np.random.default_rng(7)
     y = (rng.standard_normal(1_000_000) + 1j * rng.standard_normal(1_000_000)) / math.sqrt(2)
     block = quantizer.ComplexSampleBlock(y, 1.0)
-    q = quantizer.quantize(block, quantizer.make_spec(4)).samples
+    q = quantizer.quantize(block, 4).samples
     ratio = np.mean(np.abs(y - q) ** 2) / np.mean(np.abs(y) ** 2)
     assert ratio == pytest.approx(quantizer.alpha_of(4), rel=0.05)
 
@@ -151,18 +152,16 @@ def test_quantize_distortion_monte_carlo():
 def test_quantize_idempotent():
     rng = np.random.default_rng(11)
     y = rng.standard_normal(4096) + 1j * rng.standard_normal(4096)
-    spec = quantizer.make_spec(3)
-    once = quantizer.quantize(quantizer.ComplexSampleBlock(y, 2.0), spec)
-    twice = quantizer.quantize(once, spec)
+    once = quantizer.quantize(quantizer.ComplexSampleBlock(y, 2.0), 3)
+    twice = quantizer.quantize(once, 3)
     np.testing.assert_array_equal(once.samples, twice.samples)
     assert once.sample_rate == 2.0
 
 
 def test_zero_input_tie_break():
     # Midrise has no zero level; the boundary at 0 rounds up.
-    spec = quantizer.make_spec(4)
-    out = quantizer.quantize(quantizer.ComplexSampleBlock(np.array([0.0 + 0.0j]), 1.0), spec)
-    level = 0.5 * spec.step / math.sqrt(2.0)
+    out = quantizer.quantize(quantizer.ComplexSampleBlock(np.array([0.0 + 0.0j]), 1.0), 4)
+    level = 0.5 * quantizer.optimal_step(4) / math.sqrt(2.0)
     assert out.samples[0] == pytest.approx(level * (1 + 1j))
 
 
@@ -173,18 +172,14 @@ def test_measure_alpha():
     assert quantizer.measure_alpha(block, block) == pytest.approx(0.0, abs=1e-12)
     scaled = quantizer.ComplexSampleBlock(0.8 * y, 1.0)
     assert quantizer.measure_alpha(block, scaled) == pytest.approx(0.2, abs=1e-12)
-    q3 = quantizer.quantize(block, quantizer.make_spec(3))
+    q3 = quantizer.quantize(block, 3)
     assert quantizer.measure_alpha(block, q3) == pytest.approx(quantizer.alpha_of(3), rel=0.05)
     with pytest.raises(ValueError):
         quantizer.measure_alpha(block, quantizer.ComplexSampleBlock(y[:10], 1.0))
 
 
-def test_block_and_spec_validation():
+def test_block_validation():
     with pytest.raises(ValueError):
         quantizer.ComplexSampleBlock(np.array([]), 1.0)
     with pytest.raises(ValueError):
         quantizer.ComplexSampleBlock(np.array([1.0, np.nan]), 1.0)
-    with pytest.raises(ValueError):
-        quantizer.QuantizerSpec(4, -1.0, 0.01)
-    with pytest.raises(ValueError):
-        quantizer.QuantizerSpec(math.inf, math.nan, 0.5)

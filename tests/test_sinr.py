@@ -161,10 +161,10 @@ def test_quantization_noise_variance_monte_carlo():
     rng = np.random.default_rng(41)
     n = 1_000_000
     y = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) * math.sqrt(total / 2)
-    spec = quantizer.make_spec(3)
+    alpha = quantizer.alpha_of(3)
     scaled = quantizer.ComplexSampleBlock(y / math.sqrt(total), 1.0)
-    err = quantizer.quantize(scaled, spec).samples * math.sqrt(total) - (1 - spec.alpha) * y
-    predicted = sinr.quantization_noise_variance(energies, noise_var, icv, spec.alpha)
+    err = quantizer.quantize(scaled, 3).samples * math.sqrt(total) - (1 - alpha) * y
+    predicted = sinr.quantization_noise_variance(energies, noise_var, icv, alpha)
     assert np.mean(np.abs(err) ** 2) == pytest.approx(predicted, rel=0.05)
 
 

@@ -25,39 +25,47 @@ def integrated_power(report):
 
 def test_butterworth_response():
     f = np.array([1e6, 4e8, 4e9])
-    np.testing.assert_array_equal(txchain.butterworth_response(0, 4e8, f), np.ones(3))
+    assert txchain.LPF_FC_HZ == 4e8
+    np.testing.assert_array_equal(txchain.butterworth_response(0, f), np.ones(3))
     for order in (1, 2, 3, 5):
-        mag = txchain.butterworth_response(order, 4e8, 4e8)
+        mag = txchain.butterworth_response(order, 4e8)
         assert 20 * np.log10(mag) == pytest.approx(-3.01, abs=0.01)
-    assert 20 * np.log10(txchain.butterworth_response(1, 4e8, 4e9)) == pytest.approx(-20.04, abs=0.01)
-    assert 20 * np.log10(txchain.butterworth_response(3, 4e8, 8e8)) == pytest.approx(-18.13, abs=0.01)
+    assert 20 * np.log10(txchain.butterworth_response(1, 4e9)) == pytest.approx(-20.04, abs=0.01)
+    assert 20 * np.log10(txchain.butterworth_response(3, 8e8)) == pytest.approx(-18.13, abs=0.01)
     with pytest.raises(ValueError):
-        txchain.butterworth_response(-1, 4e8, f)
+        txchain.butterworth_response(-1, f)
     with pytest.raises(ValueError):
-        txchain.butterworth_response(1, 0.0, f)
+        txchain.butterworth_response(True, f)
 
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        txchain.DacChainConfig(interp_m=0)
-    with pytest.raises(ValueError):
-        txchain.DacChainConfig(zoh_oversample=2)
-    with pytest.raises(ValueError):
         txchain.DacChainConfig(lpf_order=-1)
+    with pytest.raises(ValueError):
+        txchain.DacChainConfig(lpf_order=True)
     with pytest.raises(ValueError):
         txchain.DacChainConfig(n_bits=0)
     with pytest.raises(ValueError, match="n_bits must be"):
         txchain.DacChainConfig(n_bits=math.nan)
-    cfg = txchain.DacChainConfig()
-    assert cfg.chip_rate_hz == pytest.approx(CHIP)
-    assert cfg.analog_rate_hz == pytest.approx(983.04e6 * 8)
+
+
+def test_reference_constants_consistent():
+    # conditions the chain relies on, fixed by the constants instead of checked per call
+    assert ofdm.CHIP_RATE_HZ == ofdm.FFT_SIZE * ofdm.SCS_HZ == CHIP
+    assert txchain.DAC_FS_HZ == txchain.INTERP_M * ofdm.CHIP_RATE_HZ == 983.04e6
+    # measure_evm's FFT window backs into the prefix by the anti-image filter's half-length
+    assert ofdm.CP_LEN * txchain.INTERP_M >= (txchain.INTERP_TAPS - 1) // 2
+    assert ofdm.MAX_PRBS * ofdm.SC_PER_PRB <= ofdm.FFT_SIZE
+    assert txchain.EVM_NUMEROLOGY.used_prbs == ofdm.MAX_PRBS
 
 
 def test_dc_in_constant_out():
     cfg = txchain.DacChainConfig()
     dc = quantizer.ComplexSampleBlock(np.ones(4096, dtype=complex), CHIP)
-    out = txchain.dac_convert(dc, cfg).samples
-    assert out.size == 4096 * cfg.interp_m * cfg.zoh_oversample
+    block = txchain.dac_convert(dc, cfg)
+    out = block.samples
+    assert out.size == 4096 * txchain.INTERP_M * txchain.ZOH_OVERSAMPLE
+    assert block.sample_rate == pytest.approx(983.04e6 * 8)
     # residual ripple is the anti-image filter's stopband leakage
     assert np.max(np.abs(out - 1.0)) < 0.01
     with pytest.raises(ValueError):
@@ -75,7 +83,7 @@ def test_tone_images_at_converter_rate():
     out = txchain.dac_convert(tone, cfg).samples
     spec = np.abs(np.fft.fft(out)) ** 2
     n_an = out.size
-    L = cfg.zoh_oversample
+    L = txchain.ZOH_OVERSAMPLE
     bins_per_fs = n_an // L  # dac_fs on the analog FFT grid; bin width is 120 kHz
 
     def dirichlet(k):
@@ -127,12 +135,11 @@ def test_ofdm_psd_occupancy():
 
 
 def test_inband_quantization_noise():
-    cfg = txchain.DacChainConfig(n_bits=4)
     a = quantizer.alpha_of(4)
     expected = a * (1 - a) * 396e6 / 983.04e6
-    assert txchain.inband_quantization_noise(4, cfg, 396e6) == pytest.approx(expected, rel=1e-9)
+    assert txchain.inband_quantization_noise(4, 396e6) == pytest.approx(expected, rel=1e-9)
     with pytest.raises(ValueError):
-        txchain.inband_quantization_noise(4, cfg, 2e9)
+        txchain.inband_quantization_noise(4, 2e9)
 
 
 def test_quantization_noise_floor_level():
@@ -145,8 +152,8 @@ def test_quantization_noise_floor_level():
     a = quantizer.alpha_of(4)
     f = psd.freqs_hz
     sel = (np.abs(f) > 250e6) & (np.abs(f) < 420e6)
-    zoh = np.sinc(f[sel] / cfg.dac_fs_hz) ** 2
-    predicted = a * (1 - a) / cfg.dac_fs_hz * zoh.mean()
+    zoh = np.sinc(f[sel] / txchain.DAC_FS_HZ) ** 2
+    predicted = a * (1 - a) / txchain.DAC_FS_HZ * zoh.mean()
     measured = np.mean(10.0 ** (psd.psd_dbm_per_hz[sel] / 10.0))
     assert abs(10 * math.log10(measured / predicted)) < 1.0
 
@@ -154,23 +161,21 @@ def test_quantization_noise_floor_level():
 def test_aclr_validation():
     block, _ = make_waveform(8)
     psd = txchain.estimate_psd(block, 2048)  # chip-rate span, +-245.76 MHz
-    plan = txchain.ChannelPlan()
     with pytest.raises(ValueError):
-        txchain.measure_aclr(psd, plan, 0)
+        txchain.measure_aclr(psd, 0)
     with pytest.raises(ValueError):
-        txchain.measure_aclr(psd, plan, 3)
+        txchain.measure_aclr(psd, 3)
     with pytest.raises(ValueError):
-        txchain.measure_aclr(psd, plan, 1)  # span does not reach the first adjacent
+        txchain.measure_aclr(psd, 1)  # span does not reach the first adjacent
 
 
 def test_aclr_monotone_in_bits_and_order():
     block, _ = make_waveform(8)
-    plan = txchain.ChannelPlan()
 
     def aclr(bits, order):
         cfg = txchain.DacChainConfig(n_bits=bits, lpf_order=order)
         out = txchain.apply_reconstruction_lpf(txchain.dac_convert(block, cfg), cfg)
-        return txchain.measure_aclr(txchain.estimate_psd(out, 2048), plan, 1)
+        return txchain.measure_aclr(txchain.estimate_psd(out, 2048), 1)
 
     three, four, clean = aclr(3, 0), aclr(4, 0), aclr(math.inf, 0)
     assert three < four < clean
@@ -187,7 +192,7 @@ def test_evm_floor_matches_prediction():
     cfg = txchain.DacChainConfig(n_bits=4, lpf_order=1)
     measured = txchain.measure_evm(cfg, sigma_rf_sq=0.0, n_symbols=8)
     a = quantizer.alpha_of(4)
-    sig_v2 = txchain.inband_quantization_noise(4, cfg, 275 * 12 * 120e3)
+    sig_v2 = txchain.inband_quantization_noise(4, 275 * 12 * 120e3)
     predicted = txchain.evm_prediction(a, 0.0, sig_v2)
     assert measured == pytest.approx(predicted, rel=0.10)
 
@@ -202,8 +207,9 @@ def test_evm_monotonicity():
     quiet = txchain.measure_evm(cfg, sigma_rf_sq=1e-4, n_symbols=4)
     loud = txchain.measure_evm(cfg, sigma_rf_sq=1e-2, n_symbols=4)
     assert loud > quiet
-    with pytest.raises(ValueError):
-        txchain.measure_evm(cfg, sigma_rf_sq=-0.1)
+    for bad in (-0.1, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            txchain.measure_evm(cfg, sigma_rf_sq=bad)
 
 
 def test_evm_prediction_values():
@@ -211,3 +217,5 @@ def test_evm_prediction_values():
     assert txchain.evm_prediction(0.01, 0.0, 0.0) == pytest.approx(1.0)
     with pytest.raises(ValueError):
         txchain.evm_prediction(0.01, 0.0, 0.0, sig_power=0.0)
+    with pytest.raises(ValueError):
+        txchain.evm_prediction(math.nan, 0.0, 0.0)
