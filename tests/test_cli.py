@@ -405,10 +405,14 @@ def test_evm_sweep_artifacts(tmp_path):
         "evm_floor.csv": "1d68a93230f112bfa8c1ac8e6fbe9fd6c07671d44c74b291516f8feb6e0095bc",
         "evm_sweep.csv": "5148c4b92195591178efc7e2a317b3557cfcd50a8f150949909a17fe33cd4ea6",
     }),
+    ("power-table", "", {
+        "power_table.csv": "77bafc0f4ad391a7be79116acce95a8b34a04a2e00155f83fcbfaa465237b053",
+    }),
 ])
 def test_waveform_csvs_bit_identical(tmp_path, preset, config, digests):
     # digests recorded before the FIR helpers and the infinite-resolution
-    # paths were folded together; each config includes an inf width
+    # paths were folded together; each waveform config includes an inf
+    # width, and power-table runs at defaults
     cfg = tmp_path / "c.ini"
     cfg.write_text(config)
     out = tmp_path / "out"
