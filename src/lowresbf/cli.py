@@ -350,10 +350,10 @@ def _bits_tag(b):
 # ---------------------------------------------------------------- power
 
 _POWER_ARCHS = (
-    ("analog", "analog", 1, 8),
-    ("hybrid", "hybrid", 2, 8),
-    ("digital", "digital", 16, 8),
-    ("digital-4bit", "digital", 16, 4),
+    ("analog", "analog", 8),
+    ("hybrid", "hybrid", 8),
+    ("digital", "digital", 8),
+    ("digital-4bit", "digital", 4),
 )
 # regression totals for the 16-antenna reference design, in mW
 _POWER_TOTALS = {
@@ -366,13 +366,8 @@ _POWER_TOTALS = {
 
 def _run_power_table(ctx):
     rows = []
-    for label, kind, streams, bits in _POWER_ARCHS:
-        arch = power.ArchSpec(kind, streams)
-        tx, rx = power.front_end_budget(
-            power.default_tx_config(n_dac_bits=bits),
-            power.default_rx_config(n_adc_bits=bits, arch_kind=kind),
-            arch,
-        )
+    for label, kind, bits in _POWER_ARCHS:
+        tx, rx = power.front_end_budget(kind, bits)
         for side, budget in (("tx", tx), ("rx", rx)):
             rows.append((f"{side}-{label}", "rffe", budget.rffe_mw))
             rows.append((f"{side}-{label}", "gain", budget.gain_stage_mw))

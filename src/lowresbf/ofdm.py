@@ -63,6 +63,8 @@ class OfdmNumerology:
     used_prbs: int = 274
 
     def __post_init__(self):
+        if isinstance(self.used_prbs, bool) or not isinstance(self.used_prbs, int):
+            raise ValueError(f"used_prbs must be an integer, got {self.used_prbs!r}")
         if not (0 < self.used_prbs <= MAX_PRBS):
             raise ValueError("used_prbs out of range")
 

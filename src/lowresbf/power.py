@@ -5,109 +5,48 @@ efficiency, LNAs from gain and noise figure, VGAs from gain range and
 chip area, converters from resolution and rate, filters from order and
 cutoff.  Budgets aggregate per architecture so the resolution/stream
 trade-offs can be compared on equal EIRP and drive assumptions.
+
+One reference design is modelled, the 16-antenna 400 MHz front end whose
+totals the power-table preset checks, and it is fixed by module
+constants: N_ANTENNAS and STREAMS (streams per kind); P_LO_MW and
+CONVERTER_FS_HZ, shared by both sides; IL_PS_DB, the phase-shifter loss
+of analog and hybrid; the transmit EIRP_DBM, P_BB_DBM, IL_MIX_DB,
+PA_PAE, DAC_FOM_FJ, LPF_MW_PER_GHZ, LPF_ORDER and LPF_FC_GHZ; and the
+receive LNA_GAIN_DB, LNA_NF_DB, LNA_FOM_PER_MW, VGA_FOM, VGA_AREA_MM2,
+VGA_BW_GHZ, VGA_GAIN_RANGE_DB and ADC_FOM_FJ.  front_end_budget takes
+only the kind and the converter width.
 """
 
 import math
 from dataclasses import dataclass, field
 
-__all__ = [
-    "ArchSpec",
-    "ConverterSpec",
-    "LpfSpec",
-    "TxFrontEndConfig",
-    "RxFrontEndConfig",
-    "PowerBudget",
-    "pa_input_power_dbm",
-    "tx_rffe_power_mw",
-    "rx_rffe_power_mw",
-    "vga_gain_range_db",
-    "vga_power_mw",
-    "converter_power_mw",
-    "lpf_power_mw",
-    "front_end_budget",
-    "default_tx_config",
-    "default_rx_config",
-]
+from . import quantizer
 
-_KINDS = ("analog", "hybrid", "digital")
+__all__ = ["PowerBudget", "front_end_budget"]
 
+N_ANTENNAS = 16
+STREAMS = {"analog": 1, "hybrid": 2, "digital": N_ANTENNAS}
+P_LO_MW = 10.0  # one LO per stream
+CONVERTER_FS_HZ = 1e9
+IL_PS_DB = 10.0  # analog and hybrid: lost from the transmit drive, added to the LNA gain
 
-@dataclass(frozen=True)
-class ArchSpec:
-    """Beamforming architecture: 1 stream analog, K hybrid, one per antenna digital."""
+EIRP_DBM = 30.0
+P_BB_DBM = 10.0  # baseband drive, split across the antennas
+IL_MIX_DB = 6.0
+PA_PAE = 0.2
+DAC_FOM_FJ = 67.6  # fJ per conversion step
+LPF_MW_PER_GHZ = 1.3  # per pole per GHz of cutoff
+LPF_ORDER = 1
+LPF_FC_GHZ = 0.4
 
-    kind: str
-    n_streams: int
-
-    def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise ValueError(f"kind must be one of {_KINDS}")
-        if self.n_streams < 1:
-            raise ValueError("n_streams must be >= 1")
-        if self.kind == "analog" and self.n_streams != 1:
-            raise ValueError("analog beamforming has exactly one stream")
-
-    def check_antennas(self, n_antennas):
-        if self.kind == "digital" and self.n_streams != n_antennas:
-            raise ValueError("digital beamforming needs one stream per antenna")
-        if self.n_streams > n_antennas:
-            raise ValueError("more streams than antennas")
-
-
-@dataclass(frozen=True)
-class ConverterSpec:
-    fom_fj_per_conv: float
-    fs_hz: float
-    n_bits: int
-    pairs: int = 1  # I/Q pairs per stream, 2 physical converters each
-
-    def __post_init__(self):
-        if min(self.fom_fj_per_conv, self.fs_hz, self.n_bits, self.pairs) <= 0:
-            raise ValueError("converter parameters must be positive")
-
-
-@dataclass(frozen=True)
-class LpfSpec:
-    fom_mw_per_ghz: float
-    order: int
-    fc_ghz: float
-
-    def __post_init__(self):
-        if self.order < 0 or self.fom_mw_per_ghz <= 0 or self.fc_ghz <= 0:
-            raise ValueError("invalid filter spec")
-
-
-@dataclass(frozen=True)
-class TxFrontEndConfig:
-    eirp_dbm: float
-    n_antennas: int
-    p_bb_in_dbm: float
-    il_ps_db: float
-    il_mix_db: float
-    p_lo_mw: float
-    eta_pae: float
-    dac: ConverterSpec
-    lpf: LpfSpec
-
-    def __post_init__(self):
-        if not (0 < self.eta_pae <= 1):
-            raise ValueError("eta_pae must be in (0, 1]")
-        if self.il_ps_db < 0 or self.il_mix_db < 0:
-            raise ValueError("insertion losses must be >= 0")
-
-
-@dataclass(frozen=True)
-class RxFrontEndConfig:
-    n_antennas: int
-    g_lna_db: float
-    nf_lna_db: float
-    fom_lna_per_mw: float
-    vga_fom: float  # dB*GHz per mW*mm^2
-    vga_area_mm2: float
-    bw_ghz: float
-    vga_gain_range_db: float
-    p_lo_mw: float
-    adc: ConverterSpec
+LNA_GAIN_DB = 10.0
+LNA_NF_DB = 3.0
+LNA_FOM_PER_MW = 6.5
+VGA_FOM = 5280.0  # dB*GHz per mW*mm^2
+VGA_AREA_MM2 = 0.01
+VGA_BW_GHZ = 1.0
+VGA_GAIN_RANGE_DB = 82.0
+ADC_FOM_FJ = 65.0
 
 
 @dataclass(frozen=True)
@@ -123,120 +62,53 @@ class PowerBudget:
         )
 
 
-def pa_input_power_dbm(cfg, arch):
-    """Per-PA drive after the splitter network and mixer.
+def _pa_dbm(kind):
+    """Per-PA (drive, output) in dBm.
 
-    The baseband drive is split across n_antennas branches; analog and
-    hybrid additionally pay the phase-shifter insertion loss.
+    The output backs the EIRP off by the full array factor 20*log10(N).
+    The baseband drive is split across N branches and loses the mixer;
+    analog and hybrid additionally pay the phase-shifter loss.
     """
-    arch.check_antennas(cfg.n_antennas)
-    p = cfg.p_bb_in_dbm - 10.0 * math.log10(cfg.n_antennas) - cfg.il_mix_db
-    if arch.kind != "digital":
-        p -= cfg.il_ps_db
-    return p
+    p_out = EIRP_DBM - 20.0 * math.log10(N_ANTENNAS)
+    p_in = P_BB_DBM - 10.0 * math.log10(N_ANTENNAS) - IL_MIX_DB
+    if kind != "digital":
+        p_in -= IL_PS_DB
+    return p_in, p_out
 
 
-def tx_rffe_power_mw(cfg, arch):
-    """PAs plus per-stream LOs.
+def _converter_mw(fom_fj, n_streams, n_bits):
+    """2 converters (I and Q) per stream, FoM * fs * 2^bits each."""
+    per_conv = fom_fj * 1e-15 * CONVERTER_FS_HZ * 2.0 ** n_bits * 1e3
+    return 2.0 * n_streams * per_conv
 
-    Per-PA output backs off the EIRP by the full array factor
-    20*log10(N); DC draw is (out - in)/eta on linear scale.
+
+def front_end_budget(kind, n_bits):
+    """(tx, rx) budgets of the reference design, in mW.
+
+    kind is "analog", "hybrid" or "digital"; n_bits is the DAC and ADC
+    width, an integer in 1..16.  PA draw is (out - in)/PAE on linear
+    scale; LNA draw is G_lin / (FoM * (NF_lin - 1)), where the analog and
+    hybrid gain also covers the phase-shifter loss; one VGA and one
+    filter per stream.
     """
-    p_out_dbm = cfg.eirp_dbm - 20.0 * math.log10(cfg.n_antennas)
-    p_in_dbm = pa_input_power_dbm(cfg, arch)
-    if p_in_dbm > p_out_dbm:
-        raise ValueError("PA drive exceeds required output, infeasible operating point")
-    p_pa = (10.0 ** (0.1 * p_out_dbm) - 10.0 ** (0.1 * p_in_dbm)) / cfg.eta_pae
-    return cfg.n_antennas * p_pa + arch.n_streams * cfg.p_lo_mw
-
-
-def rx_rffe_power_mw(cfg, arch):
-    """LNAs plus per-stream LOs.
-
-    Analog and hybrid LNAs must additionally cover the phase-shifter
-    loss, so their gain target is g_lna_db + il_ps of the paired Tx
-    config; here that surcharge is folded into g_lna_db by the caller.
-    DC draw per LNA is G_lin / (FoM * (NF_lin - 1)).
-    """
-    arch.check_antennas(cfg.n_antennas)
-    if cfg.nf_lna_db <= 0:
-        raise ValueError("noise figure must be positive in dB")
-    g_lin = 10.0 ** (cfg.g_lna_db / 10.0)
-    nf_lin = 10.0 ** (cfg.nf_lna_db / 10.0)
-    p_lna = g_lin / (cfg.fom_lna_per_mw * (nf_lin - 1.0))
-    return cfg.n_antennas * p_lna + arch.n_streams * cfg.p_lo_mw
-
-
-def vga_gain_range_db(p_bb_out_dbm, n_rx, il_mix_db, g_lna_net_db, p_rx_dbm):
-    """Gain range needed to lift the weakest combined input to the target drive.
-
-    The combiner adds 10*log10(N) on top of the net LNA gain; the mixer
-    loss comes out before the VGA.
-    """
-    p_in_vga = p_rx_dbm + 10.0 * math.log10(n_rx) + g_lna_net_db - il_mix_db
-    return p_bb_out_dbm - p_in_vga
-
-
-def vga_power_mw(cfg, arch):
-    """One VGA per stream: gain range times bandwidth over FoM and area."""
-    arch.check_antennas(cfg.n_antennas)
-    per_vga = cfg.vga_gain_range_db * cfg.bw_ghz / (cfg.vga_fom * cfg.vga_area_mm2)
-    return arch.n_streams * per_vga
-
-
-def converter_power_mw(spec, n_streams):
-    """2 converters per I/Q pair, FoM * fs * 2^bits each."""
-    per_conv = spec.fom_fj_per_conv * 1e-15 * spec.fs_hz * 2.0 ** spec.n_bits * 1e3
-    return 2.0 * spec.pairs * n_streams * per_conv
-
-
-def lpf_power_mw(spec, n_streams):
-    """FoM per pole per GHz of cutoff, one filter per stream."""
-    return n_streams * spec.fom_mw_per_ghz * spec.order * spec.fc_ghz
-
-
-def front_end_budget(tx_cfg, rx_cfg, arch):
-    """Aggregate (tx, rx) budgets for one architecture."""
+    if not isinstance(kind, str) or kind not in STREAMS:
+        raise ValueError(f"kind must be one of {tuple(STREAMS)}, got {kind!r}")
+    if n_bits == math.inf:
+        raise ValueError("n_bits must be finite: an ideal converter has no power model")
+    n_bits = quantizer._check_bits(n_bits)
+    n = STREAMS[kind]
+    p_in, p_out = _pa_dbm(kind)
+    p_pa = (10.0 ** (0.1 * p_out) - 10.0 ** (0.1 * p_in)) / PA_PAE
     tx = PowerBudget(
-        rffe_mw=tx_rffe_power_mw(tx_cfg, arch),
-        gain_stage_mw=lpf_power_mw(tx_cfg.lpf, arch.n_streams),
-        converter_mw=converter_power_mw(tx_cfg.dac, arch.n_streams),
+        rffe_mw=N_ANTENNAS * p_pa + n * P_LO_MW,
+        gain_stage_mw=n * LPF_MW_PER_GHZ * LPF_ORDER * LPF_FC_GHZ,
+        converter_mw=_converter_mw(DAC_FOM_FJ, n, n_bits),
     )
+    g_lna_db = LNA_GAIN_DB if kind == "digital" else LNA_GAIN_DB + IL_PS_DB
+    p_lna = 10.0 ** (g_lna_db / 10.0) / (LNA_FOM_PER_MW * (10.0 ** (LNA_NF_DB / 10.0) - 1.0))
     rx = PowerBudget(
-        rffe_mw=rx_rffe_power_mw(rx_cfg, arch),
-        gain_stage_mw=vga_power_mw(rx_cfg, arch),
-        converter_mw=converter_power_mw(rx_cfg.adc, arch.n_streams),
+        rffe_mw=N_ANTENNAS * p_lna + n * P_LO_MW,
+        gain_stage_mw=n * (VGA_GAIN_RANGE_DB * VGA_BW_GHZ / (VGA_FOM * VGA_AREA_MM2)),
+        converter_mw=_converter_mw(ADC_FOM_FJ, n, n_bits),
     )
     return tx, rx
-
-
-def default_tx_config(n_dac_bits=8):
-    """Transmit defaults for the 16-antenna 400 MHz reference design."""
-    return TxFrontEndConfig(
-        eirp_dbm=30.0,
-        n_antennas=16,
-        p_bb_in_dbm=10.0,
-        il_ps_db=10.0,
-        il_mix_db=6.0,
-        p_lo_mw=10.0,
-        eta_pae=0.2,
-        dac=ConverterSpec(fom_fj_per_conv=67.6, fs_hz=1e9, n_bits=n_dac_bits),
-        lpf=LpfSpec(fom_mw_per_ghz=1.3, order=1, fc_ghz=0.4),
-    )
-
-
-def default_rx_config(n_adc_bits=8, arch_kind="digital"):
-    """Receive defaults; analog and hybrid LNAs absorb the splitter loss."""
-    g_lna = 10.0 if arch_kind == "digital" else 20.0  # digital gain + 10 dB PS loss
-    return RxFrontEndConfig(
-        n_antennas=16,
-        g_lna_db=g_lna,
-        nf_lna_db=3.0,
-        fom_lna_per_mw=6.5,
-        vga_fom=5280.0,
-        vga_area_mm2=0.01,
-        bw_ghz=1.0,
-        vga_gain_range_db=82.0,
-        p_lo_mw=10.0,
-        adc=ConverterSpec(fom_fj_per_conv=65.0, fs_hz=1e9, n_bits=n_adc_bits),
-    )

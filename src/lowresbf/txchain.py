@@ -161,7 +161,8 @@ def measure_aclr(report, adjacent_index):
     adjacent carrier at adjacent_index times CH_BW_HZ (negative index
     probes the other side).
     """
-    if not (isinstance(adjacent_index, int) and 1 <= abs(adjacent_index) <= N_ADJACENT):
+    if isinstance(adjacent_index, bool) or not (
+            isinstance(adjacent_index, int) and 1 <= abs(adjacent_index) <= N_ADJACENT):
         raise ValueError(f"adjacent_index must be a nonzero integer within +-{N_ADJACENT}")
     p_in = _band_power(report, 0.0, MEAS_BW_HZ)
     p_ac = _band_power(report, adjacent_index * CH_BW_HZ, MEAS_BW_HZ)

@@ -54,15 +54,9 @@ def test_power_budget_totals():
     t0 = time.perf_counter()
     worst = 0.0
     for label in ("analog", "hybrid", "digital", "digital-4bit"):
-        arch = power.ArchSpec(
-            "digital" if label.startswith("digital") else label,
-            1 if label == "analog" else (2 if label == "hybrid" else 16),
-        )
         bits = 4 if label == "digital-4bit" else 8
         kind = "digital" if label.startswith("digital") else label
-        tx_cfg = power.default_tx_config(bits)
-        rx_cfg = power.default_rx_config(bits, arch_kind=kind)
-        tx_budget, rx_budget = power.front_end_budget(tx_cfg, rx_cfg, arch)
+        tx_budget, rx_budget = power.front_end_budget(kind, bits)
         for side, budget in (("tx", tx_budget), ("rx", rx_budget)):
             ref = POWER_TOTALS_MW[side, label]
             rel = abs(budget.total_mw - ref) / ref

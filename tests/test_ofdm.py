@@ -21,6 +21,10 @@ def test_numerology_defaults():
         ofdm.OfdmNumerology(used_prbs=276)
     with pytest.raises(ValueError):
         ofdm.OfdmNumerology(used_prbs=0)
+    with pytest.raises(ValueError, match="used_prbs"):
+        ofdm.OfdmNumerology(used_prbs=2.5)
+    with pytest.raises(ValueError, match="used_prbs"):
+        ofdm.OfdmNumerology(used_prbs=True)
 
 
 def test_modulate_demodulate_round_trip():

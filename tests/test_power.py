@@ -5,6 +5,8 @@ tuned to reproduce; each is asserted within 1% so FoM or bookkeeping
 changes cannot drift past the sourced numbers unnoticed.
 """
 
+import math
+
 import pytest
 
 from lowresbf import power
@@ -22,109 +24,85 @@ REFERENCE_TOTALS_MW = {
 }
 
 
-def arch_for(label):
-    if label == "analog":
-        return power.ArchSpec("analog", 1)
-    if label == "hybrid":
-        return power.ArchSpec("hybrid", 2)
-    return power.ArchSpec("digital", 16)
+def budget_for(label):
+    if label == "digital-4bit":
+        return power.front_end_budget("digital", 4)
+    return power.front_end_budget(label, 8)
 
 
-def configs_for(label):
-    bits = 4 if label == "digital-4bit" else 8
-    kind = "digital" if label.startswith("digital") else label
-    return power.default_tx_config(bits), power.default_rx_config(bits, arch_kind=kind)
+def test_power_constants_consistent():
+    for kind, n_streams in power.STREAMS.items():
+        p_in, p_out = power._pa_dbm(kind)
+        assert p_in < p_out, f"{kind}: PA drive exceeds the required output"
+        assert 1 <= n_streams <= power.N_ANTENNAS
+    assert power.STREAMS["digital"] == power.N_ANTENNAS
+    assert power.LNA_NF_DB > 0
+    assert 0 < power.PA_PAE <= 1
+    assert power.IL_PS_DB >= 0 and power.IL_MIX_DB >= 0
+    # Exact gain range the stated budget terms need (baseband target,
+    # combiner gain over 16 antennas, net LNA gain, mixer loss, -87 dBm
+    # input); the design value adds margin on top.
+    p_in_vga = -87.0 + 10.0 * math.log10(power.N_ANTENNAS) + power.LNA_GAIN_DB - power.IL_MIX_DB
+    needed = power.P_BB_DBM - p_in_vga
+    assert needed == pytest.approx(80.96, abs=0.01)
+    assert power.VGA_GAIN_RANGE_DB >= needed
 
 
 def test_pa_input_power():
-    tx = power.default_tx_config()
-    analog = power.pa_input_power_dbm(tx, power.ArchSpec("analog", 1))
-    digital = power.pa_input_power_dbm(tx, power.ArchSpec("digital", 16))
-    assert analog == pytest.approx(-18.04, abs=0.01)
-    assert digital == pytest.approx(-8.04, abs=0.01)
-    lossless = power.TxFrontEndConfig(30.0, 1, 10.0, 0.0, 0.0, 10.0, 0.2, tx.dac, tx.lpf)
-    assert power.pa_input_power_dbm(lossless, power.ArchSpec("analog", 1)) == pytest.approx(10.0)
+    assert power._pa_dbm("analog")[0] == pytest.approx(-18.04, abs=0.01)
+    assert power._pa_dbm("digital")[0] == pytest.approx(-8.04, abs=0.01)
 
 
 @pytest.mark.parametrize(
     "label,expected", [("analog", 321.2), ("digital", 459.9), ("hybrid", 331.2)]
 )
 def test_tx_rffe_power(label, expected):
-    tx = power.default_tx_config()
-    assert power.tx_rffe_power_mw(tx, arch_for(label)) == pytest.approx(expected, rel=0.01)
+    tx, _ = budget_for(label)
+    assert tx.rffe_mw == pytest.approx(expected, rel=0.01)
 
 
 @pytest.mark.parametrize(
     "label,expected", [("analog", 257.3), ("digital", 184.7), ("hybrid", 267.3)]
 )
 def test_rx_rffe_power(label, expected):
-    rx = power.default_rx_config(arch_kind="digital" if label == "digital" else label)
-    assert power.rx_rffe_power_mw(rx, arch_for(label)) == pytest.approx(expected, rel=0.01)
+    _, rx = budget_for(label)
+    assert rx.rffe_mw == pytest.approx(expected, rel=0.01)
 
 
 def test_vga_power():
-    rx = power.default_rx_config(arch_kind="analog")
-    assert power.vga_power_mw(rx, arch_for("analog")) == pytest.approx(1.55, rel=0.01)
-    rx_dig = power.default_rx_config(arch_kind="digital")
-    assert power.vga_power_mw(rx_dig, arch_for("digital")) == pytest.approx(24.85, rel=0.01)
-
-
-def test_vga_gain_range_helper():
-    # Exact arithmetic from the stated budget terms; deployed budgets add
-    # margin on top (the rounded design value is 82 dB).
-    rng = power.vga_gain_range_db(
-        p_bb_out_dbm=10.0, n_rx=16, il_mix_db=6.0, g_lna_net_db=10.0, p_rx_dbm=-87.0
-    )
-    assert rng == pytest.approx(80.96, abs=0.01)
+    assert budget_for("analog")[1].gain_stage_mw == pytest.approx(1.55, rel=0.01)
+    assert budget_for("digital")[1].gain_stage_mw == pytest.approx(24.85, rel=0.01)
 
 
 def test_converter_power():
-    adc = power.ConverterSpec(65.0, 1e9, 8)
-    assert power.converter_power_mw(adc, 1) == pytest.approx(33.28, rel=1e-6)
-    dac = power.ConverterSpec(67.6, 1e9, 8)
-    assert power.converter_power_mw(dac, 16) == pytest.approx(553.6, rel=0.005)
-    low = power.ConverterSpec(67.6, 1e9, 4)
-    assert power.converter_power_mw(dac, 16) / power.converter_power_mw(low, 16) == 16.0
+    assert budget_for("analog")[1].converter_mw == pytest.approx(33.28, rel=1e-6)
+    dac = budget_for("digital")[0].converter_mw
+    assert dac == pytest.approx(553.6, rel=0.005)
+    assert dac / budget_for("digital-4bit")[0].converter_mw == 16.0
 
 
 def test_lpf_power():
-    lpf = power.LpfSpec(1.3, 1, 0.4)
-    assert power.lpf_power_mw(lpf, 1) == pytest.approx(0.52, rel=1e-6)
-    assert power.lpf_power_mw(lpf, 16) == pytest.approx(8.32, rel=1e-6)
-    assert power.lpf_power_mw(power.LpfSpec(1.3, 0, 0.4), 16) == 0.0
+    assert budget_for("analog")[0].gain_stage_mw == pytest.approx(0.52, rel=1e-6)
+    assert budget_for("digital")[0].gain_stage_mw == pytest.approx(8.32, rel=1e-6)
 
 
 @pytest.mark.parametrize("side,label", list(REFERENCE_TOTALS_MW))
 def test_budget_totals(side, label):
-    tx_cfg, rx_cfg = configs_for(label)
-    tx_budget, rx_budget = power.front_end_budget(tx_cfg, rx_cfg, arch_for(label))
+    tx_budget, rx_budget = budget_for(label)
     budget = tx_budget if side == "tx" else rx_budget
     assert budget.total_mw == pytest.approx(REFERENCE_TOTALS_MW[side, label], rel=0.01)
     parts = budget.rffe_mw + budget.gain_stage_mw + budget.converter_mw
     assert budget.total_mw == parts
 
 
-def test_infeasible_pa_drive():
-    tx = power.default_tx_config()
-    starved = power.TxFrontEndConfig(
-        5.0, tx.n_antennas, tx.p_bb_in_dbm, tx.il_ps_db, tx.il_mix_db,
-        tx.p_lo_mw, tx.eta_pae, tx.dac, tx.lpf,
-    )
-    with pytest.raises(ValueError):
-        power.tx_rffe_power_mw(starved, power.ArchSpec("digital", 16))
-
-
 def test_validation():
-    with pytest.raises(ValueError):
-        power.ArchSpec("analog", 2)
-    with pytest.raises(ValueError):
-        power.ArchSpec("optical", 1)
-    rx = power.default_rx_config()
-    bad_nf = power.RxFrontEndConfig(
-        rx.n_antennas, rx.g_lna_db, 0.0, rx.fom_lna_per_mw, rx.vga_fom,
-        rx.vga_area_mm2, rx.bw_ghz, rx.vga_gain_range_db, rx.p_lo_mw, rx.adc,
-    )
-    with pytest.raises(ValueError):
-        power.rx_rffe_power_mw(bad_nf, power.ArchSpec("analog", 1))
-    with pytest.raises(ValueError):
-        power.ConverterSpec(65.0, 1e9, 0)
+    with pytest.raises(ValueError, match="kind"):
+        power.front_end_budget("optical", 8)
+    with pytest.raises(ValueError, match="n_bits"):
+        power.front_end_budget("digital", 0)
+
+
+@pytest.mark.parametrize("n_bits", [math.inf, True, 2.5, math.nan, 17])
+def test_converter_width_checked_at_boundary(n_bits):
+    with pytest.raises(ValueError, match="n_bits"):
+        power.front_end_budget("digital", n_bits)

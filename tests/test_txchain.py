@@ -165,6 +165,11 @@ def test_aclr_validation():
         txchain.measure_aclr(psd, 0)
     with pytest.raises(ValueError):
         txchain.measure_aclr(psd, 3)
+    flat = txchain.SpectrumReport(np.linspace(-1e9, 1e9, 2001), np.zeros(2001))
+    assert txchain.measure_aclr(flat, 1) == pytest.approx(0.0, abs=0.01)
+    for index in (True, 1.0):
+        with pytest.raises(ValueError):
+            txchain.measure_aclr(flat, index)
     with pytest.raises(ValueError):
         txchain.measure_aclr(psd, 1)  # span does not reach the first adjacent
 
