@@ -429,30 +429,22 @@ ax.set_ylabel("quantized SINR (dB)")
 
 # ---------------------------------------------------------------- link
 
-def _link_job(args):
-    snr_db, n_adc, n_dac, prbs, n_sym, seed = args
-    num = ofdm.OfdmNumerology(used_prbs=prbs)
-    cfg = ofdm.LinkTrialConfig(
-        snr_db=snr_db, n_adc=n_adc, n_dac=n_dac, numerology=num, n_symbols=n_sym, seed=seed
-    )
-    return ofdm.run_link_trial(cfg), ofdm.predict_link_snr_db(snr_db, n_adc, num)
-
-
 def _run_link_validate(ctx):
     bits = ctx.cfg[("link", "adc_bits")]
     offset = ctx.cfg[("link", "dac_offset")]
     prbs = ctx.cfg[("link", "used_prbs")]
+    num = ofdm.OfdmNumerology(used_prbs=prbs)
     n_sym = ctx.cfg[("link", "n_symbols")]
     snrs = _grid(ctx.cfg[("link", "snr_db")], ctx.cfg[("link", "snr_points")])
     args = []
     for n_adc in bits:
         n_dac = n_adc + offset
         for i, s in enumerate(snrs):
-            args.append((float(s), n_adc, n_dac, prbs, n_sym, ctx.seed + i))
-    results = parallel.pool_map(_link_job, args, ctx.jobs)
+            args.append((float(s), n_adc, n_dac, num, n_sym, ctx.seed + i))
+    results = parallel.pool_map(ofdm.run_link_trial, args, ctx.jobs)
     rows = [
-        (s, n_adc, n_dac, prbs, meas, pred)
-        for (s, n_adc, n_dac, _p, _n, _sd), (meas, pred) in zip(args, results)
+        (s, n_adc, n_dac, prbs, meas, ofdm.predict_link_snr_db(s, n_adc, num))
+        for (s, n_adc, n_dac, *_), meas in zip(args, results)
     ]
     _write_csv(ctx, "link_validate.csv",
                ("snr_db", "n_adc", "n_dac", "used_prbs", "post_eq_db", "predicted_db"), rows,
@@ -477,21 +469,10 @@ ax.set_ylabel("post-equalization SNR (dB)")
 
 # ---------------------------------------------------------------- sdma link
 
-def _sdma_job(args):
-    sir_db, gamma0_db, n_adc, prbs, n_sym, seed = args
-    num = ofdm.OfdmNumerology(used_prbs=prbs)
-    cfg = ofdm.LinkTrialConfig(
-        snr_db=0.0, n_adc=n_adc, n_dac=math.inf, numerology=num, n_symbols=n_sym,
-        seed=seed, sir_db=None if sir_db == math.inf else sir_db, gamma0_db=gamma0_db,
-    )
-    meas = ofdm.run_sdma_link_trial(cfg)
-    pred = ofdm.predict_sdma_sinr_db(sir_db, gamma0_db, n_adc, num)
-    return meas, pred
-
-
 def _run_sdma_link(ctx):
     bits = ctx.cfg[("sdma", "adc_bits")]
     prbs = ctx.cfg[("sdma", "used_prbs")]
+    num = ofdm.OfdmNumerology(used_prbs=prbs)
     n_sym = ctx.cfg[("sdma", "n_symbols")]
     sirs = [float(s) for s in _grid(ctx.cfg[("sdma", "sir_db")], ctx.cfg[("sdma", "sir_points")])]
     sirs.append(math.inf)  # interference-free reference point
@@ -501,11 +482,11 @@ def _run_sdma_link(ctx):
         args = []
         for n_adc in all_bits:
             for i, s in enumerate(sirs):
-                args.append((s, float(gamma0), n_adc, prbs, n_sym, ctx.seed + i))
-        results = parallel.pool_map(_sdma_job, args, ctx.jobs)
+                args.append((s, float(gamma0), n_adc, num, n_sym, ctx.seed + i))
+        results = parallel.pool_map(ofdm.run_sdma_link_trial, args, ctx.jobs)
         rows = [
-            (s, n_adc, math.inf, prbs, meas, pred)
-            for (s, _g, n_adc, _p, _n, _sd), (meas, pred) in zip(args, results)
+            (s, n_adc, math.inf, prbs, meas, ofdm.predict_sdma_sinr_db(s, g, n_adc, num))
+            for (s, g, n_adc, *_), meas in zip(args, results)
         ]
         name = f"sdma_link_g{gamma0:g}.csv"
         _write_csv(ctx, name,
@@ -673,9 +654,8 @@ axes[1].set_xscale("log")
 
 # ---------------------------------------------------------------- tx
 
-def _psd_job(args):
+def _psd_job(bits, order, prbs, n_sym, nperseg, seed):
     """Welch PSD of one DAC-chain output, and the output's power."""
-    bits, order, prbs, n_sym, nperseg, seed = args
     num = ofdm.OfdmNumerology(used_prbs=prbs)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     grid = ofdm.random_grid("QPSK", n_sym, num.n_subcarriers, rng)
@@ -758,26 +738,22 @@ ax.set_ylabel("ACLR, first adjacent channel (dB)")
 '''
 
 
-def _evm_job(args):
-    bits, order, inv_sigma_db, n_sym, seed = args
-    cfg = txchain.DacChainConfig(n_bits=bits, lpf_order=order)
-    sigma = 0.0 if inv_sigma_db == math.inf else 10.0 ** (-inv_sigma_db / 10.0)
-    return txchain.measure_evm(cfg, sigma_rf_sq=sigma, n_symbols=n_sym, seed=seed)
-
-
 def _run_evm_sweep(ctx):
     bits = ctx.cfg[("tx", "evm_bits")]
     order = ctx.cfg[("tx", "evm_lpf_order")]
     n_sym = ctx.cfg[("tx", "n_symbols")]
     points = [float(x) for x in _grid(ctx.cfg[("tx", "inv_sigma_rf_db")], ctx.cfg[("tx", "rf_points")])]
-    args = [(b, order, x, n_sym, ctx.seed) for b in bits for x in points]
-    floor_args = [(b, order, math.inf, n_sym, ctx.seed) for b in bits]
-    results = parallel.pool_map(_evm_job, args + floor_args, ctx.jobs)
-    rows = [(b, x, evm) for (b, _o, x, _n, _s), evm in zip(args, results[: len(args)])]
+    swept = [(b, x) for b in bits for x in points]
+    # the last len(bits) jobs measure each width's floor, without RF noise
+    args = [(txchain.DacChainConfig(n_bits=b, lpf_order=order), 10.0 ** (-x / 10.0), n_sym, ctx.seed)
+            for b, x in swept]
+    args += [(txchain.DacChainConfig(n_bits=b, lpf_order=order), 0.0, n_sym, ctx.seed) for b in bits]
+    results = parallel.pool_map(txchain.measure_evm, args, ctx.jobs)
+    rows = [(b, x, evm) for (b, x), evm in zip(swept, results)]
     _write_csv(ctx, "evm_sweep.csv", ("n_bits", "inv_sigma_rf_db", "evm_pct"), rows)
 
     floor_rows = []
-    for (b, *_), measured in zip(floor_args, results[len(args):]):
+    for b, measured in zip(bits, results[len(swept):]):
         sig_v2 = txchain.inband_quantization_noise(b, txchain.EVM_NUMEROLOGY.occupied_bw_hz)
         predicted = txchain.evm_prediction(quantizer.alpha_of(b), 0.0, sig_v2)
         floor_rows.append((b, measured, predicted))

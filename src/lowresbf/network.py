@@ -562,11 +562,6 @@ def run_drop_detailed(cfg, seed=None):
     return DropResult(ue_results=results, beam_counts=np.array(beam_counts, dtype=int), n_ues_total=len(drop.ue_positions))
 
 
-def _drop_job(args):
-    cfg, ss = args
-    return run_drop_detailed(cfg, ss)
-
-
 def run_drops(cfg, n_drops, n_jobs=1):
     """Independent drops with spawned RNG substreams.
 
@@ -574,4 +569,4 @@ def run_drops(cfg, n_drops, n_jobs=1):
     child of SeedSequence(cfg.seed).
     """
     seeds = np.random.SeedSequence(cfg.seed).spawn(n_drops)
-    return pool_map(_drop_job, [(cfg, s) for s in seeds], n_jobs)
+    return pool_map(run_drop_detailed, [(cfg, s) for s in seeds], n_jobs)

@@ -19,7 +19,7 @@ at 491.52 MHz).  OfdmNumerology holds only the occupied band.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.signal import firwin
@@ -31,7 +31,6 @@ from . import sinr as sinr_model
 __all__ = [
     "OfdmNumerology",
     "ResourceGrid",
-    "LinkTrialConfig",
     "constellation",
     "random_grid",
     "ofdm_modulate",
@@ -82,28 +81,11 @@ class ResourceGrid:
     """Modulation symbols on the occupied subcarriers, one row per OFDM symbol."""
 
     symbols: np.ndarray
-    modulation: str = "QPSK"
 
     def __post_init__(self):
         object.__setattr__(self, "symbols", np.asarray(self.symbols, dtype=complex))
         if self.symbols.ndim != 2:
             raise ValueError("grid must be 2-D (symbols x subcarriers)")
-
-
-@dataclass(frozen=True)
-class LinkTrialConfig:
-    snr_db: float
-    n_adc: float
-    n_dac: float
-    numerology: OfdmNumerology = field(default_factory=OfdmNumerology)
-    n_symbols: int = 24
-    seed: int = 0
-    sir_db: float = None
-    gamma0_db: float = None
-
-    def __post_init__(self):
-        if self.n_symbols < 3:
-            raise ValueError("need at least 2 pilot symbols plus 1 data symbol")
 
 
 _QAM_AXIS = {"QPSK": 2, "16QAM": 4, "64QAM": 8, "256QAM": 16}
@@ -124,7 +106,7 @@ def random_grid(modulation, n_symbols, n_subcarriers, rng):
     """Uniform random symbols from the constellation."""
     pts = constellation(modulation)
     idx = rng.integers(0, pts.size, size=(n_symbols, n_subcarriers))
-    return ResourceGrid(pts[idx], modulation)
+    return ResourceGrid(pts[idx])
 
 
 def _bin_map(num):
@@ -149,9 +131,12 @@ def ofdm_modulate(grid, num, n_dac=math.inf):
     return quantizer.quantize(ComplexSampleBlock(x.ravel(), CHIP_RATE_HZ), n_dac)
 
 
-def ofdm_demodulate(block, num, n_symbols):
+def ofdm_demodulate(block, num):
     """Strip prefixes, FFT, and pick the occupied bins."""
-    x = block.samples.reshape(n_symbols, FFT_SIZE + CP_LEN)[:, CP_LEN:]
+    if block.samples.size % (FFT_SIZE + CP_LEN):
+        raise ValueError(f"block length {block.samples.size} is not a whole number of "
+                         f"{FFT_SIZE + CP_LEN}-sample OFDM symbols")
+    x = block.samples.reshape(-1, FFT_SIZE + CP_LEN)[:, CP_LEN:]
     spec = np.fft.fft(x, axis=1) * (math.sqrt(num.n_subcarriers) / FFT_SIZE)
     return spec[:, _bin_map(num)]
 
@@ -208,36 +193,41 @@ def _equalize(rx_grid, tx_grid, ref):
     return 10.0 * math.log10(1.0 / np.mean(np.abs(err) ** 2))
 
 
-def _run_chain(cfg, interferer_psi):
-    num = cfg.numerology
-    rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
-    grid = random_grid("QPSK", cfg.n_symbols, num.n_subcarriers, rng)
-    x = ofdm_modulate(grid, num, cfg.n_dac).samples
+def _check_db(name, value, allow_inf=False):
+    v = np.asarray(value, dtype=float)
+    if isinstance(value, bool) or not np.all(np.isfinite(v) | (allow_inf & (v == math.inf))):
+        raise ValueError(f"{name} must be finite{' or +inf' if allow_inf else ''}, got {value!r}")
+
+
+def _run_chain(db, scale, psi, n_adc, n_dac, num, n_symbols, seed):
+    # db sets the noise power sig_pow * scale * 10^(-db/10); psi is the
+    # interferer's power relative to the signal, 0 for none
+    if isinstance(n_symbols, bool) or not isinstance(n_symbols, int) or n_symbols < 3:
+        raise ValueError(f"n_symbols must be an integer of at least 3 "
+                         f"(2 pilot symbols plus 1 data symbol), got {n_symbols!r}")
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    grid = random_grid("QPSK", n_symbols, num.n_subcarriers, rng)
+    x = ofdm_modulate(grid, num, n_dac).samples
     sig_pow = np.mean(np.abs(x) ** 2)
 
-    if interferer_psi > 0:
-        other = random_grid("QPSK", cfg.n_symbols, num.n_subcarriers, rng)
-        xi = ofdm_modulate(other, num, cfg.n_dac).samples
-        x = x + math.sqrt(interferer_psi * sig_pow / np.mean(np.abs(xi) ** 2)) * xi
+    if psi > 0:
+        other = random_grid("QPSK", n_symbols, num.n_subcarriers, rng)
+        xi = ofdm_modulate(other, num, n_dac).samples
+        x = x + math.sqrt(psi * sig_pow / np.mean(np.abs(xi) ** 2)) * xi
 
     x = _frac_delay(x, RX_TIMING_OFFSET)
 
-    if cfg.gamma0_db is not None:
-        # per-bin SNR target: full-band noise is stronger by the oversampling ratio
-        osr = FFT_SIZE / num.n_subcarriers
-        nvar = sig_pow * osr * 10.0 ** (-cfg.gamma0_db / 10.0)
-    else:
-        nvar = sig_pow * 10.0 ** (-cfg.snr_db / 10.0)
+    nvar = sig_pow * scale * 10.0 ** (-db / 10.0)
     noise = math.sqrt(nvar / 2.0) * (rng.standard_normal(x.size) + 1j * rng.standard_normal(x.size))
 
     y = ComplexSampleBlock(x + noise, CHIP_RATE_HZ)
     y = agc_normalize(y)
-    y = quantizer.quantize(y, cfg.n_adc)
+    y = quantizer.quantize(y, n_adc)
     # band-edge FIR, applied circularly so the equalizer sees cyclic
     # symbols; the genie reference is the same filter on the FFT bin grid
     h = firwin(129, num.occupied_bw_hz / 2, fs=CHIP_RATE_HZ)
     filtered = fir_circular(y.samples, h)
-    rx = ofdm_demodulate(ComplexSampleBlock(filtered, CHIP_RATE_HZ), num, cfg.n_symbols)
+    rx = ofdm_demodulate(ComplexSampleBlock(filtered, CHIP_RATE_HZ), num)
 
     k_signed = np.arange(num.n_subcarriers) - num.n_subcarriers // 2
     timing = np.exp(-2j * np.pi * k_signed * RX_TIMING_OFFSET / FFT_SIZE)
@@ -245,22 +235,29 @@ def _run_chain(cfg, interferer_psi):
     return _equalize(rx, grid.symbols, ref)
 
 
-def run_link_trial(cfg):
-    """Post-equalization SNR in dB for a noise-only trial."""
-    return _run_chain(cfg, 0.0)
+def run_link_trial(snr_db, n_adc, n_dac, num, n_symbols=24, seed=0):
+    """Post-equalization SNR in dB for a noise-only trial.
+
+    snr_db is the full-band input SNR; the transmit side quantizes to
+    n_dac bits and the receive side to n_adc bits.
+    """
+    _check_db("snr_db", snr_db)
+    return _run_chain(snr_db, 1.0, 0.0, n_adc, n_dac, num, n_symbols, seed)
 
 
-def run_sdma_link_trial(cfg):
+def run_sdma_link_trial(sir_db, gamma0_db, n_adc, num, n_symbols=24, seed=0):
     """Post-equalization SINR with an in-band interfering stream.
 
     The interferer is an independent grid of the same numerology at
-    relative power 10^(-sir_db/10), passed through the same transmit
-    quantizer.  gamma0_db sets the per-subcarrier SNR floor.
+    relative power 10^(-sir_db/10); sir_db = inf removes it.  gamma0_db
+    sets the per-subcarrier SNR floor: the full-band noise is stronger
+    by the oversampling ratio.  The transmit side is unquantized, so
+    only the n_adc-bit receive quantizer distorts.
     """
-    if cfg.gamma0_db is None:
-        raise ValueError("sdma trial needs gamma0_db")
-    psi = 0.0 if cfg.sir_db is None else 10.0 ** (-cfg.sir_db / 10.0)
-    return _run_chain(cfg, psi)
+    _check_db("sir_db", sir_db, allow_inf=True)
+    _check_db("gamma0_db", gamma0_db)
+    osr = FFT_SIZE / num.n_subcarriers
+    return _run_chain(gamma0_db, osr, 10.0 ** (-sir_db / 10.0), n_adc, math.inf, num, n_symbols, seed)
 
 
 def predict_link_snr_db(snr_db, n_adc, num):
@@ -270,6 +267,7 @@ def predict_link_snr_db(snr_db, n_adc, num):
     1/OSR of the full-band noise, and the same factor dilutes the
     quantizer distortion.
     """
+    _check_db("snr_db", snr_db)
     osr = FFT_SIZE / num.n_subcarriers
     gamma = 10.0 ** (np.asarray(snr_db, dtype=float) / 10.0) * osr
     alpha = quantizer.alpha_of(n_adc)
@@ -278,8 +276,10 @@ def predict_link_snr_db(snr_db, n_adc, num):
 
 
 def predict_sdma_sinr_db(sir_db, gamma0_db, n_adc, num):
-    """Closed-form post-equalization SINR for the interference trial."""
+    """Closed-form post-equalization SINR for the interference trial; sir_db = inf is no interferer."""
+    _check_db("sir_db", sir_db, allow_inf=True)
+    _check_db("gamma0_db", gamma0_db)
     osr = FFT_SIZE / num.n_subcarriers
-    psi = 0.0 if sir_db is None else 10.0 ** (-np.asarray(sir_db, dtype=float) / 10.0)
+    psi = 10.0 ** (-np.asarray(sir_db, dtype=float) / 10.0)
     q = sinr_model.LinkQuality(10.0 ** (gamma0_db / 10.0), osr, psi)
     return 10.0 * np.log10(sinr_model.sinr_sdma_quantized(q, quantizer.alpha_of(n_adc)))

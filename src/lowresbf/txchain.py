@@ -15,8 +15,9 @@ relative; ACLR and EVM are ratios and do not depend on that choice.
 The reference chain is fixed by module constants: INTERP_M, INTERP_TAPS,
 DAC_FS_HZ, ZOH_OVERSAMPLE and LPF_FC_HZ for the converter, CH_BW_HZ,
 MEAS_BW_HZ and N_ADJACENT for the channel raster, and EVM_NUMEROLOGY
-for the fully occupied frame measure_evm runs.  DacChainConfig holds
-only the DAC width and the reconstruction-filter order.
+and EVM_MODULATION for the fully occupied 64QAM frame measure_evm
+runs.  DacChainConfig holds only the DAC width and the
+reconstruction-filter order.
 """
 
 import math
@@ -52,6 +53,7 @@ CH_BW_HZ = 400e6  # carrier raster
 MEAS_BW_HZ = 396e6  # measurement window inside each channel
 N_ADJACENT = 2  # adjacent channels on each side that ACLR probes
 EVM_NUMEROLOGY = OfdmNumerology(used_prbs=MAX_PRBS)
+EVM_MODULATION = "64QAM"
 
 
 def _check_order(order):
@@ -188,7 +190,7 @@ def _chain_bin_response(cfg, k_signed):
     return h_int * zoh * lpf / (INTERP_M * ZOH_OVERSAMPLE)
 
 
-def measure_evm(cfg, sigma_rf_sq=0.0, modulation="64QAM", n_symbols=24, seed=0):
+def measure_evm(cfg, sigma_rf_sq=0.0, n_symbols=24, seed=0):
     """Error vector magnitude in percent through the full converter chain.
 
     A fully occupied OFDM frame runs through dac_convert and the
@@ -202,7 +204,7 @@ def measure_evm(cfg, sigma_rf_sq=0.0, modulation="64QAM", n_symbols=24, seed=0):
         raise ValueError(f"noise power must be nonnegative and finite, got {sigma_rf_sq!r}")
     num = EVM_NUMEROLOGY
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    grid = random_grid(modulation, n_symbols, num.n_subcarriers, rng)
+    grid = random_grid(EVM_MODULATION, n_symbols, num.n_subcarriers, rng)
     base = ofdm_modulate(grid, num)
     z = apply_reconstruction_lpf(dac_convert(base, cfg), cfg)
     x = z.samples

@@ -160,8 +160,7 @@ def test_osr_gain_bookkeeping():
     g200 = ofdm.osr_gain_db(4096, 2400)
     assert g274 == pytest.approx(0.95, abs=0.01), f"osr(4096, 3288) = {g274:.4f} dB"
     assert g200 == pytest.approx(2.32, abs=0.01), f"osr(4096, 2400) = {g200:.4f} dB"
-    cfg = ofdm.LinkTrialConfig(10.0, math.inf, math.inf, NUM_274, n_symbols=20, seed=0)
-    meas = ofdm.run_link_trial(cfg)
+    meas = ofdm.run_link_trial(10.0, math.inf, math.inf, NUM_274, n_symbols=20, seed=0)
     gap = meas - (10.0 + g274)
     check(abs(gap) <= 0.3,
           f"osr: 0.95/2.32 dB reproduced; unquantized link sits {gap:+.3f} dB off input+OSR")
@@ -174,10 +173,8 @@ def link_grid():
     t0 = time.perf_counter()
     for n_adc in (2, 3, 4, 5):
         for i, s in enumerate(snrs):
-            cfg = ofdm.LinkTrialConfig(float(s), n_adc, n_adc + 2, NUM_274,
-                                       n_symbols=24, seed=i)
             rows[(n_adc, float(s))] = (
-                ofdm.run_link_trial(cfg),
+                ofdm.run_link_trial(float(s), n_adc, n_adc + 2, NUM_274, n_symbols=24, seed=i),
                 ofdm.predict_link_snr_db(float(s), n_adc, NUM_274),
             )
     return rows, time.perf_counter() - t0
@@ -200,8 +197,8 @@ def test_dual_quantizer_offset():
     offsets = {}
     for n in (3, 4):
         for snr in (35.0, 40.0):
-            cfg = ofdm.LinkTrialConfig(snr, n, n, NUM_274, n_symbols=24, seed=0)
-            offsets[(n, snr)] = ofdm.predict_link_snr_db(snr, n, NUM_274) - ofdm.run_link_trial(cfg)
+            measured = ofdm.run_link_trial(snr, n, n, NUM_274, n_symbols=24, seed=0)
+            offsets[(n, snr)] = ofdm.predict_link_snr_db(snr, n, NUM_274) - measured
     for key, off in offsets.items():
         assert off == pytest.approx(3.0, abs=0.7), f"n={key[0]}, snr={key[1]:g}: offset {off:.3f} dB"
     lines = ", ".join(f"n={k[0]}@{k[1]:g}dB {v:.2f}" for k, v in offsets.items())
@@ -216,11 +213,8 @@ def sdma_measurements():
     for gamma0 in (0.0, 15.0):
         for n_adc in (3, 4, math.inf):
             for i, s in enumerate(sirs):
-                cfg = ofdm.LinkTrialConfig(
-                    0.0, n_adc, math.inf, NUM_200, n_symbols=24, seed=i,
-                    sir_db=None if s == math.inf else s, gamma0_db=gamma0,
-                )
-                meas[(gamma0, n_adc, s)] = ofdm.run_sdma_link_trial(cfg)
+                meas[(gamma0, n_adc, s)] = ofdm.run_sdma_link_trial(
+                    s, gamma0, n_adc, NUM_200, n_symbols=24, seed=i)
     return meas, time.perf_counter() - t0
 
 

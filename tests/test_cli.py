@@ -282,15 +282,27 @@ def test_link_validate_columns_and_agreement(tmp_path):
     py_compile.compile(str(out / "link_validate_plot.py"), doraise=True)
 
 
-def test_link_validate_jobs_invariant(tmp_path):
-    cfg = tmp_path / "link.ini"
-    cfg.write_text("[link]\nadc_bits = 3\nsnr_db = 5:15\nsnr_points = 2\nn_symbols = 3\n")
+@pytest.mark.parametrize("preset,config", [
+    pytest.param("link-validate", "[link]\nadc_bits = 3\nsnr_db = 5:15\nsnr_points = 2\nn_symbols = 3\n",
+                 id="link-validate"),
+    pytest.param("sdma-link", "[sdma]\nadc_bits = 3\nsir_db = 20:20\nsir_points = 1\ngamma0_db = 0\n"
+                 "n_symbols = 3\nused_prbs = 100\n", id="sdma-link"),
+    pytest.param("tx-psd", "[tx]\npsd_cases = 4:0,inf:1\nn_symbols = 2\nnperseg = 1024\n", id="tx-psd"),
+    pytest.param("evm-sweep", "[tx]\nevm_bits = 4,inf\nevm_lpf_order = 1\nn_symbols = 2\n"
+                 "inv_sigma_rf_db = 40:40\nrf_points = 1\n", id="evm-sweep"),
+])
+def test_link_validate_jobs_invariant(tmp_path, preset, config):
+    # each config spreads at least two jobs over the pool
+    cfg = tmp_path / "c.ini"
+    cfg.write_text(config)
     outs = (tmp_path / "j1", tmp_path / "j2")
     for out, jobs in zip(outs, ("1", "2")):
-        rc = cli.main(["link-validate", "--config", str(cfg), "--out", str(out),
-                       "--jobs", jobs, "--no-timestamp"])
+        rc = cli.main([preset, "--config", str(cfg), "--out", str(out), "--jobs", jobs, "--no-timestamp"])
         assert rc == 0
-    assert (outs[0] / "link_validate.csv").read_bytes() == (outs[1] / "link_validate.csv").read_bytes()
+    csvs = sorted(p.name for p in outs[0].glob("*.csv"))
+    assert csvs and csvs == sorted(p.name for p in outs[1].glob("*.csv"))
+    for name in csvs:
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
 
 
 def test_sdma_link_artifacts(tmp_path):

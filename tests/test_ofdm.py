@@ -31,8 +31,10 @@ def test_modulate_demodulate_round_trip():
     rng = np.random.default_rng(0)
     grid = ofdm.random_grid("QPSK", 4, NUM.n_subcarriers, rng)
     block = ofdm.ofdm_modulate(grid, NUM)
-    rx = ofdm.ofdm_demodulate(block, NUM, 4)
+    rx = ofdm.ofdm_demodulate(block, NUM)
     np.testing.assert_allclose(rx, grid.symbols, atol=1e-9)
+    with pytest.raises(ValueError, match="whole number"):
+        ofdm.ofdm_demodulate(quantizer.ComplexSampleBlock(block.samples[:-1], block.sample_rate), NUM)
 
 
 def test_modulate_unit_power():
@@ -117,26 +119,46 @@ def test_osr_gain():
 
 
 def test_trial_reproducibility():
-    cfg = ofdm.LinkTrialConfig(snr_db=5.0, n_adc=3, n_dac=5, n_symbols=6, seed=42)
-    assert ofdm.run_link_trial(cfg) == ofdm.run_link_trial(cfg)
-    other = ofdm.LinkTrialConfig(snr_db=5.0, n_adc=3, n_dac=5, n_symbols=6, seed=43)
-    assert ofdm.run_link_trial(cfg) != ofdm.run_link_trial(other)
+    first = ofdm.run_link_trial(5.0, 3, 5, NUM, n_symbols=6, seed=42)
+    assert first == ofdm.run_link_trial(5.0, 3, 5, NUM, n_symbols=6, seed=42)
+    assert first != ofdm.run_link_trial(5.0, 3, 5, NUM, n_symbols=6, seed=43)
 
 
-def test_trial_config_validation():
-    with pytest.raises(ValueError):
-        ofdm.LinkTrialConfig(snr_db=0.0, n_adc=4, n_dac=4, n_symbols=2)
+NUM_10 = ofdm.OfdmNumerology(used_prbs=10)
+LINK, SDMA = ofdm.run_link_trial, ofdm.run_sdma_link_trial
+
+
+@pytest.mark.parametrize("fn,args,name", [
+    pytest.param(LINK, (0.0, 4, 4, NUM_10, 2), "n_symbols", id="link-n_symbols-2"),
+    pytest.param(LINK, (10.0, 4, 6, NUM_10, 3.5), "n_symbols", id="link-n_symbols-3.5"),
+    pytest.param(LINK, (10.0, 4, 6, NUM_10, True), "n_symbols", id="link-n_symbols-True"),
+    pytest.param(SDMA, (20.0, 0.0, 3, NUM_10, 2), "n_symbols", id="sdma-n_symbols-2"),
+    pytest.param(LINK, (math.nan, 4, 6, NUM_10, 3), "snr_db", id="link-snr_db-nan"),
+    pytest.param(LINK, (math.inf, 4, 6, NUM_10, 3), "snr_db", id="link-snr_db-inf"),
+    pytest.param(SDMA, (20.0, math.nan, 3, NUM_10, 3), "gamma0_db", id="sdma-gamma0_db-nan"),
+    pytest.param(SDMA, (20.0, -math.inf, 3, NUM_10, 3), "gamma0_db", id="sdma-gamma0_db--inf"),
+    pytest.param(SDMA, (math.nan, 0.0, 3, NUM_10, 3), "sir_db", id="sdma-sir_db-nan"),
+    pytest.param(SDMA, (-math.inf, 0.0, 3, NUM_10, 3), "sir_db", id="sdma-sir_db--inf"),
+    pytest.param(SDMA, (True, 0.0, 3, NUM_10, 3), "sir_db", id="sdma-sir_db-True"),
+    pytest.param(ofdm.predict_link_snr_db, (math.nan, 4, NUM_10), "snr_db", id="predict-snr_db-nan"),
+    pytest.param(ofdm.predict_link_snr_db, (math.inf, 4, NUM_10), "snr_db", id="predict-snr_db-inf"),
+    pytest.param(ofdm.predict_sdma_sinr_db, (20.0, math.nan, 3, NUM_10), "gamma0_db",
+                 id="predict-gamma0_db-nan"),
+    pytest.param(ofdm.predict_sdma_sinr_db, (20.0, math.inf, 3, NUM_10), "gamma0_db",
+                 id="predict-gamma0_db-inf"),
+])
+def test_trial_bad_input_rejected_by_name(fn, args, name):
+    with pytest.raises(ValueError, match=name):
+        fn(*args)
 
 
 def test_infinite_resolution_gains_osr():
-    cfg = ofdm.LinkTrialConfig(snr_db=10.0, n_adc=math.inf, n_dac=math.inf, n_symbols=8, seed=0)
-    measured = ofdm.run_link_trial(cfg)
+    measured = ofdm.run_link_trial(10.0, math.inf, math.inf, NUM, n_symbols=8, seed=0)
     assert measured == pytest.approx(10.0 + ofdm.osr_gain_db(4096, 3288), abs=0.3)
 
 
 def test_predicted_curve_matches_one_operating_point():
-    cfg = ofdm.LinkTrialConfig(snr_db=10.0, n_adc=4, n_dac=6, n_symbols=10, seed=3)
-    measured = ofdm.run_link_trial(cfg)
+    measured = ofdm.run_link_trial(10.0, 4, 6, NUM, n_symbols=10, seed=3)
     predicted = ofdm.predict_link_snr_db(10.0, 4, NUM)
     assert abs(measured - predicted) <= 0.5
 
@@ -147,24 +169,17 @@ def test_prediction_identity_at_infinite_resolution():
 
 
 def test_sdma_trial_reduces_to_link_trial():
-    # sir_db=None removes the interferer; gamma0 sets the same full-band
+    # sir_db=inf removes the interferer; gamma0 sets the same full-band
     # noise power that snr_db = gamma0 - OSR would, so the chains agree.
     num = ofdm.OfdmNumerology(used_prbs=200)
     osr_db = ofdm.osr_gain_db(ofdm.FFT_SIZE, num.n_subcarriers)
-    sdma = ofdm.run_sdma_link_trial(
-        ofdm.LinkTrialConfig(0.0, math.inf, math.inf, num, 6, 9, sir_db=None, gamma0_db=12.0)
-    )
-    plain = ofdm.run_link_trial(
-        ofdm.LinkTrialConfig(12.0 - osr_db, math.inf, math.inf, num, 6, 9)
-    )
+    sdma = ofdm.run_sdma_link_trial(math.inf, 12.0, math.inf, num, 6, 9)
+    plain = ofdm.run_link_trial(12.0 - osr_db, math.inf, math.inf, num, 6, 9)
     assert sdma == pytest.approx(plain, abs=1e-6)
-    with pytest.raises(ValueError):
-        ofdm.run_sdma_link_trial(ofdm.LinkTrialConfig(0.0, 3, math.inf, num, 6, 9, sir_db=20.0))
 
 
 def test_sdma_low_noise_floor_small_quantization_loss():
     num = ofdm.OfdmNumerology(used_prbs=200)
-    kw = dict(numerology=num, n_symbols=8, seed=1, sir_db=10.0, gamma0_db=0.0)
-    coarse = ofdm.run_sdma_link_trial(ofdm.LinkTrialConfig(0.0, 3, math.inf, **kw))
-    fine = ofdm.run_sdma_link_trial(ofdm.LinkTrialConfig(0.0, math.inf, math.inf, **kw))
+    coarse = ofdm.run_sdma_link_trial(10.0, 0.0, 3, num, n_symbols=8, seed=1)
+    fine = ofdm.run_sdma_link_trial(10.0, 0.0, math.inf, num, n_symbols=8, seed=1)
     assert fine - coarse < 0.5
