@@ -46,13 +46,6 @@ class ConfigError(Exception):
 
 # ---------------------------------------------------------------- config
 
-def _finite(text):
-    v = float(text)
-    if not math.isfinite(v):
-        raise ValueError(f"{v} is not finite")
-    return v
-
-
 def _bit_width(tok):
     """One resolution token, 'inf' or an integer, held to the quantizer's width rule."""
     tok = tok.strip()
@@ -67,14 +60,22 @@ def _cast_bits(text):
     return bits
 
 
+def _db(text):
+    """A level in dB within +-ofdm.MAX_ABS_DB, so that 10^(x/10) stays finite."""
+    v = float(text)
+    if not abs(v) <= ofdm.MAX_ABS_DB:  # NaN fails this too
+        raise ValueError(f"{v:g} dB is not within +-{ofdm.MAX_ABS_DB:g} dB")
+    return v
+
+
 def _cast_floats(text):
-    return tuple(_finite(t) for t in text.split(","))
+    return tuple(_db(t) for t in text.split(","))
 
 
 def _order(tok):
     """One filter order: a whole number >= 0, as a float."""
-    v = _finite(tok)
-    if v < 0 or not v.is_integer():
+    v = float(tok)
+    if not (v >= 0 and v.is_integer()):  # NaN and inf fail this too
         raise ValueError(f"filter order {v:g} is not a whole number >= 0")
     return v
 
@@ -84,11 +85,11 @@ def _cast_orders(text):
 
 
 def _cast_range(text):
-    """'lo:hi' inclusive sweep bounds."""
+    """'lo:hi' inclusive sweep bounds in dB."""
     lo, _, hi = text.partition(":")
     if not _:
         raise ValueError("expected lo:hi")
-    lo, hi = _finite(lo), _finite(hi)
+    lo, hi = _db(lo), _db(hi)
     if hi < lo:
         raise ValueError("range upper bound below lower")
     return lo, hi
@@ -406,7 +407,7 @@ def _run_aqnm_curves(ctx):
     for b, a in alpha_rows:
         sat = math.inf if a == 0 else 10.0 * math.log10(sinr.sinr_saturation(a, 1.0))
         for g_db in gammas:
-            s = sinr.sinr_orthogonal_quantized(10.0 ** (g_db / 10.0), a, 1.0)
+            s = sinr.sinr_quantized(10.0 ** (g_db / 10.0), 1.0, 0.0, a)
             sinr_rows.append((g_db, b, 10.0 * math.log10(s), sat))
     _write_csv(ctx, "aqnm_sinr.csv", ("gamma_db", "n_bits", "sinr_db", "saturation_db"), sinr_rows)
     _write_plot(ctx, "aqnm_curves.png", _AQNM_PLOT)
@@ -660,8 +661,7 @@ def _psd_job(bits, order, prbs, n_sym, nperseg, seed):
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     grid = ofdm.random_grid("QPSK", n_sym, num.n_subcarriers, rng)
     base = ofdm.ofdm_modulate(grid, num)
-    cfg = txchain.DacChainConfig(n_bits=bits, lpf_order=order)
-    out = txchain.apply_reconstruction_lpf(txchain.dac_convert(base, cfg), cfg)
+    out = txchain.apply_reconstruction_lpf(txchain.dac_convert(base, bits), order)
     return txchain.estimate_psd(out, nperseg), np.var(out.samples)
 
 
@@ -745,9 +745,8 @@ def _run_evm_sweep(ctx):
     points = [float(x) for x in _grid(ctx.cfg[("tx", "inv_sigma_rf_db")], ctx.cfg[("tx", "rf_points")])]
     swept = [(b, x) for b in bits for x in points]
     # the last len(bits) jobs measure each width's floor, without RF noise
-    args = [(txchain.DacChainConfig(n_bits=b, lpf_order=order), 10.0 ** (-x / 10.0), n_sym, ctx.seed)
-            for b, x in swept]
-    args += [(txchain.DacChainConfig(n_bits=b, lpf_order=order), 0.0, n_sym, ctx.seed) for b in bits]
+    args = [(b, order, 10.0 ** (-x / 10.0), n_sym, ctx.seed) for b, x in swept]
+    args += [(b, order, 0.0, n_sym, ctx.seed) for b in bits]
     results = parallel.pool_map(txchain.measure_evm, args, ctx.jobs)
     rows = [(b, x, evm) for (b, x), evm in zip(swept, results)]
     _write_csv(ctx, "evm_sweep.csv", ("n_bits", "inv_sigma_rf_db", "evm_pct"), rows)

@@ -12,8 +12,11 @@ quantized SINRs and rates are recorded per user.
 
 The reference system is fixed by module constants: FC_HZ, BS_ARRAY,
 UE_ARRAY, TX_POWER_DBM, NOISE_FIGURE_DB, TTI_S, OVERHEAD,
-SHANNON_LOSS_DB, MAX_SE_BPS_HZ and PATHLOSS.  NetworkConfig holds only
-what a run varies; resolution is the axis the model studies.
+SHANNON_LOSS_DB and MAX_SE_BPS_HZ, plus the pathloss model's
+LOS_*/NLOS_* intercepts, exponents and shadowing spreads and the
+OUTAGE_DECAY_M, OUTAGE_MARGIN and LOS_DECAY_M of its link-state
+probabilities.  NetworkConfig holds only what a run varies; resolution
+is the axis the model studies.
 
 Schedulers are resolution-blind: they rank users on unquantized SINR
 estimates, so runs at different ADC widths share schedules and the
@@ -34,16 +37,15 @@ from .sinr import sinr_quantized
 
 __all__ = [
     "LinkState",
-    "PathlossParams",
     "NetworkConfig",
     "NetworkDrop",
     "UeResult",
     "DropResult",
     "free_space_pathloss_db",
+    "state_probabilities",
     "pathloss_db",
     "generate_layout",
     "covariance_from_clusters",
-    "longterm_beams",
     "schedule_ofdma_pf",
     "schedule_sdma_greedy",
     "rate_from_sinr",
@@ -61,34 +63,6 @@ class LinkState(IntEnum):
     OUTAGE = 2
 
 
-@dataclass(frozen=True)
-class PathlossParams:
-    """Urban millimeter-wave pathloss: PL = a + 10·b·log10(d) + shadowing.
-
-    Defaults follow the published 28 GHz measurement fits, including the
-    distance-driven LOS/NLOS/outage state probabilities.  These are
-    model assumptions, not ground truth; acceptance bands that depend on
-    them are widened accordingly.
-    """
-
-    los_intercept_db: float = 61.4
-    los_exponent: float = 2.0
-    los_shadow_db: float = 5.8
-    nlos_intercept_db: float = 72.0
-    nlos_exponent: float = 2.92
-    nlos_shadow_db: float = 8.7
-    outage_decay_m: float = 30.0
-    outage_margin: float = 5.2
-    los_decay_m: float = 67.1
-
-    def state_probabilities(self, d_m):
-        """(p_outage, p_los, p_nlos) at each distance."""
-        d = np.asarray(d_m, dtype=float)
-        p_out = np.maximum(0.0, 1.0 - np.exp(-d / self.outage_decay_m + self.outage_margin))
-        p_los = (1.0 - p_out) * np.exp(-d / self.los_decay_m)
-        return p_out, p_los, 1.0 - p_out - p_los
-
-
 FC_HZ = 28e9
 TX_POWER_DBM = 35.0
 NOISE_FIGURE_DB = 8.0
@@ -98,7 +72,19 @@ UE_ARRAY = (4, 4)
 TTI_S = 125e-6
 OVERHEAD = 0.20
 SHANNON_LOSS_DB = 3.0
-PATHLOSS = PathlossParams()
+# urban pathloss PL = a + 10·b·log10(d) + shadowing, from the published
+# 28 GHz measurement fits, with distance-driven LOS/NLOS/outage state
+# probabilities.  These are model assumptions, not ground truth;
+# acceptance bands that depend on them are widened accordingly.
+LOS_INTERCEPT_DB = 61.4
+LOS_EXPONENT = 2.0
+LOS_SHADOW_DB = 5.8
+NLOS_INTERCEPT_DB = 72.0
+NLOS_EXPONENT = 2.92
+NLOS_SHADOW_DB = 8.7
+OUTAGE_DECAY_M = 30.0
+OUTAGE_MARGIN = 5.2
+LOS_DECAY_M = 67.1
 _NOISE_PSD_MW_HZ = 10.0 ** ((-174.0 + NOISE_FIGURE_DB) / 10.0)
 
 _FINITE_FIELDS = (
@@ -155,12 +141,11 @@ class NetworkConfig:
 
 @dataclass(frozen=True)
 class NetworkDrop:
-    """One placement with its link states, serving covariances, and the
-    cluster geometry needed to evaluate cross-cell beam couplings."""
+    """One placement with its pathloss (inf in outage), serving covariances,
+    and the cluster geometry needed to evaluate cross-cell beam couplings."""
 
     bs_positions: np.ndarray
     ue_positions: np.ndarray
-    link_state: np.ndarray
     pathloss_db: np.ndarray
     association: np.ndarray  # -1 when every link is in outage
     active_ue: np.ndarray    # indices of associated users
@@ -194,7 +179,15 @@ def free_space_pathloss_db(d_m, fc_hz):
     return 20.0 * np.log10(4.0 * np.pi * d * fc_hz / _C_M_S)
 
 
-def pathloss_db(d_m, state, params, rng):
+def state_probabilities(d_m):
+    """(p_outage, p_los, p_nlos) at each distance."""
+    d = np.asarray(d_m, dtype=float)
+    p_out = np.maximum(0.0, 1.0 - np.exp(-d / OUTAGE_DECAY_M + OUTAGE_MARGIN))
+    p_los = (1.0 - p_out) * np.exp(-d / LOS_DECAY_M)
+    return p_out, p_los, 1.0 - p_out - p_los
+
+
+def pathloss_db(d_m, state, rng):
     """Pathloss with shadowing for drawn link states; outage means +inf.
 
     The shadowed value is floored at free space for the carrier, which
@@ -209,8 +202,8 @@ def pathloss_db(d_m, state, params, rng):
     los = st == LinkState.LOS
     pl = np.where(
         los,
-        params.los_intercept_db + 10.0 * params.los_exponent * np.log10(d) + params.los_shadow_db * shadow,
-        params.nlos_intercept_db + 10.0 * params.nlos_exponent * np.log10(d) + params.nlos_shadow_db * shadow,
+        LOS_INTERCEPT_DB + 10.0 * LOS_EXPONENT * np.log10(d) + LOS_SHADOW_DB * shadow,
+        NLOS_INTERCEPT_DB + 10.0 * NLOS_EXPONENT * np.log10(d) + NLOS_SHADOW_DB * shadow,
     )
     pl = np.maximum(pl, free_space_pathloss_db(d, FC_HZ))
     return np.where(st == LinkState.OUTAGE, np.inf, pl)
@@ -286,6 +279,7 @@ def _draw_clusters(rng, batch_shape, mean_extra):
 
 
 def _dominant_eig(q):
+    """Unit-norm dominant eigenvector of each covariance, and its eigenvalue (the beam gain)."""
     lam, vec = np.linalg.eigh(q)
     # lowest index among numerically tied top eigenvalues, so isotropic
     # covariances resolve deterministically
@@ -295,22 +289,6 @@ def _dominant_eig(q):
     v = np.take_along_axis(vec, np.broadcast_to(idx, (*vec.shape[:-1], 1)), axis=-1)[..., 0]
     gain = np.take_along_axis(lam, first[..., None], axis=-1)[..., 0]
     return v, gain.real
-
-
-def longterm_beams(cov_tx, cov_rx):
-    """Unit-norm dominant eigenvectors (v for transmit, u for receive).
-
-    The receive beamforming gain is u^H Q_rx u, i.e. the top eigenvalue.
-    """
-    qt = np.asarray(cov_tx)
-    qr = np.asarray(cov_rx)
-    if np.any(np.abs(np.trace(qt, axis1=-2, axis2=-1)) < 1e-12) or np.any(
-        np.abs(np.trace(qr, axis1=-2, axis2=-1)) < 1e-12
-    ):
-        raise ValueError("zero covariance has no beam direction")
-    v, _ = _dominant_eig(qt)
-    u, _ = _dominant_eig(qr)
-    return v, u
 
 
 def schedule_ofdma_pf(served_bits, spectral_effs, member_ids, bw_hz):
@@ -397,10 +375,10 @@ def generate_layout(cfg, seed=None):
 
     d = np.hypot(ue[:, 0, None] - bs[None, :, 0], ue[:, 1, None] - bs[None, :, 1])
     d = np.maximum(d, 1.0)  # model fits are not meant below a meter
-    p_out, p_los, _ = PATHLOSS.state_probabilities(d)
+    p_out, p_los, _ = state_probabilities(d)
     u01 = rng.random((n_ue, n_bs))
     state = np.where(u01 < p_out, LinkState.OUTAGE, np.where(u01 < p_out + p_los, LinkState.LOS, LinkState.NLOS))
-    pl = pathloss_db(d, state, PATHLOSS, rng)
+    pl = pathloss_db(d, state, rng)
 
     gain = 10.0 ** (-pl / 10.0)
     association = np.where(np.isfinite(pl).any(axis=1), np.argmax(gain, axis=1), -1)
@@ -418,7 +396,6 @@ def generate_layout(cfg, seed=None):
     return NetworkDrop(
         bs_positions=bs,
         ue_positions=ue,
-        link_state=state.astype(np.int8),
         pathloss_db=pl,
         association=association,
         active_ue=active,

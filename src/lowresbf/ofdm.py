@@ -30,7 +30,6 @@ from . import sinr as sinr_model
 
 __all__ = [
     "OfdmNumerology",
-    "ResourceGrid",
     "constellation",
     "random_grid",
     "ofdm_modulate",
@@ -54,6 +53,10 @@ MAX_PRBS = 275  # 3300 subcarriers, inside the FFT
 CP_LEN = 288
 CHIP_RATE_HZ = 491.52e6  # FFT_SIZE * SCS_HZ
 
+# largest |level| in dB a trial, a prediction or a CLI sweep accepts: it
+# keeps every 10^(x/10) and every psi*gamma product finite in float64
+MAX_ABS_DB = 300.0
+
 
 @dataclass(frozen=True)
 class OfdmNumerology:
@@ -76,18 +79,6 @@ class OfdmNumerology:
         return self.n_subcarriers * SCS_HZ
 
 
-@dataclass(frozen=True)
-class ResourceGrid:
-    """Modulation symbols on the occupied subcarriers, one row per OFDM symbol."""
-
-    symbols: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "symbols", np.asarray(self.symbols, dtype=complex))
-        if self.symbols.ndim != 2:
-            raise ValueError("grid must be 2-D (symbols x subcarriers)")
-
-
 _QAM_AXIS = {"QPSK": 2, "16QAM": 4, "64QAM": 8, "256QAM": 16}
 
 
@@ -103,10 +94,10 @@ def constellation(modulation):
 
 
 def random_grid(modulation, n_symbols, n_subcarriers, rng):
-    """Uniform random symbols from the constellation."""
+    """Uniform random constellation symbols, one row per OFDM symbol."""
     pts = constellation(modulation)
     idx = rng.integers(0, pts.size, size=(n_symbols, n_subcarriers))
-    return ResourceGrid(pts[idx])
+    return pts[idx]
 
 
 def _bin_map(num):
@@ -119,13 +110,16 @@ def ofdm_modulate(grid, num, n_dac=math.inf):
     """IFFT per symbol, cyclic prefix, unit average power, then DAC quantization.
 
     The IFFT is scaled by FFT_SIZE/sqrt(n_subcarriers) so a unit-energy
-    grid yields unit time-domain power.
+    grid yields unit time-domain power.  grid holds the symbols on the
+    occupied subcarriers, one row per OFDM symbol.
     """
-    n_sym, n_sc = grid.symbols.shape
+    if np.ndim(grid) != 2:
+        raise ValueError("grid must be 2-D (symbols x subcarriers)")
+    n_sym, n_sc = np.shape(grid)
     if n_sc != num.n_subcarriers:
         raise ValueError("grid width does not match numerology")
     spec = np.zeros((n_sym, FFT_SIZE), dtype=complex)
-    spec[:, _bin_map(num)] = grid.symbols
+    spec[:, _bin_map(num)] = grid
     x = np.fft.ifft(spec, axis=1) * (FFT_SIZE / math.sqrt(n_sc))
     x = np.concatenate([x[:, -CP_LEN:], x], axis=1)
     return quantizer.quantize(ComplexSampleBlock(x.ravel(), CHIP_RATE_HZ), n_dac)
@@ -195,8 +189,9 @@ def _equalize(rx_grid, tx_grid, ref):
 
 def _check_db(name, value, allow_inf=False):
     v = np.asarray(value, dtype=float)
-    if isinstance(value, bool) or not np.all(np.isfinite(v) | (allow_inf & (v == math.inf))):
-        raise ValueError(f"{name} must be finite{' or +inf' if allow_inf else ''}, got {value!r}")
+    if isinstance(value, bool) or not np.all((np.abs(v) <= MAX_ABS_DB) | (allow_inf & (v == math.inf))):
+        raise ValueError(f"{name} must be within +-{MAX_ABS_DB:g} dB{' or +inf' if allow_inf else ''}, "
+                         f"got {value!r}")
 
 
 def _run_chain(db, scale, psi, n_adc, n_dac, num, n_symbols, seed):
@@ -232,7 +227,7 @@ def _run_chain(db, scale, psi, n_adc, n_dac, num, n_symbols, seed):
     k_signed = np.arange(num.n_subcarriers) - num.n_subcarriers // 2
     timing = np.exp(-2j * np.pi * k_signed * RX_TIMING_OFFSET / FFT_SIZE)
     ref = fir_zero_phase_response(h, FFT_SIZE)[_bin_map(num)] * timing
-    return _equalize(rx, grid.symbols, ref)
+    return _equalize(rx, grid, ref)
 
 
 def run_link_trial(snr_db, n_adc, n_dac, num, n_symbols=24, seed=0):
@@ -270,8 +265,7 @@ def predict_link_snr_db(snr_db, n_adc, num):
     _check_db("snr_db", snr_db)
     osr = FFT_SIZE / num.n_subcarriers
     gamma = 10.0 ** (np.asarray(snr_db, dtype=float) / 10.0) * osr
-    alpha = quantizer.alpha_of(n_adc)
-    q = sinr_model.sinr_orthogonal_quantized(gamma, alpha, osr)
+    q = sinr_model.sinr_quantized(gamma, osr, 0.0, quantizer.alpha_of(n_adc))
     return 10.0 * np.log10(q)
 
 
@@ -281,5 +275,5 @@ def predict_sdma_sinr_db(sir_db, gamma0_db, n_adc, num):
     _check_db("gamma0_db", gamma0_db)
     osr = FFT_SIZE / num.n_subcarriers
     psi = 10.0 ** (-np.asarray(sir_db, dtype=float) / 10.0)
-    q = sinr_model.LinkQuality(10.0 ** (gamma0_db / 10.0), osr, psi)
-    return 10.0 * np.log10(sinr_model.sinr_sdma_quantized(q, quantizer.alpha_of(n_adc)))
+    q = sinr_model.sinr_quantized(10.0 ** (gamma0_db / 10.0), osr, psi, quantizer.alpha_of(n_adc))
+    return 10.0 * np.log10(q)

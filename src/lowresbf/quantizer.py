@@ -20,7 +20,6 @@ __all__ = [
     "optimal_step",
     "alpha_of",
     "quantize",
-    "measure_alpha",
 ]
 
 _MAX_BITS = 16
@@ -140,12 +139,3 @@ def quantize(block, n_bits):
     half = 1 << (n - 1)
     out = _quantize_real(y.real, step, half) + 1j * _quantize_real(y.imag, step, half)
     return ComplexSampleBlock(out, block.sample_rate)
-
-
-def measure_alpha(input_block, output_block):
-    """Empirical 1 - Re<out, in>/<in, in> over paired sample blocks."""
-    x = input_block.samples
-    y = output_block.samples
-    if x.size != y.size:
-        raise ValueError("length mismatch")
-    return float(1.0 - np.real(np.vdot(x, y)) / np.real(np.vdot(x, x)))

@@ -16,8 +16,8 @@ The reference chain is fixed by module constants: INTERP_M, INTERP_TAPS,
 DAC_FS_HZ, ZOH_OVERSAMPLE and LPF_FC_HZ for the converter, CH_BW_HZ,
 MEAS_BW_HZ and N_ADJACENT for the channel raster, and EVM_NUMEROLOGY
 and EVM_MODULATION for the fully occupied 64QAM frame measure_evm
-runs.  DacChainConfig holds only the DAC width and the
-reconstruction-filter order.
+runs.  A caller sets only the DAC width (n_bits) and the
+reconstruction-filter order (lpf_order).
 """
 
 import math
@@ -32,7 +32,6 @@ from .ofdm import (CHIP_RATE_HZ, CP_LEN, FFT_SIZE, MAX_PRBS, SCS_HZ, OfdmNumerol
                    fir_zero_phase_response, ofdm_modulate, random_grid)
 
 __all__ = [
-    "DacChainConfig",
     "SpectrumReport",
     "dac_convert",
     "butterworth_response",
@@ -62,18 +61,6 @@ def _check_order(order):
 
 
 @dataclass(frozen=True)
-class DacChainConfig:
-    """DAC width and reconstruction-filter order of the reference chain."""
-
-    n_bits: float = math.inf
-    lpf_order: int = 0
-
-    def __post_init__(self):
-        _check_order(self.lpf_order)
-        quantizer._check_bits(self.n_bits)
-
-
-@dataclass(frozen=True)
 class SpectrumReport:
     freqs_hz: np.ndarray
     psd_dbm_per_hz: np.ndarray
@@ -92,8 +79,8 @@ def _interp_taps():
     return firwin(INTERP_TAPS, 0.98 * CHIP_RATE_HZ / 2, fs=DAC_FS_HZ) * INTERP_M
 
 
-def dac_convert(baseband, cfg):
-    """Interpolate, quantize, and hold; returns the emulated analog signal.
+def dac_convert(baseband, n_bits):
+    """Interpolate, quantize to n_bits, and hold; returns the emulated analog signal.
 
     The input is trusted to be unit average power at the chip rate (the
     quantizer step is calibrated for that), matching how a converter's
@@ -105,7 +92,7 @@ def dac_convert(baseband, cfg):
     up = np.zeros(baseband.samples.size * INTERP_M, dtype=complex)
     up[::INTERP_M] = baseband.samples
     up = fir_circular(up, _interp_taps())
-    up = quantizer.quantize(ComplexSampleBlock(up, DAC_FS_HZ), cfg.n_bits).samples
+    up = quantizer.quantize(ComplexSampleBlock(up, DAC_FS_HZ), n_bits).samples
     z = np.repeat(up, ZOH_OVERSAMPLE)
     return ComplexSampleBlock(z, DAC_FS_HZ * ZOH_OVERSAMPLE)
 
@@ -119,12 +106,13 @@ def butterworth_response(order, f_hz):
     return 1.0 / np.sqrt(1.0 + np.abs(f / LPF_FC_HZ) ** (2 * order))
 
 
-def apply_reconstruction_lpf(block, cfg):
-    """Apply the configured Butterworth magnitude in the frequency domain."""
-    if cfg.lpf_order == 0:
+def apply_reconstruction_lpf(block, lpf_order):
+    """Apply the order-lpf_order Butterworth magnitude in the frequency domain."""
+    _check_order(lpf_order)
+    if lpf_order == 0:
         return block
     f = np.fft.fftfreq(block.samples.size, d=1.0 / block.sample_rate)
-    mag = butterworth_response(cfg.lpf_order, f)
+    mag = butterworth_response(lpf_order, f)
     y = np.fft.ifft(np.fft.fft(block.samples) * mag)
     return ComplexSampleBlock(y, block.sample_rate)
 
@@ -181,32 +169,34 @@ def _zoh_response(k_signed, n_fft_analog):
     return mag * np.exp(-1j * np.pi * k * (L - 1) / n_fft_analog)
 
 
-def _chain_bin_response(cfg, k_signed):
+def _chain_bin_response(lpf_order, k_signed):
     """Deterministic per-subcarrier gain of the infinite-resolution chain."""
     n_dac = FFT_SIZE * INTERP_M
     h_int = fir_zero_phase_response(_interp_taps(), n_dac)[np.asarray(k_signed) % n_dac]
     zoh = _zoh_response(k_signed, n_dac * ZOH_OVERSAMPLE)
-    lpf = butterworth_response(cfg.lpf_order, np.asarray(k_signed) * SCS_HZ)
+    lpf = butterworth_response(lpf_order, np.asarray(k_signed) * SCS_HZ)
     return h_int * zoh * lpf / (INTERP_M * ZOH_OVERSAMPLE)
 
 
-def measure_evm(cfg, sigma_rf_sq=0.0, n_symbols=24, seed=0):
+def measure_evm(n_bits, lpf_order, sigma_rf_sq=0.0, n_symbols=24, seed=0):
     """Error vector magnitude in percent through the full converter chain.
 
-    A fully occupied OFDM frame runs through dac_convert and the
-    reconstruction filter; white noise of per-subcarrier power
+    A fully occupied OFDM frame runs through dac_convert at n_bits and
+    the order-lpf_order reconstruction filter; white noise of per-subcarrier power
     sigma_rf_sq models the remaining RF impairments.  Demodulation uses
     the known chain response per subcarrier with no per-frame fitting,
     so the correlated part of the quantization error is counted, as the
     analytic model requires.
     """
+    _check_order(lpf_order)
+    quantizer._check_bits(n_bits)
     if not (0 <= sigma_rf_sq < math.inf):
         raise ValueError(f"noise power must be nonnegative and finite, got {sigma_rf_sq!r}")
     num = EVM_NUMEROLOGY
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     grid = random_grid(EVM_MODULATION, n_symbols, num.n_subcarriers, rng)
     base = ofdm_modulate(grid, num)
-    z = apply_reconstruction_lpf(dac_convert(base, cfg), cfg)
+    z = apply_reconstruction_lpf(dac_convert(base, n_bits), lpf_order)
     x = z.samples
     if sigma_rf_sq > 0:
         osr = FFT_SIZE / num.n_subcarriers
@@ -227,10 +217,10 @@ def measure_evm(cfg, sigma_rf_sq=0.0, n_symbols=24, seed=0):
     k_signed = np.arange(num.n_subcarriers) - num.n_subcarriers // 2
     rx = spec[:, k_signed % n_an]
 
-    ref = _chain_bin_response(cfg, k_signed)
+    ref = _chain_bin_response(lpf_order, k_signed)
     ref = ref * np.exp(-2j * np.pi * k_signed * (guard * L) / n_an)
-    err = rx / ref[None, :] - grid.symbols
-    return 100.0 * math.sqrt(np.mean(np.abs(err) ** 2) / np.mean(np.abs(grid.symbols) ** 2))
+    err = rx / ref[None, :] - grid
+    return 100.0 * math.sqrt(np.mean(np.abs(err) ** 2) / np.mean(np.abs(grid) ** 2))
 
 
 def evm_prediction(alpha, sigma_rf_sq, sigma_v_sq, sig_power=1.0):

@@ -75,21 +75,43 @@ def midrise(y, step, n_bits):
     return (idx + 0.5) * step
 
 
+def sorted_moments(y):
+    ys = np.sort(y)
+    return ys, np.concatenate([[0.0], np.cumsum(ys)]), np.concatenate([[0.0], np.cumsum(ys * ys)])
+
+
+def midrise_mse(moments, step, n_bits):
+    """mean((y - midrise(y, step, n_bits))^2) from the sorted draw's prefix sums:
+    each cell adds sum(y^2) - 2c*sum(y) + n*c^2 between two searchsorted edges."""
+    ys, p1, p2 = moments
+    half = 2 ** (n_bits - 1)
+    k = np.arange(-half, half)
+    cut = np.concatenate([[0], np.searchsorted(ys, k[1:] * step), [ys.size]])
+    c = (k + 0.5) * step
+    n, s1, s2 = np.diff(cut), np.diff(p1[cut]), np.diff(p2[cut])
+    return float((s2 - 2.0 * c * s1 + n * c * c).sum() / ys.size)
+
+
 def test_quantizer_alpha_oracle():
     """Brute-force step grid + 1e7-sample Monte Carlo, then the error-model
     cross-correlation; both sides share nothing with the package math."""
     t0 = time.perf_counter()
     rng = np.random.default_rng(8255)
     y = rng.standard_normal(10_000_000)
+    head, full = sorted_moments(y[:1_000_000]), sorted_moments(y)
     worst = 0.0
     for n_bits in range(1, 7):
         lo = 0.25 * 2.0 ** (1 - n_bits)
         coarse = np.linspace(lo, 2.5, 40)
-        mse = [np.mean((y[:1_000_000] - midrise(y[:1_000_000], s, n_bits)) ** 2) for s in coarse]
+        mse = [midrise_mse(head, s, n_bits) for s in coarse]
         s0 = coarse[int(np.argmin(mse))]
         width = 2 * (coarse[1] - coarse[0])
         fine = np.linspace(max(lo, s0 - width), s0 + width, 25)
-        oracle = min(np.mean((y - midrise(y, s, n_bits)) ** 2) for s in fine)
+        mse = [midrise_mse(full, s, n_bits) for s in fine]
+        best = fine[int(np.argmin(mse))]
+        direct = np.mean((y - midrise(y, best, n_bits)) ** 2)
+        assert abs(min(mse) - direct) <= 1e-9, f"n={n_bits}: prefix-sum MSE off the direct one"
+        oracle = min(mse)
         gap = abs(quantizer.alpha_of(n_bits) - oracle)
         worst = max(worst, gap)
         assert gap <= 1e-3, f"alpha({n_bits}) off brute-force oracle by {gap:.2e}"
@@ -123,31 +145,30 @@ def test_sinr_identity_suite():
     t0 = time.perf_counter()
     gamma, bf_gain, psi, alpha = draw_instances(23)
 
-    no_ici = sinr.LinkQuality(gamma, bf_gain, np.zeros_like(psi))
+    # psi = 0 reduces to the orthogonal expression (1-alpha)g / (1 + (alpha/G)g)
     np.testing.assert_allclose(
-        sinr.sinr_sdma_quantized(no_ici, alpha),
-        sinr.sinr_orthogonal_quantized(gamma, alpha, bf_gain),
+        sinr.sinr_quantized(gamma, bf_gain, np.zeros_like(psi), alpha),
+        (1.0 - alpha) * gamma / (1.0 + (alpha / bf_gain) * gamma),
         rtol=1e-12,
     )
 
-    q = sinr.LinkQuality(gamma, bf_gain, psi)
-    beta = sinr.sdma_beta(q, alpha)
+    beta = sinr.sdma_beta(gamma, bf_gain, psi, alpha)
     gamma_bf = gamma / (1.0 + psi * gamma)
-    lhs = sinr.sinr_sdma_quantized(q, alpha)
+    lhs = sinr.sinr_quantized(gamma, bf_gain, psi, alpha)
     rhs = (1.0 - alpha * beta) * gamma_bf
     # 1 - alpha*beta cancels when alpha*beta -> 1; the bound carries the
     # magnitude of the cancelled term
     tol = 1e-12 * np.maximum(np.abs(lhs), alpha * beta * gamma_bf)
     assert np.all(np.abs(lhs - rhs) <= tol)
 
-    quantized = sinr.sinr_orthogonal_quantized(gamma, alpha, bf_gain)
+    quantized = sinr.sinr_quantized(gamma, bf_gain, 0.0, alpha)
     assert np.all(quantized <= sinr.sinr_saturation(alpha, bf_gain) * (1 + 1e-12))
 
-    base = sinr.sinr_sdma_quantized(q, alpha)
-    assert np.all(sinr.sinr_sdma_quantized(sinr.LinkQuality(gamma * 1.5, bf_gain, psi), alpha) >= base)
-    assert np.all(sinr.sinr_sdma_quantized(sinr.LinkQuality(gamma, bf_gain * 1.5, psi), alpha) >= base)
-    assert np.all(sinr.sinr_sdma_quantized(sinr.LinkQuality(gamma, bf_gain, psi * 1.5), alpha) <= base)
-    assert np.all(sinr.sinr_sdma_quantized(q, np.minimum(alpha * 1.5, 1.0)) <= base)
+    base = lhs
+    assert np.all(sinr.sinr_quantized(gamma * 1.5, bf_gain, psi, alpha) >= base)
+    assert np.all(sinr.sinr_quantized(gamma, bf_gain * 1.5, psi, alpha) >= base)
+    assert np.all(sinr.sinr_quantized(gamma, bf_gain, psi * 1.5, alpha) <= base)
+    assert np.all(sinr.sinr_quantized(gamma, bf_gain, psi, np.minimum(alpha * 1.5, 1.0)) <= base)
 
     elapsed = time.perf_counter() - t0
     check(elapsed < 10.0, f"identities: 10^4 instances each, {elapsed:.2f} s")
@@ -252,8 +273,7 @@ def aclr_table():
         rng = np.random.default_rng(np.random.SeedSequence(0))
         grid = ofdm.random_grid("QPSK", 16, num.n_subcarriers, rng)
         base = ofdm.ofdm_modulate(grid, num)
-        cfg = txchain.DacChainConfig(n_bits=bits, lpf_order=order)
-        out = txchain.apply_reconstruction_lpf(txchain.dac_convert(base, cfg), cfg)
+        out = txchain.apply_reconstruction_lpf(txchain.dac_convert(base, bits), order)
         report = txchain.estimate_psd(out, 4096)
         for idx in (1, 2):
             table[(bits, order, idx)] = txchain.measure_aclr(report, idx)
@@ -287,8 +307,7 @@ def test_evm_floor_matches_prediction():
     num = ofdm.OfdmNumerology(used_prbs=275)
     report = []
     for n_bits in (3, 4, 5, 6):
-        cfg = txchain.DacChainConfig(n_bits=n_bits, lpf_order=1)
-        measured = txchain.measure_evm(cfg, sigma_rf_sq=0.0, n_symbols=8, seed=0)
+        measured = txchain.measure_evm(n_bits, 1, sigma_rf_sq=0.0, n_symbols=8, seed=0)
         alpha = quantizer.alpha_of(n_bits)
         sig_v2 = txchain.inband_quantization_noise(n_bits, num.occupied_bw_hz)
         predicted = txchain.evm_prediction(alpha, 0.0, sig_v2)
@@ -302,8 +321,7 @@ def test_evm_resolution_thresholds():
     # 1/sigma_RF^2 = 40 dB: residual RF error variance 1e-4
     vals = {}
     for n_bits in (4, 5, 6):
-        cfg = txchain.DacChainConfig(n_bits=n_bits, lpf_order=1)
-        vals[n_bits] = txchain.measure_evm(cfg, sigma_rf_sq=1e-4, n_symbols=8, seed=0)
+        vals[n_bits] = txchain.measure_evm(n_bits, 1, sigma_rf_sq=1e-4, n_symbols=8, seed=0)
     assert vals[4] < 8.0, f"4-bit EVM {vals[4]:.3f}% misses the 8% threshold"
     assert vals[6] < 3.5, f"6-bit EVM {vals[6]:.3f}% misses the 3.5% threshold"
     assert vals[5] >= 3.5, f"5-bit EVM {vals[5]:.3f}% unexpectedly meets the 3.5% threshold"

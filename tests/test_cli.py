@@ -632,6 +632,16 @@ _BAD_INPUTS = [
     ("tx-psd", "[tx]\nnperseg = 1000000\nn_symbols = 1\npsd_cases = 4:0\n", [], "tx.nperseg"),
     ("tx-psd", "[tx]\nnperseg = 65536\nn_symbols = 1\npsd_cases = 4:0\n", [], "tx.nperseg"),
     ("cell-ofdma", "[cell]\ndrops = 1\nttis = 1\n", ["--bits", "3,3"], "cell.adc_bits"),
+    # dB levels beyond ofdm.MAX_ABS_DB, where 10^(x/10) or psi*gamma overflows
+    ("link-validate", "[link]\nsnr_db = -4000:-4000\nadc_bits = 3\nsnr_points = 1\nn_symbols = 3\n", [],
+     "link.snr_db"),
+    ("sdma-link", "[sdma]\nsir_db = -4000:-4000\nadc_bits = 3\nsir_points = 1\nn_symbols = 3\n", [],
+     "sdma.sir_db"),
+    ("sdma-link", "[sdma]\ngamma0_db = 4000\nadc_bits = 3\nsir_points = 1\nn_symbols = 3\n", [],
+     "sdma.gamma0_db"),
+    ("evm-sweep", "[tx]\ninv_sigma_rf_db = -4000:-4000\nrf_points = 1\nevm_bits = 4\nn_symbols = 2\n", [],
+     "tx.inv_sigma_rf_db"),
+    ("aqnm-curves", "[aqnm]\ngamma_db = 4000:4000\ngamma_points = 1\n", [], "aqnm.gamma_db"),
 ]
 
 

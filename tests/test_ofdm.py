@@ -32,7 +32,7 @@ def test_modulate_demodulate_round_trip():
     grid = ofdm.random_grid("QPSK", 4, NUM.n_subcarriers, rng)
     block = ofdm.ofdm_modulate(grid, NUM)
     rx = ofdm.ofdm_demodulate(block, NUM)
-    np.testing.assert_allclose(rx, grid.symbols, atol=1e-9)
+    np.testing.assert_allclose(rx, grid, atol=1e-9)
     with pytest.raises(ValueError, match="whole number"):
         ofdm.ofdm_demodulate(quantizer.ComplexSampleBlock(block.samples[:-1], block.sample_rate), NUM)
 
@@ -47,7 +47,7 @@ def test_modulate_unit_power():
 def test_modulate_single_subcarrier_is_tone():
     symbols = np.zeros((1, NUM.n_subcarriers), dtype=complex)
     symbols[0, 100] = 1.0
-    block = ofdm.ofdm_modulate(ofdm.ResourceGrid(symbols), NUM)
+    block = ofdm.ofdm_modulate(symbols, NUM)
     body = block.samples[ofdm.CP_LEN:]  # FFT window without the prefix
     spec = np.abs(np.fft.fft(body)) ** 2
     assert spec.max() / spec.sum() > 0.999
@@ -69,8 +69,10 @@ def test_modulate_quantization_error_power():
 def test_modulate_dimension_mismatch():
     rng = np.random.default_rng(3)
     grid = ofdm.random_grid("QPSK", 2, 1200, rng)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="width"):
         ofdm.ofdm_modulate(grid, NUM)
+    with pytest.raises(ValueError, match="2-D"):
+        ofdm.ofdm_modulate(np.ones(NUM.n_subcarriers), NUM)
 
 
 def test_agc_normalize():
@@ -140,12 +142,26 @@ LINK, SDMA = ofdm.run_link_trial, ofdm.run_sdma_link_trial
     pytest.param(SDMA, (math.nan, 0.0, 3, NUM_10, 3), "sir_db", id="sdma-sir_db-nan"),
     pytest.param(SDMA, (-math.inf, 0.0, 3, NUM_10, 3), "sir_db", id="sdma-sir_db--inf"),
     pytest.param(SDMA, (True, 0.0, 3, NUM_10, 3), "sir_db", id="sdma-sir_db-True"),
+    pytest.param(LINK, (-4000.0, 4, 6, NUM_10, 3), "snr_db", id="link-snr_db--4000"),
+    pytest.param(LINK, (4000.0, 4, 6, NUM_10, 3), "snr_db", id="link-snr_db-4000"),
+    pytest.param(SDMA, (20.0, -4000.0, 3, NUM_10, 3), "gamma0_db", id="sdma-gamma0_db--4000"),
+    pytest.param(SDMA, (20.0, 4000.0, 3, NUM_10, 3), "gamma0_db", id="sdma-gamma0_db-4000"),
+    pytest.param(SDMA, (-4000.0, 0.0, 3, NUM_10, 3), "sir_db", id="sdma-sir_db--4000"),
+    pytest.param(SDMA, (4000.0, 0.0, 3, NUM_10, 3), "sir_db", id="sdma-sir_db-4000"),
     pytest.param(ofdm.predict_link_snr_db, (math.nan, 4, NUM_10), "snr_db", id="predict-snr_db-nan"),
     pytest.param(ofdm.predict_link_snr_db, (math.inf, 4, NUM_10), "snr_db", id="predict-snr_db-inf"),
+    pytest.param(ofdm.predict_link_snr_db, (-4000.0, 4, NUM_10), "snr_db", id="predict-snr_db--4000"),
+    pytest.param(ofdm.predict_link_snr_db, (4000.0, 4, NUM_10), "snr_db", id="predict-snr_db-4000"),
     pytest.param(ofdm.predict_sdma_sinr_db, (20.0, math.nan, 3, NUM_10), "gamma0_db",
                  id="predict-gamma0_db-nan"),
     pytest.param(ofdm.predict_sdma_sinr_db, (20.0, math.inf, 3, NUM_10), "gamma0_db",
                  id="predict-gamma0_db-inf"),
+    pytest.param(ofdm.predict_sdma_sinr_db, (20.0, -4000.0, 3, NUM_10), "gamma0_db",
+                 id="predict-gamma0_db--4000"),
+    pytest.param(ofdm.predict_sdma_sinr_db, (20.0, 4000.0, 3, NUM_10), "gamma0_db",
+                 id="predict-gamma0_db-4000"),
+    pytest.param(ofdm.predict_sdma_sinr_db, (-4000.0, 0.0, 3, NUM_10), "sir_db", id="predict-sir_db--4000"),
+    pytest.param(ofdm.predict_sdma_sinr_db, (4000.0, 0.0, 3, NUM_10), "sir_db", id="predict-sir_db-4000"),
 ])
 def test_trial_bad_input_rejected_by_name(fn, args, name):
     with pytest.raises(ValueError, match=name):

@@ -39,14 +39,17 @@ def test_butterworth_response():
 
 
 def test_config_validation():
+    block = quantizer.ComplexSampleBlock(np.ones(64, dtype=complex), CHIP)
+    for order in (-1, True):
+        with pytest.raises(ValueError, match="filter order"):
+            txchain.apply_reconstruction_lpf(block, order)
+        with pytest.raises(ValueError, match="filter order"):
+            txchain.measure_evm(4, order)
     with pytest.raises(ValueError):
-        txchain.DacChainConfig(lpf_order=-1)
-    with pytest.raises(ValueError):
-        txchain.DacChainConfig(lpf_order=True)
-    with pytest.raises(ValueError):
-        txchain.DacChainConfig(n_bits=0)
-    with pytest.raises(ValueError, match="n_bits must be"):
-        txchain.DacChainConfig(n_bits=math.nan)
+        txchain.dac_convert(block, 0)
+    for bits in (0, math.nan):
+        with pytest.raises(ValueError, match="n_bits must be"):
+            txchain.measure_evm(bits, 1)
 
 
 def test_reference_constants_consistent():
@@ -60,27 +63,25 @@ def test_reference_constants_consistent():
 
 
 def test_dc_in_constant_out():
-    cfg = txchain.DacChainConfig()
     dc = quantizer.ComplexSampleBlock(np.ones(4096, dtype=complex), CHIP)
-    block = txchain.dac_convert(dc, cfg)
+    block = txchain.dac_convert(dc, math.inf)
     out = block.samples
     assert out.size == 4096 * txchain.INTERP_M * txchain.ZOH_OVERSAMPLE
     assert block.sample_rate == pytest.approx(983.04e6 * 8)
     # residual ripple is the anti-image filter's stopband leakage
     assert np.max(np.abs(out - 1.0)) < 0.01
     with pytest.raises(ValueError):
-        txchain.dac_convert(quantizer.ComplexSampleBlock(np.ones(64), 2 * CHIP), cfg)
+        txchain.dac_convert(quantizer.ComplexSampleBlock(np.ones(64), 2 * CHIP), math.inf)
 
 
 def test_tone_images_at_converter_rate():
     # A complex tone at f0 held L samples reappears at f0 +- dac_fs,
     # weighted by the hold's Dirichlet response.
-    cfg = txchain.DacChainConfig()
     n_bb = 4096
     k0 = 167  # 167 * (491.52e6 / 4096) = 20.04 MHz, exactly on the bin grid
     t = np.arange(n_bb)
     tone = quantizer.ComplexSampleBlock(np.exp(2j * np.pi * k0 * t / n_bb), CHIP)
-    out = txchain.dac_convert(tone, cfg).samples
+    out = txchain.dac_convert(tone, math.inf).samples
     spec = np.abs(np.fft.fft(out)) ** 2
     n_an = out.size
     L = txchain.ZOH_OVERSAMPLE
@@ -100,9 +101,8 @@ def test_tone_images_at_converter_rate():
 
 def test_psd_bookkeeping_through_chain():
     block, _ = make_waveform(12)
-    cfg = txchain.DacChainConfig(n_bits=4, lpf_order=1)
-    stages = [block, txchain.dac_convert(block, cfg)]
-    stages.append(txchain.apply_reconstruction_lpf(stages[-1], cfg))
+    stages = [block, txchain.dac_convert(block, 4)]
+    stages.append(txchain.apply_reconstruction_lpf(stages[-1], 1))
     for stage in stages:
         psd = txchain.estimate_psd(stage, 4096)
         power = np.mean(np.abs(stage.samples) ** 2)
@@ -146,8 +146,7 @@ def test_quantization_noise_floor_level():
     # Out-of-band PSD of the quantized OFDM signal: alpha(1-alpha) spread
     # over dac_fs, shaped by the hold and probed away from the images.
     block, _ = make_waveform(12)
-    cfg = txchain.DacChainConfig(n_bits=4)
-    out = txchain.dac_convert(block, cfg)
+    out = txchain.dac_convert(block, 4)
     psd = txchain.estimate_psd(out, 4096)
     a = quantizer.alpha_of(4)
     f = psd.freqs_hz
@@ -178,8 +177,7 @@ def test_aclr_monotone_in_bits_and_order():
     block, _ = make_waveform(8)
 
     def aclr(bits, order):
-        cfg = txchain.DacChainConfig(n_bits=bits, lpf_order=order)
-        out = txchain.apply_reconstruction_lpf(txchain.dac_convert(block, cfg), cfg)
+        out = txchain.apply_reconstruction_lpf(txchain.dac_convert(block, bits), order)
         return txchain.measure_aclr(txchain.estimate_psd(out, 2048), 1)
 
     three, four, clean = aclr(3, 0), aclr(4, 0), aclr(math.inf, 0)
@@ -189,13 +187,11 @@ def test_aclr_monotone_in_bits_and_order():
 
 def test_clean_loopback_evm():
     for order in (0, 1, 2, 3):
-        cfg = txchain.DacChainConfig(lpf_order=order)
-        assert txchain.measure_evm(cfg, n_symbols=4) < 0.1
+        assert txchain.measure_evm(math.inf, order, n_symbols=4) < 0.1
 
 
 def test_evm_floor_matches_prediction():
-    cfg = txchain.DacChainConfig(n_bits=4, lpf_order=1)
-    measured = txchain.measure_evm(cfg, sigma_rf_sq=0.0, n_symbols=8)
+    measured = txchain.measure_evm(4, 1, sigma_rf_sq=0.0, n_symbols=8)
     a = quantizer.alpha_of(4)
     sig_v2 = txchain.inband_quantization_noise(4, 275 * 12 * 120e3)
     predicted = txchain.evm_prediction(a, 0.0, sig_v2)
@@ -204,17 +200,16 @@ def test_evm_floor_matches_prediction():
 
 def test_evm_monotonicity():
     floors = [
-        txchain.measure_evm(txchain.DacChainConfig(n_bits=b, lpf_order=1), n_symbols=4)
+        txchain.measure_evm(b, 1, n_symbols=4)
         for b in (3, 4, 5)
     ]
     assert floors[0] > floors[1] > floors[2]
-    cfg = txchain.DacChainConfig(n_bits=4, lpf_order=1)
-    quiet = txchain.measure_evm(cfg, sigma_rf_sq=1e-4, n_symbols=4)
-    loud = txchain.measure_evm(cfg, sigma_rf_sq=1e-2, n_symbols=4)
+    quiet = txchain.measure_evm(4, 1, sigma_rf_sq=1e-4, n_symbols=4)
+    loud = txchain.measure_evm(4, 1, sigma_rf_sq=1e-2, n_symbols=4)
     assert loud > quiet
     for bad in (-0.1, math.nan, math.inf):
         with pytest.raises(ValueError):
-            txchain.measure_evm(cfg, sigma_rf_sq=bad)
+            txchain.measure_evm(4, 1, sigma_rf_sq=bad)
 
 
 def test_evm_prediction_values():
