@@ -14,8 +14,13 @@ comments, so a CSV is reproducible from its own header.  Reruns with
 the same config and seed are byte-identical when the timestamp line is
 suppressed (--no-timestamp).
 
-Exit codes: 0 ok, 1 config error, 2 domain error, 3 acceptance check
-failed (only with --check).
+Every run also evaluates the preset's claims, the acceptance
+properties behind the paper's statements, on the data it just wrote.
+--check only reports them: it prints each failed claim and makes the
+exit code 3, or prints "<preset>: all checks passed".
+
+Exit codes: 0 ok, 1 config error, 2 domain error, 3 a claim failed
+(only with --check).
 """
 
 import argparse
@@ -225,24 +230,14 @@ def validate_config(text, overrides=()):
     n_tx = resolved[("tx", "n_symbols")] * n_an
     if 4 * resolved[("tx", "nperseg")] > n_tx:  # the 4 Welch segments of txchain.estimate_psd
         violations.append(f"tx.nperseg must be at most {n_tx // 4}, a quarter of the tx.n_symbols waveform")
+    # Welch bins lie fs/nperseg apart; every MEAS_BW_HZ window of txchain.measure_aclr needs 2
+    min_nperseg = math.ceil(2 * txchain.DAC_FS_HZ * txchain.ZOH_OVERSAMPLE / txchain.MEAS_BW_HZ)
+    if resolved[("tx", "nperseg")] < min_nperseg:
+        violations.append(f"tx.nperseg must be at least {min_nperseg}, so that every "
+                          f"{txchain.MEAS_BW_HZ / 1e6:g} MHz ACLR window holds 2 Welch bins")
     if violations:
         raise ConfigError(violations)
     return resolved
-
-
-@dataclass(frozen=True)
-class ExperimentPreset:
-    """One named experiment: its config text, (section, key, text) overrides and run flags."""
-
-    name: str
-    overrides: tuple = ()
-    config_text: str = ""
-    timestamp: bool = True
-    check: bool = False
-
-    def __post_init__(self):
-        if self.name not in PRESETS:
-            raise ConfigError([f"unknown preset {self.name!r}"])
 
 
 @dataclass
@@ -250,8 +245,7 @@ class _RunContext:
     cfg: dict
     out_dir: Path
     preset: str
-    stamp: bool
-    check: bool
+    header: list  # provenance comment lines that open every CSV of the run
     failures: list = field(default_factory=list)
 
     def fail(self, msg):
@@ -279,14 +273,7 @@ def _fmt(v):
 
 
 def _write_csv(ctx, name, columns, rows, notes=()):
-    lines = [f"# preset = {ctx.preset}"]
-    if ctx.stamp:
-        lines.append(f"# generated = {datetime.datetime.now().isoformat(timespec='seconds')}")
-    for (sec, key), val in sorted(ctx.cfg.items()):
-        if sec == "run" and key in ("out", "jobs"):
-            continue  # placement and parallelism do not shape the result
-        lines.append(f"# cfg {sec}.{key} = {_fmt(val)}")
-    lines.extend(f"# note: {n}" for n in notes)
+    lines = ctx.header + [f"# note: {n}" for n in notes]
     lines.append(",".join(columns))
     lines.extend(",".join(_fmt(v) for v in row) for row in rows)
     path = ctx.out_dir / name
@@ -374,10 +361,9 @@ def _run_power_table(ctx):
             rows.append((f"{side}-{label}", "gain", budget.gain_stage_mw))
             rows.append((f"{side}-{label}", "converter", budget.converter_mw))
             rows.append((f"{side}-{label}", "total", budget.total_mw))
-            if ctx.check:
-                want = _POWER_TOTALS[(side, label)]
-                if abs(budget.total_mw - want) > 0.01 * want:
-                    ctx.fail(f"{side}-{label} total {budget.total_mw:.2f} mW off reference {want} by >1%")
+            want = _POWER_TOTALS[(side, label)]
+            if abs(budget.total_mw - want) > 0.01 * want:
+                ctx.fail(f"{side}-{label} total {budget.total_mw:.2f} mW off reference {want} by >1%")
     _write_csv(ctx, "power_table.csv", ("arch", "stage", "mw"), rows)
     _write_plot(ctx, "power_table.png", _POWER_PLOT)
 
@@ -412,12 +398,11 @@ def _run_aqnm_curves(ctx):
     _write_csv(ctx, "aqnm_sinr.csv", ("gamma_db", "n_bits", "sinr_db", "saturation_db"), sinr_rows)
     _write_plot(ctx, "aqnm_curves.png", _AQNM_PLOT)
 
-    if ctx.check:
-        if abs(quantizer.alpha_of(1) - (1.0 - 2.0 / math.pi)) > 1e-9:
-            ctx.fail("1-bit alpha deviates from 1 - 2/pi")
-        finite = [a for b, a in sorted(alpha_rows) if b != math.inf]
-        if any(a2 >= a1 for a1, a2 in zip(finite, finite[1:])):
-            ctx.fail("alpha not strictly decreasing in resolution")
+    if abs(quantizer.alpha_of(1) - (1.0 - 2.0 / math.pi)) > 1e-9:
+        ctx.fail("1-bit alpha deviates from 1 - 2/pi")
+    finite = [a for b, a in sorted(alpha_rows) if b != math.inf]
+    if any(a2 >= a1 for a1, a2 in zip(finite, finite[1:])):
+        ctx.fail("alpha not strictly decreasing in resolution")
 
 
 _AQNM_PLOT = '''fig, ax = plt.subplots(figsize=(7, 5))
@@ -452,10 +437,9 @@ def _run_link_validate(ctx):
                notes=("trial seed = run.seed + SNR point index",))
     _write_plot(ctx, "link_validate.png", _LINK_PLOT)
 
-    if ctx.check:
-        for s, n_adc, _d, _p, meas, pred in rows:
-            if s <= 25.0 and abs(meas - pred) > 0.5:
-                ctx.fail(f"|simulated-predicted| = {abs(meas - pred):.3f} dB at n={n_adc}, snr={s:g}")
+    for s, n_adc, _d, _p, meas, pred in rows:
+        if s <= 25.0 and abs(meas - pred) > 0.5:
+            ctx.fail(f"|simulated-predicted| = {abs(meas - pred):.3f} dB at n={n_adc}, snr={s:g}")
 
 
 _LINK_PLOT = '''rows = load("link_validate.csv")
@@ -494,20 +478,19 @@ def _run_sdma_link(ctx):
                    ("sir_db", "n_adc", "n_dac", "used_prbs", "post_eq_db", "predicted_db"), rows,
                    notes=(f"gamma0_db = {gamma0:g} (post-beamforming SNR without interference)",
                           "transmit side runs unquantized; sir_db = inf disables the interferer"))
-        if ctx.check:
-            meas_by = {(r[1], r[0]): r[4] for r in rows}
-            for n_adc in bits:
-                if n_adc == math.inf:
-                    continue
-                for s in sirs:
-                    loss = meas_by[(math.inf, s)] - meas_by[(n_adc, s)]
-                    if gamma0 == 0 and n_adc == 3 and loss >= 0.5:
-                        ctx.fail(f"g0=0: n=3 loss {loss:.3f} dB at SIR {s:g} not < 0.5")
-                    if gamma0 == 15 and s >= 30:
-                        if n_adc == 3 and abs(loss - 2.0) > 0.7:
-                            ctx.fail(f"g0=15: n=3 loss {loss:.3f} dB at SIR {s:g} outside 2±0.7")
-                        if n_adc == 4 and loss >= 1.0:
-                            ctx.fail(f"g0=15: n=4 loss {loss:.3f} dB at SIR {s:g} not < 1")
+        meas_by = {(r[1], r[0]): r[4] for r in rows}
+        for n_adc in bits:
+            if n_adc == math.inf:
+                continue
+            for s in sirs:
+                loss = meas_by[(math.inf, s)] - meas_by[(n_adc, s)]
+                if gamma0 == 0 and n_adc == 3 and loss >= 0.5:
+                    ctx.fail(f"g0=0: n=3 loss {loss:.3f} dB at SIR {s:g} not < 0.5")
+                if gamma0 == 15 and s >= 30:
+                    if n_adc == 3 and abs(loss - 2.0) > 0.7:
+                        ctx.fail(f"g0=15: n=3 loss {loss:.3f} dB at SIR {s:g} outside 2±0.7")
+                    if n_adc == 4 and loss >= 1.0:
+                        ctx.fail(f"g0=15: n=4 loss {loss:.3f} dB at SIR {s:g} not < 1")
     files = [f"sdma_link_g{g:g}.csv" for g in ctx.cfg[("sdma", "gamma0_db")]]
     _write_plot(ctx, "sdma_link.png", f"files = {files!r}\n" + _SDMA_PLOT)
 
@@ -614,14 +597,13 @@ def _run_cell(ctx, scheduler, bits, stem):
     _write_cdfs(ctx, stem, drops_out, all_bits)
     tags = [_bits_tag(b) for b in all_bits]
     _write_plot(ctx, f"{stem}_cdf.png", f"stem = {stem!r}\nbits = {tags!r}\n" + _CELL_PLOT)
-    if ctx.check:
-        _check_dominance(ctx, drops_out, all_bits)
+    _check_dominance(ctx, drops_out, all_bits)
     return drops_out, all_bits
 
 
 def _run_cell_ofdma(ctx):
     drops_out, all_bits = _run_cell(ctx, "OFDMA_PF", ctx.cfg[("cell", "adc_bits")], "cell_ofdma")
-    if ctx.check and 3 in all_bits:
+    if 3 in all_bits:
         loss = _interior_metric(drops_out, math.inf, "sinr_db") - _interior_metric(drops_out, 3, "sinr_db")
         med, p90 = np.percentile(loss, 50), np.percentile(loss, 90)
         if not (0.5 <= med <= 2.0):
@@ -636,7 +618,7 @@ def _run_cell_sdma(ctx):
     counts = np.concatenate([r.beam_counts for r in drops_out])
     hist = [(k, int((counts == k).sum())) for k in range(1, beams + 1)]
     _write_csv(ctx, "cell_sdma_beams.csv", ("n_beams", "count"), hist, notes=_NETWORK_NOTES)
-    if ctx.check and beams == 2:
+    if beams == 2:
         frac = (counts == 2).mean()
         if frac <= 0.9:
             ctx.fail(f"2-beam usage fraction {frac:.3f} not > 0.9")
@@ -679,10 +661,9 @@ def _run_tx_psd(ctx):
         freqs, psd = report.freqs_hz, report.psd_dbm_per_hz
         _write_csv(ctx, name, ("freq_offset_hz", "psd_db"), list(zip(freqs, psd)),
                    notes=("unit-power baseband; PSD is relative (dBc/Hz)",))
-        if ctx.check:
-            total = np.trapezoid(10.0 ** (psd / 10.0), freqs)
-            if abs(total - block_var) > 0.03 * block_var:
-                ctx.fail(f"PSD integral off block power by >3% for n={bits:g}, order {order}")
+        total = np.trapezoid(10.0 ** (psd / 10.0), freqs)
+        if abs(total - block_var) > 0.03 * block_var:
+            ctx.fail(f"PSD integral off block power by >3% for n={bits:g}, order {order}")
     _write_plot(ctx, "tx_psd.png", f"files = {names!r}\n" + _PSD_PLOT)
 
 
@@ -715,15 +696,14 @@ def _run_aclr_sweep(ctx):
                ("n_bits", "lpf_order", "adj_index", "aclr_db", "limit_bs_db", "limit_ue_db"), rows)
     _write_plot(ctx, "aclr_sweep.png", _ACLR_PLOT)
 
-    if ctx.check:
-        for b in bits:
-            if b != math.inf and b >= 3 and 0 in orders and table[(b, 0, 1)] < ACLR_LIMIT_UE_DB:
-                ctx.fail(f"n={b:g}, order 0: ACLR1 {table[(b, 0, 1)]:.2f} dB below {ACLR_LIMIT_UE_DB}")
-            if b != math.inf and b >= 4 and 1 in orders and table[(b, 1, 1)] < ACLR_LIMIT_BS_DB:
-                ctx.fail(f"n={b:g}, order 1: ACLR1 {table[(b, 1, 1)]:.2f} dB below {ACLR_LIMIT_BS_DB}")
-        if math.inf in bits and 0 in orders and table[(math.inf, 0, 2)] >= ACLR_LIMIT_BS_DB:
-            ctx.fail(f"infinite resolution, order 0: ACLR2 unexpectedly meets "
-                     f"the {ACLR_LIMIT_BS_DB:g} dB limit")
+    for b in bits:
+        if b != math.inf and b >= 3 and 0 in orders and table[(b, 0, 1)] < ACLR_LIMIT_UE_DB:
+            ctx.fail(f"n={b:g}, order 0: ACLR1 {table[(b, 0, 1)]:.2f} dB below {ACLR_LIMIT_UE_DB}")
+        if b != math.inf and b >= 4 and 1 in orders and table[(b, 1, 1)] < ACLR_LIMIT_BS_DB:
+            ctx.fail(f"n={b:g}, order 1: ACLR1 {table[(b, 1, 1)]:.2f} dB below {ACLR_LIMIT_BS_DB}")
+    if math.inf in bits and 0 in orders and table[(math.inf, 0, 2)] >= ACLR_LIMIT_BS_DB:
+        ctx.fail(f"infinite resolution, order 0: ACLR2 unexpectedly meets "
+                 f"the {ACLR_LIMIT_BS_DB:g} dB limit")
 
 
 _ACLR_PLOT = '''rows = load("aclr_sweep.csv")
@@ -756,23 +736,21 @@ def _run_evm_sweep(ctx):
         sig_v2 = txchain.inband_quantization_noise(b, txchain.EVM_NUMEROLOGY.occupied_bw_hz)
         predicted = txchain.evm_prediction(quantizer.alpha_of(b), 0.0, sig_v2)
         floor_rows.append((b, measured, predicted))
-        if ctx.check and b != math.inf and 3 <= b <= 6:
-            if abs(measured - predicted) > 0.10 * predicted:
-                ctx.fail(f"n={b:g}: EVM floor {measured:.3f}% off prediction {predicted:.3f}% by >10%")
+        if b != math.inf and 3 <= b <= 6 and abs(measured - predicted) > 0.10 * predicted:
+            ctx.fail(f"n={b:g}: EVM floor {measured:.3f}% off prediction {predicted:.3f}% by >10%")
     _write_csv(ctx, "evm_floor.csv", ("n_bits", "measured_pct", "predicted_pct"), floor_rows)
     limits = (EVM_LIMIT_64QAM_PCT, EVM_LIMIT_256QAM_PCT)
     _write_plot(ctx, "evm_sweep.png", f"limits = {limits!r}\n" + _EVM_PLOT)
 
-    if ctx.check:
-        at = {(b, x): evm for b, x, evm in rows}
-        ref = max(p for p in points)
-        for b, threshold, should_pass in ((4, EVM_LIMIT_64QAM_PCT, True), (6, EVM_LIMIT_256QAM_PCT, True),
-                                          (5, EVM_LIMIT_256QAM_PCT, False)):
-            if b in bits and (b, ref) in at:
-                ok = at[(b, ref)] < threshold
-                if ok != should_pass:
-                    verdict = "meets" if ok else "misses"
-                    ctx.fail(f"n={b}: EVM {at[(b, ref)]:.2f}% unexpectedly {verdict} the {threshold}% threshold")
+    at = {(b, x): evm for b, x, evm in rows}
+    ref = max(points)
+    for b, threshold, should_pass in ((4, EVM_LIMIT_64QAM_PCT, True), (6, EVM_LIMIT_256QAM_PCT, True),
+                                      (5, EVM_LIMIT_256QAM_PCT, False)):
+        if b in bits:
+            ok = at[(b, ref)] < threshold
+            if ok != should_pass:
+                verdict = "meets" if ok else "misses"
+                ctx.fail(f"n={b}: EVM {at[(b, ref)]:.2f}% unexpectedly {verdict} the {threshold}% threshold")
 
 
 _EVM_PLOT = '''floors = {r["n_bits"]: r["predicted_pct"] for r in load("evm_floor.csv")}
@@ -805,20 +783,33 @@ _PRESETS = {
 PRESETS = tuple(_PRESETS)
 
 
-def run_preset(preset):
-    """Run one experiment preset; returns the process exit code."""
-    cfg = validate_config(preset.config_text, preset.overrides)
+def run_preset(name, config_text="", overrides=(), timestamp=True, check=False):
+    """Run one experiment preset; returns the process exit code.
+
+    overrides are (section, key, text) triples applied after
+    config_text.  The preset's claims are evaluated on every run; check
+    only decides whether their failures are reported (exit 3).
+    """
+    if name not in _PRESETS:
+        raise ConfigError([f"unknown preset {name!r}"])
+    cfg = validate_config(config_text, overrides)
     out_dir = Path(cfg[("run", "out")])
     out_dir.mkdir(parents=True, exist_ok=True)
-    ctx = _RunContext(cfg=cfg, out_dir=out_dir, preset=preset.name,
-                      stamp=preset.timestamp, check=preset.check)
-    _PRESETS[preset.name][0](ctx)
+    header = [f"# preset = {name}"]
+    if timestamp:
+        header.append(f"# generated = {datetime.datetime.now().isoformat(timespec='seconds')}")
+    # placement and parallelism do not shape the result
+    header += [f"# cfg {sec}.{key} = {_fmt(val)}" for (sec, key), val in sorted(cfg.items())
+               if not (sec == "run" and key in ("out", "jobs"))]
+    ctx = _RunContext(cfg=cfg, out_dir=out_dir, preset=name, header=header)
+    _PRESETS[name][0](ctx)
+    if not check:
+        return 0
+    for f in ctx.failures:
+        print(f"check failed: {f}", file=sys.stderr)
     if ctx.failures:
-        for f in ctx.failures:
-            print(f"check failed: {f}", file=sys.stderr)
         return 3
-    if preset.check:
-        print(f"{preset.name}: all checks passed")
+    print(f"{name}: all checks passed")
     return 0
 
 
@@ -836,25 +827,18 @@ def main(argv=None):
         prog="lowresbf",
         description="Quantization-limited beamforming experiments: presets write CSVs and plot scripts.",
     )
-    ap.add_argument("preset_pos", nargs="?", choices=PRESETS, metavar="preset",
-                    help="experiment preset: " + ", ".join(PRESETS))
-    ap.add_argument("--preset", choices=PRESETS, help="alternative to the positional preset")
+    ap.add_argument("preset", choices=PRESETS, help="experiment preset: " + ", ".join(PRESETS))
     ap.add_argument("--config", help="INI config file (strict keys; empty means all defaults)")
     ap.add_argument("--seed", default=None, help="override run.seed")
     ap.add_argument("--jobs", default=None, help="override run.jobs, the worker pool size")
     ap.add_argument("--out", default=None, help="override run.out, the output directory")
     ap.add_argument("--no-timestamp", action="store_true", help="omit the timestamp header line")
     ap.add_argument("--check", action="store_true",
-                    help="verify the preset's acceptance properties; exit 3 on violation")
+                    help="report the preset's claims, evaluated on every run; exit 3 if one fails")
     ap.add_argument("--bits", default=None, help="override the preset's resolution list, e.g. 2,3,4")
     ap.add_argument("--snr", default=None, help="override the preset's sweep range as lo:hi")
     ns = ap.parse_args(argv)
-
-    name = ns.preset_pos or ns.preset
-    if name is None or (ns.preset_pos and ns.preset and ns.preset_pos != ns.preset):
-        ap.print_usage(sys.stderr)
-        print("error: exactly one preset must be given", file=sys.stderr)
-        return 1
+    name = ns.preset
 
     try:
         text = Path(ns.config).read_text() if ns.config else ""
@@ -875,8 +859,7 @@ def main(argv=None):
         overrides.append((*key, value))
 
     try:
-        return run_preset(ExperimentPreset(name=name, overrides=tuple(overrides), config_text=text,
-                                           timestamp=not ns.no_timestamp, check=ns.check))
+        return run_preset(name, text, overrides, timestamp=not ns.no_timestamp, check=ns.check)
     except ConfigError as exc:
         for v in exc.violations:
             print(f"config error: {v}", file=sys.stderr)

@@ -309,9 +309,10 @@ def schedule_ofdma_pf(served_bits, spectral_effs, member_ids, bw_hz):
     return shares
 
 
-def _capped_se(sinr_linear):
-    """Spectral efficiency min(cap, log2(1 + s/L)) before overhead."""
-    return np.minimum(MAX_SE_BPS_HZ, np.log2(1.0 + sinr_linear / 10.0 ** (SHANNON_LOSS_DB / 10.0)))
+def _rate(sinr_linear, w_hz=1.0):
+    """Rate (1 - overhead) * w * min(cap, log2(1 + s/L)); per Hz at the default w_hz."""
+    se = np.minimum(MAX_SE_BPS_HZ, np.log2(1.0 + sinr_linear / 10.0 ** (SHANNON_LOSS_DB / 10.0)))
+    return (1.0 - OVERHEAD) * w_hz * se
 
 
 def schedule_sdma_greedy(served_bits, gamma_est, coupling, member_ids, cfg):
@@ -330,7 +331,7 @@ def schedule_sdma_greedy(served_bits, gamma_est, coupling, member_ids, cfg):
     mem = np.asarray(member_ids, dtype=int)
     if mem.size == 0:
         return np.zeros(0, dtype=int)
-    weights = (1.0 - OVERHEAD) * _capped_se(gamma_est) / served_bits[mem]
+    weights = _rate(gamma_est) / served_bits[mem]
 
     def sum_rates(grp):
         """Modeled sum rate of each row of grp, an (n_groups, k) index array."""
@@ -338,7 +339,7 @@ def schedule_sdma_greedy(served_bits, gamma_est, coupling, member_ids, cfg):
         sub = coupling[grp[:, :, None], grp[:, None, :]]
         psi = sub.sum(1) - np.diagonal(sub, axis1=1, axis2=2)
         s = gp / (1.0 + psi * gp)
-        return ((1.0 - OVERHEAD) * _capped_se(s)).sum(-1)
+        return _rate(s).sum(-1)
 
     group = [int(np.argmax(weights))]
     best = sum_rates(np.array([group]))[0]
@@ -361,7 +362,7 @@ def rate_from_sinr(sinr_linear, w_hz):
     s = np.asarray(sinr_linear, dtype=float)
     if np.any(s < 0):
         raise ValueError("SINR must be nonnegative")
-    return (1.0 - OVERHEAD) * w_hz * _capped_se(s)
+    return _rate(s, w_hz)
 
 
 def generate_layout(cfg, seed=None):
@@ -454,9 +455,7 @@ def run_drop_detailed(cfg, seed=None):
         w_rx[near, c] = _quadform_sum(a_rx, u_s[near], t_rx, p_near)
         mem = members[c]
         if mem.size == 0:
-            w_tx[c] = np.zeros((n_act, 0))
-            coupling[c] = np.zeros((0, 0))
-            continue
+            continue  # the TTI loop skips cells without users
         cos_tx = drop.cluster_cos_tx[near, c]
         a_tx = _steering(BS_ARRAY, cos_tx[..., 0], cos_tx[..., 1])
         w = np.zeros((n_act, mem.size))
@@ -479,10 +478,11 @@ def run_drop_detailed(cfg, seed=None):
     beam_counts = []
     i_lag = np.zeros(n_act)
     sdma = cfg.scheduler == "SDMA_GREEDY"
+    signal = psd * gain_srv * e_srv * g_srv  # serving-link received power, TTI-invariant
 
     for _ in range(cfg.n_ttis):
-        gamma_est = psd * gain_srv * e_srv * g_srv / (n0 + i_lag)
-        se_est = (1.0 - OVERHEAD) * _capped_se(gamma_est)
+        gamma_est = signal / (n0 + i_lag)
+        se_est = _rate(gamma_est)
         # per scheduled user: power divisor (group size), leakage ratio psi
         # and bandwidth; div = 0 marks a user not scheduled this TTI
         div = np.zeros(n_act)
@@ -511,7 +511,7 @@ def run_drop_detailed(cfg, seed=None):
             contrib[mem] = 0.0
             i_now += contrib
 
-        gamma = psd * gain_srv * e_srv * g_srv / (n0 + i_now)
+        gamma = signal / (n0 + i_now)
         sel = np.nonzero(div)[0]
         s = sinr_quantized(gamma[sel] / div[sel], g_srv[sel], psi[sel], alpha_rows)
         r = rate_from_sinr(s, bw[sel])

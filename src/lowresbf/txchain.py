@@ -53,6 +53,8 @@ MEAS_BW_HZ = 396e6  # measurement window inside each channel
 N_ADJACENT = 2  # adjacent channels on each side that ACLR probes
 EVM_NUMEROLOGY = OfdmNumerology(used_prbs=MAX_PRBS)
 EVM_MODULATION = "64QAM"
+# anti-image FIR: cut just under the pre-interpolation Nyquist; gain INTERP_M restores amplitude
+_INTERP_FIR = firwin(INTERP_TAPS, 0.98 * CHIP_RATE_HZ / 2, fs=DAC_FS_HZ) * INTERP_M
 
 
 def _check_order(order):
@@ -74,11 +76,6 @@ class SpectrumReport:
         object.__setattr__(self, "psd_dbm_per_hz", p)
 
 
-def _interp_taps():
-    # cut just under the pre-interpolation Nyquist; gain m restores amplitude
-    return firwin(INTERP_TAPS, 0.98 * CHIP_RATE_HZ / 2, fs=DAC_FS_HZ) * INTERP_M
-
-
 def dac_convert(baseband, n_bits):
     """Interpolate, quantize to n_bits, and hold; returns the emulated analog signal.
 
@@ -91,7 +88,7 @@ def dac_convert(baseband, n_bits):
         raise ValueError("baseband rate must equal DAC_FS_HZ / INTERP_M")
     up = np.zeros(baseband.samples.size * INTERP_M, dtype=complex)
     up[::INTERP_M] = baseband.samples
-    up = fir_circular(up, _interp_taps())
+    up = fir_circular(up, _INTERP_FIR)
     up = quantizer.quantize(ComplexSampleBlock(up, DAC_FS_HZ), n_bits).samples
     z = np.repeat(up, ZOH_OVERSAMPLE)
     return ComplexSampleBlock(z, DAC_FS_HZ * ZOH_OVERSAMPLE)
@@ -141,6 +138,9 @@ def _band_power(report, center_hz, width_hz):
     if lo < f[0] or hi > f[-1]:
         raise ValueError("PSD span does not cover the requested band")
     m = (f >= lo) & (f <= hi)
+    if np.count_nonzero(m) < 2:
+        raise ValueError(f"fewer than 2 PSD bins in the {width_hz / 1e6:g} MHz band at {center_hz / 1e6:g} MHz; "
+                         "use a longer Welch segment")
     return np.trapezoid(10.0 ** (report.psd_dbm_per_hz[m] / 10.0), f[m])
 
 
@@ -172,7 +172,7 @@ def _zoh_response(k_signed, n_fft_analog):
 def _chain_bin_response(lpf_order, k_signed):
     """Deterministic per-subcarrier gain of the infinite-resolution chain."""
     n_dac = FFT_SIZE * INTERP_M
-    h_int = fir_zero_phase_response(_interp_taps(), n_dac)[np.asarray(k_signed) % n_dac]
+    h_int = fir_zero_phase_response(_INTERP_FIR, n_dac)[np.asarray(k_signed) % n_dac]
     zoh = _zoh_response(k_signed, n_dac * ZOH_OVERSAMPLE)
     lpf = butterworth_response(lpf_order, np.asarray(k_signed) * SCS_HZ)
     return h_int * zoh * lpf / (INTERP_M * ZOH_OVERSAMPLE)

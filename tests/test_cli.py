@@ -126,19 +126,24 @@ def test_override_of_unknown_key_rejected():
 
 def test_unknown_preset_name_rejected():
     with pytest.raises(cli.ConfigError):
-        cli.ExperimentPreset(name="bogus")
+        cli.run_preset("bogus")
 
 
 # ---------------------------------------------------------------- exit codes
 
 def test_missing_preset_exits_one(capsys):
-    assert cli.main([]) == 1
-    assert "exactly one preset" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as err:
+        cli.main([])
+    assert err.value.code == 1
+    assert "config error" in capsys.readouterr().err
 
 
 def test_conflicting_preset_names_exit_one(capsys):
-    assert cli.main(["power-table", "--preset", "aqnm-curves"]) == 1
-    assert "exactly one preset" in capsys.readouterr().err
+    # the preset is the one positional argument; there is no --preset flag
+    with pytest.raises(SystemExit) as err:
+        cli.main(["power-table", "--preset", "aqnm-curves"])
+    assert err.value.code == 1
+    assert "config error" in capsys.readouterr().err
 
 
 def test_usage_error_exits_one(capsys):
@@ -218,6 +223,42 @@ def test_failed_check_exits_three(tmp_path, capsys):
     assert "2-beam usage fraction" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("preset,config", [
+    ("cell-sdma", "[cell]\ndrops = 2\nttis = 30\nbeams = 2\nsdma_bits = 4\n"),
+    # the 4-bit order-1 chain misses the 28 dB ACLR1 limit
+    ("aclr-sweep", "[tx]\nbits = 4\nlpf_orders = 1\nn_symbols = 2\nnperseg = 1024\n"),
+])
+def test_failed_claims_reported_only_with_check(tmp_path, capsys, preset, config):
+    cfg = tmp_path / "c.ini"
+    cfg.write_text(config)
+    outs = {}
+    for flags, want in ((["--check"], 3), ([], 0)):
+        out = tmp_path / f"out{len(flags)}"
+        assert cli.main([preset, "--config", str(cfg), "--out", str(out), "--no-timestamp", *flags]) == want
+        outs[want] = {p.name: p.read_bytes() for p in out.iterdir()}
+        err = capsys.readouterr().err
+        if flags:
+            assert "check failed" in err
+        else:
+            assert err == ""
+    assert outs[0] and outs[0] == outs[3]
+
+
+def test_claims_run_without_check(tmp_path, monkeypatch):
+    # every run evaluates its claims; --check only reports them
+    class ClaimRan(Exception):
+        pass
+
+    def claim(*args):
+        raise ClaimRan
+
+    monkeypatch.setattr(cli, "_check_dominance", claim)
+    cfg = tmp_path / "cell.ini"
+    cfg.write_text("[cell]\ndrops = 1\nttis = 4\nsdma_bits = 4\nbeams = 4\narea_m = 600\nfixed_ues = 40\n")
+    with pytest.raises(ClaimRan):
+        cli.main(["cell-sdma", "--config", str(cfg), "--out", str(tmp_path / "out"), "--no-timestamp"])
+
+
 def test_aqnm_check_accepts_widths_out_of_order(tmp_path, capsys):
     # the alpha ordering check compares widths in ascending order, not list order
     rc = cli.main(["aqnm-curves", "--bits", "4,3", "--out", str(tmp_path / "out"), "--check", "--no-timestamp"])
@@ -246,6 +287,15 @@ def test_power_table_artifacts(tmp_path):
     # placement and parallelism never appear in the provenance header
     assert not any("run.out" in c or "run.jobs" in c for c in comments)
     py_compile.compile(str(out / "power_table_plot.py"), doraise=True)
+
+
+def test_run_stamps_every_file_alike(tmp_path):
+    out = tmp_path / "out"
+    assert cli.main(["aqnm-curves", "--out", str(out)]) == 0
+    stamps = {name: [c for c in comment_lines(out / name) if c.startswith("# generated = ")]
+              for name in ("aqnm_alpha.csv", "aqnm_sinr.csv")}
+    assert len(stamps["aqnm_alpha.csv"]) == 1
+    assert stamps["aqnm_alpha.csv"] == stamps["aqnm_sinr.csv"]
 
 
 def test_timestamp_header_toggles(tmp_path):
@@ -642,6 +692,9 @@ _BAD_INPUTS = [
     ("evm-sweep", "[tx]\ninv_sigma_rf_db = -4000:-4000\nrf_points = 1\nevm_bits = 4\nn_symbols = 2\n", [],
      "tx.inv_sigma_rf_db"),
     ("aqnm-curves", "[aqnm]\ngamma_db = 4000:4000\ngamma_points = 1\n", [], "aqnm.gamma_db"),
+    # Welch bins too coarse for two per 396 MHz ACLR window (all-NaN CSV, or a math domain error)
+    ("aclr-sweep", "[tx]\nnperseg = 16\nn_symbols = 1\n", [], "tx.nperseg"),
+    ("aclr-sweep", "[tx]\nnperseg = 32\nn_symbols = 1\n", [], "tx.nperseg"),
 ]
 
 

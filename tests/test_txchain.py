@@ -173,6 +173,13 @@ def test_aclr_validation():
         txchain.measure_aclr(psd, 1)  # span does not reach the first adjacent
 
 
+def test_aclr_needs_two_bins_per_window():
+    # 200 MHz bins: the 396 MHz window around the carrier holds only the 0 Hz bin
+    coarse = txchain.SpectrumReport(np.linspace(-2e9, 2e9, 21), np.zeros(21))
+    with pytest.raises(ValueError, match="fewer than 2 PSD bins"):
+        txchain.measure_aclr(coarse, 1)
+
+
 def test_aclr_monotone_in_bits_and_order():
     block, _ = make_waveform(8)
 
