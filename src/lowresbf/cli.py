@@ -19,8 +19,8 @@ properties behind the paper's statements, on the data it just wrote.
 --check only reports them: it prints each failed claim and makes the
 exit code 3, or prints "<preset>: all checks passed".
 
-Exit codes: 0 ok, 1 config error, 2 domain error, 3 a claim failed
-(only with --check).
+Exit codes: 0 ok, 1 config error (also a config file that is unreadable or
+not UTF-8, or an unusable run.out), 2 domain error, 3 a failed claim (--check).
 """
 
 import argparse
@@ -225,16 +225,20 @@ def validate_config(text, overrides=()):
         except ValueError as exc:
             violations.append(f"link.dac_offset must keep every link.adc_bits + offset a DAC width: {exc}")
             break
-    # samples of the _psd_job waveform: each symbol and its prefix, at the analog rate
-    n_an = (ofdm.FFT_SIZE + ofdm.CP_LEN) * txchain.INTERP_M * txchain.ZOH_OVERSAMPLE
-    n_tx = resolved[("tx", "n_symbols")] * n_an
+    n_tx = resolved[("tx", "n_symbols")] * txchain.SYMBOL_SAMPLES  # the _psd_job waveform
     if 4 * resolved[("tx", "nperseg")] > n_tx:  # the 4 Welch segments of txchain.estimate_psd
         violations.append(f"tx.nperseg must be at most {n_tx // 4}, a quarter of the tx.n_symbols waveform")
-    # Welch bins lie fs/nperseg apart; every MEAS_BW_HZ window of txchain.measure_aclr needs 2
-    min_nperseg = math.ceil(2 * txchain.DAC_FS_HZ * txchain.ZOH_OVERSAMPLE / txchain.MEAS_BW_HZ)
-    if resolved[("tx", "nperseg")] < min_nperseg:
-        violations.append(f"tx.nperseg must be at least {min_nperseg}, so that every "
+    if resolved[("tx", "nperseg")] < txchain.MIN_NPERSEG:
+        violations.append(f"tx.nperseg must be at least {txchain.MIN_NPERSEG}, so that every "
                           f"{txchain.MEAS_BW_HZ / 1e6:g} MHz ACLR window holds 2 Welch bins")
+    # users a drop expects: the fixed count, or the Poisson mean over every site the grid can hold
+    fixed, cap = resolved[("cell", "fixed_ues")], network.MAX_UES_PER_DROP
+    cells = network._max_cells(resolved[("cell", "area_m")], resolved[("cell", "radius_m")])
+    if fixed > cap:
+        violations.append(f"cell.fixed_ues must be at most {cap} users per drop")
+    elif fixed < 0 and resolved[("cell", "mean_ues")] * cells > cap:
+        violations.append(f"cell.mean_ues times the cells of cell.area_m and cell.radius_m "
+                          f"(at most {cells:.0f}) must be at most {cap} users per drop")
     if violations:
         raise ConfigError(violations)
     return resolved
@@ -639,23 +643,21 @@ axes[1].set_xscale("log")
 
 def _psd_job(bits, order, prbs, n_sym, nperseg, seed):
     """Welch PSD of one DAC-chain output, and the output's power."""
-    num = ofdm.OfdmNumerology(used_prbs=prbs)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    grid = ofdm.random_grid("QPSK", n_sym, num.n_subcarriers, rng)
-    base = ofdm.ofdm_modulate(grid, num)
-    out = txchain.apply_reconstruction_lpf(txchain.dac_convert(base, bits), order)
+    _, out = txchain.transmit(bits, order, ofdm.OfdmNumerology(used_prbs=prbs), "QPSK", n_sym, rng)
     return txchain.estimate_psd(out, nperseg), np.var(out.samples)
 
 
+def _psd_sweep(ctx, cases):
+    """(bits, order, Welch PSD, block power) of the tx chain at each (bits, order) case."""
+    tx = [ctx.cfg[("tx", k)] for k in ("used_prbs", "n_symbols", "nperseg")]
+    results = parallel.pool_map(_psd_job, [(b, o, *tx, ctx.seed) for b, o in cases], ctx.jobs)
+    return [(b, o, *r) for (b, o), r in zip(cases, results)]
+
+
 def _run_tx_psd(ctx):
-    prbs = ctx.cfg[("tx", "used_prbs")]
-    n_sym = ctx.cfg[("tx", "n_symbols")]
-    nperseg = ctx.cfg[("tx", "nperseg")]
-    cases = ctx.cfg[("tx", "psd_cases")]
-    args = [(b, o, prbs, n_sym, nperseg, ctx.seed) for b, o in cases]
-    results = parallel.pool_map(_psd_job, args, ctx.jobs)
     names = []
-    for (bits, order, *_), (report, block_var) in zip(args, results):
+    for bits, order, report, block_var in _psd_sweep(ctx, ctx.cfg[("tx", "psd_cases")]):
         name = f"tx_psd_n{_bits_tag(bits)}_o{order}.csv"
         names.append(name)
         freqs, psd = report.freqs_hz, report.psd_dbm_per_hz
@@ -681,14 +683,9 @@ ax.set_xlim(-1200, 1200)
 def _run_aclr_sweep(ctx):
     bits = ctx.cfg[("tx", "bits")]
     orders = [int(o) for o in ctx.cfg[("tx", "lpf_orders")]]
-    prbs = ctx.cfg[("tx", "used_prbs")]
-    n_sym = ctx.cfg[("tx", "n_symbols")]
-    nperseg = ctx.cfg[("tx", "nperseg")]
-    args = [(b, o, prbs, n_sym, nperseg, ctx.seed) for b in bits for o in orders]
-    results = parallel.pool_map(_psd_job, args, ctx.jobs)
     rows = []
     table = {}
-    for (b, o, *_), (report, _var) in zip(args, results):
+    for b, o, report, _var in _psd_sweep(ctx, [(b, o) for b in bits for o in orders]):
         for idx in (-2, -1, 1, 2):
             table[(b, o, idx)] = txchain.measure_aclr(report, idx)
             rows.append((b, o, idx, table[(b, o, idx)], ACLR_LIMIT_BS_DB, ACLR_LIMIT_UE_DB))
@@ -794,7 +791,10 @@ def run_preset(name, config_text="", overrides=(), timestamp=True, check=False):
         raise ConfigError([f"unknown preset {name!r}"])
     cfg = validate_config(config_text, overrides)
     out_dir = Path(cfg[("run", "out")])
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # the path, or a parent of it, is a file
+        raise ConfigError([f"run.out {str(out_dir)!r} cannot be made a directory: {exc.strerror}"]) from exc
     header = [f"# preset = {name}"]
     if timestamp:
         header.append(f"# generated = {datetime.datetime.now().isoformat(timespec='seconds')}")
@@ -841,9 +841,9 @@ def main(argv=None):
     name = ns.preset
 
     try:
-        text = Path(ns.config).read_text() if ns.config else ""
-    except OSError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
+        text = Path(ns.config).read_text(encoding="utf-8") if ns.config else ""
+    except (OSError, UnicodeDecodeError) as exc:  # unreadable, or not UTF-8 text
+        print(f"config error: --config: {exc}", file=sys.stderr)
         return 1
 
     overrides = []

@@ -86,6 +86,9 @@ OUTAGE_DECAY_M = 30.0
 OUTAGE_MARGIN = 5.2
 LOS_DECAY_M = 67.1
 _NOISE_PSD_MW_HZ = 10.0 ** ((-174.0 + NOISE_FIGURE_DB) / 10.0)
+# most users a drop may expect: run_drop_detailed's cross tables hold n x n float64
+# entries for n users, 4096^2 x 8 B = 128 MiB (a default drop: 42 cells, about 420 users)
+MAX_UES_PER_DROP = 4096
 
 _FINITE_FIELDS = (
     "area_m", "cell_radius_m", "bw_hz", "mean_ues_per_cell", "mean_extra_clusters", "cluster_spread_cos",
@@ -116,7 +119,7 @@ class NetworkConfig:
         for name in _FINITE_FIELDS:
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
-        for name in ("area_m", "cell_radius_m", "bw_hz"):
+        for name in ("area_m", "cell_radius_m", "bw_hz", "mean_ues_per_cell"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
         if self.fixed_ue_count is not None and self.fixed_ue_count < 1:
@@ -125,18 +128,12 @@ class NetworkConfig:
             raise ValueError(f"scheduler must be one of {SCHEDULERS}")
         if self.n_beams_max < 1 or self.n_ttis < 1:
             raise ValueError("n_beams_max and n_ttis must be at least 1")
-        if self.mean_ues_per_cell <= 0:
-            raise ValueError("mean_ues_per_cell must be positive")
         if self.cluster_spread_cos < 0 or self.mean_extra_clusters < 0:
             raise ValueError("cluster parameters must be nonnegative")
         if not self.adc_bits or len(set(self.adc_bits)) != len(self.adc_bits):
             raise ValueError("adc_bits must list at least one width, each once")
         for b in self.adc_bits:
             quantizer._check_bits(b)
-
-    @property
-    def tx_psd_mw_hz(self):
-        return 10.0 ** (TX_POWER_DBM / 10.0) / self.bw_hz
 
 
 @dataclass(frozen=True)
@@ -171,7 +168,6 @@ class UeResult:
 class DropResult:
     ue_results: list
     beam_counts: np.ndarray  # group size per interior scheduling instance
-    n_ues_total: int
 
 
 def free_space_pathloss_db(d_m, fc_hz):
@@ -207,6 +203,11 @@ def pathloss_db(d_m, state, rng):
     )
     pl = np.maximum(pl, free_space_pathloss_db(d, FC_HZ))
     return np.where(st == LinkState.OUTAGE, np.inf, pl)
+
+
+def _max_cells(area_m, radius_m):
+    """Upper bound on the sites _hex_grid places (rows x the longest row), without building them."""
+    return ((area_m + 1e-9) / (1.5 * radius_m) + 1.0) * ((area_m + 1e-9) / (math.sqrt(3.0) * radius_m) + 1.0)
 
 
 def _hex_grid(area_m, radius_m):
@@ -247,8 +248,8 @@ def _spread_taper(shape, sigma_cos):
     return np.kron(axis(m), axis(n))
 
 
-def covariance_from_clusters(powers, cos_uv, shape, spread_cos=0.0):
-    """Q = Σ_c p_c·a(θ_c)a(θ_c)^H, optionally widened per cluster.
+def covariance_from_clusters(powers, cos_uv, shape, spread_cos):
+    """Q = Σ_c p_c·a(θ_c)a(θ_c)^H, widened per cluster by spread_cos (0 keeps point clusters).
 
     powers: (..., k) nonnegative, normalized here so trace(Q) = n_ant.
     cos_uv: (..., k, 2) direction cosines in [-1, 1].
@@ -262,9 +263,7 @@ def covariance_from_clusters(powers, cos_uv, shape, spread_cos=0.0):
     p = p / tot
     a = _steering(shape, cos_uv[..., 0], cos_uv[..., 1])
     q = np.einsum("...k,...kn,...km->...nm", p, a, a.conj())
-    if spread_cos > 0:
-        q = q * _spread_taper(shape, spread_cos)
-    return q
+    return q * _spread_taper(shape, spread_cos)
 
 
 def _draw_clusters(rng, batch_shape, mean_extra):
@@ -470,7 +469,7 @@ def run_drop_detailed(cfg, seed=None):
     # one row per ADC width, plus the resolution-blind row that feeds the
     # PF history (alpha = 0 gives exactly the unquantized SINR)
     alpha_rows = np.array([*(quantizer.alpha_of(b) for b in cfg.adc_bits), 0.0])[:, None]
-    psd, n0 = cfg.tx_psd_mw_hz, _NOISE_PSD_MW_HZ
+    psd, n0 = 10.0 ** (TX_POWER_DBM / 10.0) / cfg.bw_hz, _NOISE_PSD_MW_HZ
     served_bits = np.full(n_act, 1.0)
     lin_sinr = np.zeros((n_a, n_act))
     sched_cnt = np.zeros(n_act)
@@ -536,7 +535,7 @@ def run_drop_detailed(cfg, seed=None):
                     interior=bool(interior_ue[s]),
                 )
             )
-    return DropResult(ue_results=results, beam_counts=np.array(beam_counts, dtype=int), n_ues_total=len(drop.ue_positions))
+    return DropResult(ue_results=results, beam_counts=np.array(beam_counts, dtype=int))
 
 
 def run_drops(cfg, n_drops, n_jobs=1):

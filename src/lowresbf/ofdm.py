@@ -30,7 +30,6 @@ from . import sinr as sinr_model
 
 __all__ = [
     "OfdmNumerology",
-    "constellation",
     "random_grid",
     "ofdm_modulate",
     "ofdm_demodulate",
@@ -78,36 +77,33 @@ class OfdmNumerology:
     def occupied_bw_hz(self):
         return self.n_subcarriers * SCS_HZ
 
+    @property
+    def osr(self):
+        """Oversampling ratio: FFT bins per occupied subcarrier."""
+        return FFT_SIZE / self.n_subcarriers
+
+    @property
+    def signed_bins(self):
+        """Signed FFT bin of each occupied subcarrier, the band centered on DC."""
+        return np.arange(self.n_subcarriers) - self.n_subcarriers // 2
+
 
 _QAM_AXIS = {"QPSK": 2, "16QAM": 4, "64QAM": 8, "256QAM": 16}
 
 
-def constellation(modulation):
-    """Unit-average-energy square constellation points."""
+def random_grid(modulation, n_symbols, n_subcarriers, rng):
+    """Uniform random points of a unit-average-energy square constellation, one row per OFDM symbol."""
     try:
         L = _QAM_AXIS[modulation]
     except KeyError:
         raise ValueError(f"unsupported modulation {modulation!r}") from None
     axis = np.arange(-L + 1, L, 2, dtype=float)
-    pts = (axis[:, None] + 1j * axis[None, :]).ravel()
-    return pts / math.sqrt(2.0 * (L * L - 1) / 3.0)
+    pts = (axis[:, None] + 1j * axis[None, :]).ravel() / math.sqrt(2.0 * (L * L - 1) / 3.0)
+    return pts[rng.integers(0, pts.size, size=(n_symbols, n_subcarriers))]
 
 
-def random_grid(modulation, n_symbols, n_subcarriers, rng):
-    """Uniform random constellation symbols, one row per OFDM symbol."""
-    pts = constellation(modulation)
-    idx = rng.integers(0, pts.size, size=(n_symbols, n_subcarriers))
-    return pts[idx]
-
-
-def _bin_map(num):
-    # occupied band centered on DC, wrapped onto the FFT grid
-    n_sc = num.n_subcarriers
-    return (np.arange(n_sc) - n_sc // 2) % FFT_SIZE
-
-
-def ofdm_modulate(grid, num, n_dac=math.inf):
-    """IFFT per symbol, cyclic prefix, unit average power, then DAC quantization.
+def ofdm_modulate(grid, num):
+    """IFFT per symbol, cyclic prefix and unit average power, at the chip rate.
 
     The IFFT is scaled by FFT_SIZE/sqrt(n_subcarriers) so a unit-energy
     grid yields unit time-domain power.  grid holds the symbols on the
@@ -119,10 +115,10 @@ def ofdm_modulate(grid, num, n_dac=math.inf):
     if n_sc != num.n_subcarriers:
         raise ValueError("grid width does not match numerology")
     spec = np.zeros((n_sym, FFT_SIZE), dtype=complex)
-    spec[:, _bin_map(num)] = grid
+    spec[:, num.signed_bins % FFT_SIZE] = grid
     x = np.fft.ifft(spec, axis=1) * (FFT_SIZE / math.sqrt(n_sc))
     x = np.concatenate([x[:, -CP_LEN:], x], axis=1)
-    return quantizer.quantize(ComplexSampleBlock(x.ravel(), CHIP_RATE_HZ), n_dac)
+    return ComplexSampleBlock(x.ravel(), CHIP_RATE_HZ)
 
 
 def ofdm_demodulate(block, num):
@@ -132,7 +128,7 @@ def ofdm_demodulate(block, num):
                          f"{FFT_SIZE + CP_LEN}-sample OFDM symbols")
     x = block.samples.reshape(-1, FFT_SIZE + CP_LEN)[:, CP_LEN:]
     spec = np.fft.fft(x, axis=1) * (math.sqrt(num.n_subcarriers) / FFT_SIZE)
-    return spec[:, _bin_map(num)]
+    return spec[:, num.signed_bins % FFT_SIZE]
 
 
 def agc_normalize(block):
@@ -202,12 +198,12 @@ def _run_chain(db, scale, psi, n_adc, n_dac, num, n_symbols, seed):
                          f"(2 pilot symbols plus 1 data symbol), got {n_symbols!r}")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     grid = random_grid("QPSK", n_symbols, num.n_subcarriers, rng)
-    x = ofdm_modulate(grid, num, n_dac).samples
+    x = quantizer.quantize(ofdm_modulate(grid, num), n_dac).samples
     sig_pow = np.mean(np.abs(x) ** 2)
 
     if psi > 0:
         other = random_grid("QPSK", n_symbols, num.n_subcarriers, rng)
-        xi = ofdm_modulate(other, num, n_dac).samples
+        xi = quantizer.quantize(ofdm_modulate(other, num), n_dac).samples
         x = x + math.sqrt(psi * sig_pow / np.mean(np.abs(xi) ** 2)) * xi
 
     x = _frac_delay(x, RX_TIMING_OFFSET)
@@ -224,9 +220,8 @@ def _run_chain(db, scale, psi, n_adc, n_dac, num, n_symbols, seed):
     filtered = fir_circular(y.samples, h)
     rx = ofdm_demodulate(ComplexSampleBlock(filtered, CHIP_RATE_HZ), num)
 
-    k_signed = np.arange(num.n_subcarriers) - num.n_subcarriers // 2
-    timing = np.exp(-2j * np.pi * k_signed * RX_TIMING_OFFSET / FFT_SIZE)
-    ref = fir_zero_phase_response(h, FFT_SIZE)[_bin_map(num)] * timing
+    timing = np.exp(-2j * np.pi * num.signed_bins * RX_TIMING_OFFSET / FFT_SIZE)
+    ref = fir_zero_phase_response(h, FFT_SIZE)[num.signed_bins % FFT_SIZE] * timing
     return _equalize(rx, grid, ref)
 
 
@@ -251,8 +246,7 @@ def run_sdma_link_trial(sir_db, gamma0_db, n_adc, num, n_symbols=24, seed=0):
     """
     _check_db("sir_db", sir_db, allow_inf=True)
     _check_db("gamma0_db", gamma0_db)
-    osr = FFT_SIZE / num.n_subcarriers
-    return _run_chain(gamma0_db, osr, 10.0 ** (-sir_db / 10.0), n_adc, math.inf, num, n_symbols, seed)
+    return _run_chain(gamma0_db, num.osr, 10.0 ** (-sir_db / 10.0), n_adc, math.inf, num, n_symbols, seed)
 
 
 def predict_link_snr_db(snr_db, n_adc, num):
@@ -263,9 +257,8 @@ def predict_link_snr_db(snr_db, n_adc, num):
     quantizer distortion.
     """
     _check_db("snr_db", snr_db)
-    osr = FFT_SIZE / num.n_subcarriers
-    gamma = 10.0 ** (np.asarray(snr_db, dtype=float) / 10.0) * osr
-    q = sinr_model.sinr_quantized(gamma, osr, 0.0, quantizer.alpha_of(n_adc))
+    gamma = 10.0 ** (np.asarray(snr_db, dtype=float) / 10.0) * num.osr
+    q = sinr_model.sinr_quantized(gamma, num.osr, 0.0, quantizer.alpha_of(n_adc))
     return 10.0 * np.log10(q)
 
 
@@ -273,7 +266,6 @@ def predict_sdma_sinr_db(sir_db, gamma0_db, n_adc, num):
     """Closed-form post-equalization SINR for the interference trial; sir_db = inf is no interferer."""
     _check_db("sir_db", sir_db, allow_inf=True)
     _check_db("gamma0_db", gamma0_db)
-    osr = FFT_SIZE / num.n_subcarriers
     psi = 10.0 ** (-np.asarray(sir_db, dtype=float) / 10.0)
-    q = sinr_model.sinr_quantized(10.0 ** (gamma0_db / 10.0), osr, psi, quantizer.alpha_of(n_adc))
+    q = sinr_model.sinr_quantized(10.0 ** (gamma0_db / 10.0), num.osr, psi, quantizer.alpha_of(n_adc))
     return 10.0 * np.log10(q)

@@ -16,8 +16,10 @@ The reference chain is fixed by module constants: INTERP_M, INTERP_TAPS,
 DAC_FS_HZ, ZOH_OVERSAMPLE and LPF_FC_HZ for the converter, CH_BW_HZ,
 MEAS_BW_HZ and N_ADJACENT for the channel raster, and EVM_NUMEROLOGY
 and EVM_MODULATION for the fully occupied 64QAM frame measure_evm
-runs.  A caller sets only the DAC width (n_bits) and the
-reconstruction-filter order (lpf_order).
+runs; SYMBOL_SAMPLES (analog samples per OFDM symbol) and MIN_NPERSEG
+(the shortest Welch segment with 2 bins per ACLR window) follow from
+them.  transmit is the one chain from grid to analog signal, and a
+caller sets only its DAC width (n_bits) and filter order (lpf_order).
 """
 
 import math
@@ -36,6 +38,7 @@ __all__ = [
     "dac_convert",
     "butterworth_response",
     "apply_reconstruction_lpf",
+    "transmit",
     "estimate_psd",
     "measure_aclr",
     "measure_evm",
@@ -53,6 +56,9 @@ MEAS_BW_HZ = 396e6  # measurement window inside each channel
 N_ADJACENT = 2  # adjacent channels on each side that ACLR probes
 EVM_NUMEROLOGY = OfdmNumerology(used_prbs=MAX_PRBS)
 EVM_MODULATION = "64QAM"
+SYMBOL_SAMPLES = (FFT_SIZE + CP_LEN) * INTERP_M * ZOH_OVERSAMPLE  # analog samples per symbol, prefix included
+# Welch bins lie fs/nperseg apart at the analog rate; 2 must fall in every MEAS_BW_HZ window
+MIN_NPERSEG = math.ceil(2 * DAC_FS_HZ * ZOH_OVERSAMPLE / MEAS_BW_HZ)
 # anti-image FIR: cut just under the pre-interpolation Nyquist; gain INTERP_M restores amplitude
 _INTERP_FIR = firwin(INTERP_TAPS, 0.98 * CHIP_RATE_HZ / 2, fs=DAC_FS_HZ) * INTERP_M
 
@@ -112,6 +118,13 @@ def apply_reconstruction_lpf(block, lpf_order):
     mag = butterworth_response(lpf_order, f)
     y = np.fft.ifft(np.fft.fft(block.samples) * mag)
     return ComplexSampleBlock(y, block.sample_rate)
+
+
+def transmit(n_bits, lpf_order, num, modulation, n_symbols, rng):
+    """(grid, analog block): a grid drawn from rng, modulated, converted at n_bits, filtered at lpf_order."""
+    grid = random_grid(modulation, n_symbols, num.n_subcarriers, rng)
+    block = dac_convert(ofdm_modulate(grid, num), n_bits)
+    return grid, apply_reconstruction_lpf(block, lpf_order)
 
 
 def estimate_psd(block, nperseg):
@@ -194,31 +207,26 @@ def measure_evm(n_bits, lpf_order, sigma_rf_sq=0.0, n_symbols=24, seed=0):
         raise ValueError(f"noise power must be nonnegative and finite, got {sigma_rf_sq!r}")
     num = EVM_NUMEROLOGY
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    grid = random_grid(EVM_MODULATION, n_symbols, num.n_subcarriers, rng)
-    base = ofdm_modulate(grid, num)
-    z = apply_reconstruction_lpf(dac_convert(base, n_bits), lpf_order)
+    grid, z = transmit(n_bits, lpf_order, num, EVM_MODULATION, n_symbols, rng)
     x = z.samples
     if sigma_rf_sq > 0:
-        osr = FFT_SIZE / num.n_subcarriers
-        var = sigma_rf_sq * INTERP_M * ZOH_OVERSAMPLE * osr  # unit per-subcarrier pickup
+        var = sigma_rf_sq * INTERP_M * ZOH_OVERSAMPLE * num.osr  # unit per-subcarrier pickup
         x = x + math.sqrt(var / 2.0) * (rng.standard_normal(x.size) + 1j * rng.standard_normal(x.size))
 
     L = ZOH_OVERSAMPLE
     n_an = FFT_SIZE * INTERP_M * L
-    cp_an = CP_LEN * INTERP_M * L
     # back the FFT window into the prefix so the noncausal half of the
     # anti-image filter never reads the next symbol (the prefix is longer
     # than that half); the shift is a known phase ramp folded into the
     # reference below
     guard = (INTERP_TAPS - 1) // 2
-    start = cp_an - guard * L
-    sym = x.reshape(n_symbols, n_an + cp_an)[:, start:start + n_an]
+    start = (CP_LEN * INTERP_M - guard) * L
+    sym = x.reshape(n_symbols, SYMBOL_SAMPLES)[:, start:start + n_an]
     spec = np.fft.fft(sym, axis=1) * (math.sqrt(num.n_subcarriers) / n_an)
-    k_signed = np.arange(num.n_subcarriers) - num.n_subcarriers // 2
-    rx = spec[:, k_signed % n_an]
+    rx = spec[:, num.signed_bins % n_an]
 
-    ref = _chain_bin_response(lpf_order, k_signed)
-    ref = ref * np.exp(-2j * np.pi * k_signed * (guard * L) / n_an)
+    ref = _chain_bin_response(lpf_order, num.signed_bins)
+    ref = ref * np.exp(-2j * np.pi * num.signed_bins * (guard * L) / n_an)
     err = rx / ref[None, :] - grid
     return 100.0 * math.sqrt(np.mean(np.abs(err) ** 2) / np.mean(np.abs(grid) ** 2))
 

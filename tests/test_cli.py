@@ -10,6 +10,7 @@ import math
 import py_compile
 import runpy
 import sys
+import time
 import types
 
 import numpy as np
@@ -18,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lowresbf import cli
+from lowresbf import cli, network
 
 
 def read_csv(path):
@@ -163,6 +164,43 @@ def test_missing_config_file_exits_one(tmp_path, capsys):
     rc = cli.main(["power-table", "--config", str(tmp_path / "none.ini")])
     assert rc == 1
     assert "config error" in capsys.readouterr().err
+
+
+def test_config_file_not_utf8_exits_one(tmp_path, capsys):
+    ini = tmp_path / "bad.ini"
+    ini.write_bytes(b"[run]\nseed = 1\n\xff\n")
+    out = tmp_path / "out"
+    assert cli.main(["power-table", "--config", str(ini), "--out", str(out)]) == 1
+    assert "config error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("below", ["", "sub"], ids=["file", "under-file"])
+def test_out_naming_a_file_exits_one(tmp_path, capsys, below):
+    # --out names an existing file, or a path under one
+    f = tmp_path / "f"
+    f.write_text("keep\n")
+    assert cli.main(["power-table", "--out", str(f / below) if below else str(f)]) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and "run.out" in err
+    assert f.read_text() == "keep\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["f"]
+
+
+@pytest.mark.parametrize("line,field", [("fixed_ues = 1000000000", "cell.fixed_ues"),
+                                        ("mean_ues = 1e9", "cell.mean_ues")])
+def test_oversized_drop_exits_one_before_running(tmp_path, capsys, monkeypatch, line, field):
+    # a drop this large would ask numpy for gigabytes; the config check must stop it first
+    monkeypatch.setattr(network, "run_drops", lambda *a, **kw: pytest.fail("the drop ran"))
+    ini = tmp_path / "c.ini"
+    ini.write_text(f"[cell]\n{line}\n")
+    out = tmp_path / "out"
+    t0 = time.perf_counter()
+    assert cli.main(["cell-ofdma", "--config", str(ini), "--out", str(out)]) == 1
+    assert time.perf_counter() - t0 < 1.0
+    err = capsys.readouterr().err
+    assert field in err and "config error" in err
+    assert not out.exists()
 
 
 def test_config_violations_exit_one(tmp_path, capsys):

@@ -59,7 +59,7 @@ def test_modulate_quantization_error_power():
     rng = np.random.default_rng(2)
     grid = ofdm.random_grid("QPSK", 8, NUM.n_subcarriers, rng)
     clean = ofdm.ofdm_modulate(grid, NUM).samples
-    quantized = ofdm.ofdm_modulate(grid, NUM, n_dac=4).samples
+    quantized = quantizer.quantize(ofdm.ofdm_modulate(grid, NUM), 4).samples
     alpha = quantizer.alpha_of(4)
     v = quantized - (1.0 - alpha) * clean
     ratio = np.mean(np.abs(v) ** 2) / np.mean(np.abs(clean) ** 2)

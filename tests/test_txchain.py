@@ -60,6 +60,9 @@ def test_reference_constants_consistent():
     assert ofdm.CP_LEN * txchain.INTERP_M >= (txchain.INTERP_TAPS - 1) // 2
     assert ofdm.MAX_PRBS * ofdm.SC_PER_PRB <= ofdm.FFT_SIZE
     assert txchain.EVM_NUMEROLOGY.used_prbs == ofdm.MAX_PRBS
+    assert txchain.SYMBOL_SAMPLES == (ofdm.FFT_SIZE + ofdm.CP_LEN) * txchain.INTERP_M * txchain.ZOH_OVERSAMPLE
+    assert txchain.MIN_NPERSEG == 40
+    assert ofdm.OfdmNumerology(used_prbs=274).osr == 4096 / 3288
 
 
 def test_dc_in_constant_out():
