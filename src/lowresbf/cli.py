@@ -234,11 +234,15 @@ def validate_config(text, overrides=()):
     # users a drop expects: the fixed count, or the Poisson mean over every site the grid can hold
     fixed, cap = resolved[("cell", "fixed_ues")], network.MAX_UES_PER_DROP
     cells = network._max_cells(resolved[("cell", "area_m")], resolved[("cell", "radius_m")])
+    users = fixed if fixed >= 0 else resolved[("cell", "mean_ues")] * cells
     if fixed > cap:
         violations.append(f"cell.fixed_ues must be at most {cap} users per drop")
-    elif fixed < 0 and resolved[("cell", "mean_ues")] * cells > cap:
+    elif users > cap:
         violations.append(f"cell.mean_ues times the cells of cell.area_m and cell.radius_m "
                           f"(at most {cells:.0f}) must be at most {cap} users per drop")
+    elif users * cells > network.MAX_LINKS_PER_DROP:
+        violations.append(f"cell.area_m and cell.radius_m (at most {cells:.0f} cells) times {users:.0f} users "
+                          f"must be at most {network.MAX_LINKS_PER_DROP} links per drop")
     if violations:
         raise ConfigError(violations)
     return resolved
@@ -333,10 +337,6 @@ def _write_plot(ctx, png, body):
 def _grid(bounds, points):
     lo, hi = bounds
     return np.linspace(lo, hi, points)
-
-
-def _bits_tag(b):
-    return "inf" if b == math.inf else str(int(b))
 
 
 # ---------------------------------------------------------------- power
@@ -542,7 +542,7 @@ def _interior_metric(drops_out, bits, attr):
 def _write_cdfs(ctx, stem, drops_out, bits_list):
     pct = np.arange(1, 100)
     for b in bits_list:
-        tag = _bits_tag(b)
+        tag = _fmt(b)
         sv = _interior_metric(drops_out, b, "sinr_db")
         rv = _interior_metric(drops_out, b, "rate_bps")
         if sv.size == 0:
@@ -554,8 +554,7 @@ def _write_cdfs(ctx, stem, drops_out, bits_list):
 
 
 def _check_dominance(ctx, drops_out, bits_list):
-    finite = sorted(b for b in bits_list if b != math.inf)
-    order = finite + [math.inf]
+    order = sorted(bits_list)
     for res in drops_out:
         by_bits = {}
         for r in res.ue_results:
@@ -572,11 +571,10 @@ def _check_dominance(ctx, drops_out, bits_list):
 def _run_cell(ctx, scheduler, bits, stem):
     """Drops, per-UE CSV, CDFs, plot and rate-dominance check of a cell preset.
 
-    Every width in bits is recorded on the same resolution-blind
-    schedules, plus infinite resolution if bits lacks it.  Returns the
-    drops and every recorded width, for the preset's own outputs and checks.
+    Every width in bits, and the inf that NetworkConfig adds, is recorded on
+    the same resolution-blind schedules.  Returns the drops and the recorded
+    widths (ncfg.adc_bits), for the preset's own outputs and checks.
     """
-    all_bits = bits if math.inf in bits else bits + (math.inf,)
     c = ctx.cfg
     fixed = c[("cell", "fixed_ues")]
     ncfg = network.NetworkConfig(
@@ -584,22 +582,22 @@ def _run_cell(ctx, scheduler, bits, stem):
         cell_radius_m=c[("cell", "radius_m")],
         bw_hz=c[("cell", "bw_hz")],
         mean_ues_per_cell=c[("cell", "mean_ues")],
-        adc_bits=all_bits,
+        adc_bits=bits,
         n_beams_max=c[("cell", "beams")],
         scheduler=scheduler,
         n_ttis=c[("cell", "ttis")],
-        seed=ctx.seed,
         cluster_spread_cos=c[("cell", "cluster_spread")],
         mean_extra_clusters=c[("cell", "mean_extra_clusters")],
         fixed_ue_count=None if fixed < 0 else fixed,
     )
-    drops_out = network.run_drops(ncfg, c[("cell", "drops")], n_jobs=ctx.jobs)
+    drops_out = network.run_drops(ncfg, c[("cell", "drops")], ctx.seed, n_jobs=ctx.jobs)
+    all_bits = ncfg.adc_bits
     rows = _collect_cell_rows(drops_out, scheduler)
     _write_csv(ctx, f"{stem}_ue.csv",
                ("drop", "ue", "serving_bs", "sinr_db", "rate_bps", "n_bits", "scheduler", "interior"),
                rows, notes=_NETWORK_NOTES)
     _write_cdfs(ctx, stem, drops_out, all_bits)
-    tags = [_bits_tag(b) for b in all_bits]
+    tags = [_fmt(b) for b in all_bits]
     _write_plot(ctx, f"{stem}_cdf.png", f"stem = {stem!r}\nbits = {tags!r}\n" + _CELL_PLOT)
     _check_dominance(ctx, drops_out, all_bits)
     return drops_out, all_bits
@@ -658,7 +656,7 @@ def _psd_sweep(ctx, cases):
 def _run_tx_psd(ctx):
     names = []
     for bits, order, report, block_var in _psd_sweep(ctx, ctx.cfg[("tx", "psd_cases")]):
-        name = f"tx_psd_n{_bits_tag(bits)}_o{order}.csv"
+        name = f"tx_psd_n{_fmt(bits)}_o{order}.csv"
         names.append(name)
         freqs, psd = report.freqs_hz, report.psd_dbm_per_hz
         _write_csv(ctx, name, ("freq_offset_hz", "psd_db"), list(zip(freqs, psd)),

@@ -15,14 +15,16 @@ UE_ARRAY, TX_POWER_DBM, NOISE_FIGURE_DB, TTI_S, OVERHEAD,
 SHANNON_LOSS_DB and MAX_SE_BPS_HZ, plus the pathloss model's
 LOS_*/NLOS_* intercepts, exponents and shadowing spreads and the
 OUTAGE_DECAY_M, OUTAGE_MARGIN and LOS_DECAY_M of its link-state
-probabilities.  NetworkConfig holds only what a run varies; resolution
-is the axis the model studies.
+probabilities.  NetworkConfig holds only what a run varies (seeds are
+arguments); resolution is the axis the model studies, and its adc_bits
+always hold math.inf, the reference row of every loss.
 
 Schedulers are resolution-blind: they rank users on unquantized SINR
 estimates, so runs at different ADC widths share schedules and the
 AQNM dominance comparison is exact per user and TTI.  Resolution only
-enters the recorded SINR/rate mapping.  Statistics should be read
-from interior cells; the finite area has no wrap-around.
+enters the recorded SINR/rate mapping; the PF history reads the inf
+row.  Statistics should be read from interior cells; the finite area
+has no wrap-around.
 """
 
 import math
@@ -89,6 +91,10 @@ _NOISE_PSD_MW_HZ = 10.0 ** ((-174.0 + NOISE_FIGURE_DB) / 10.0)
 # most users a drop may expect: run_drop_detailed's cross tables hold n x n float64
 # entries for n users, 4096^2 x 8 B = 128 MiB (a default drop: 42 cells, about 420 users)
 MAX_UES_PER_DROP = 4096
+# most user-cell links (users x _max_cells) a drop may expect: generate_layout holds
+# per-link arrays and k_max-deep cluster arrays; at this bound 10 users over 26k sites
+# (area_m 25900) peaked at 260 MB RSS, 155 MB above the import (a default drop: 175 MB)
+MAX_LINKS_PER_DROP = 2 ** 18
 
 _FINITE_FIELDS = (
     "area_m", "cell_radius_m", "bw_hz", "mean_ues_per_cell", "mean_extra_clusters", "cluster_spread_cos",
@@ -101,12 +107,11 @@ class NetworkConfig:
     cell_radius_m: float = 100.0
     bw_hz: float = 1e9
     mean_ues_per_cell: float = 10.0
-    # ADC widths recorded on the same resolution-blind schedules, each once
+    # ADC widths recorded on the same resolution-blind schedules, each once, plus math.inf
     adc_bits: tuple = (math.inf,)
     n_beams_max: int = 4
     scheduler: str = "OFDMA_PF"
     n_ttis: int = 200
-    seed: int = 0
     # cluster geometry: Poisson(mean_extra_clusters)+1 clusters per link,
     # exponential powers, each cluster spread as a Gaussian in direction
     # cosines (0 reproduces pure point clusters)
@@ -134,6 +139,8 @@ class NetworkConfig:
             raise ValueError("adc_bits must list at least one width, each once")
         for b in self.adc_bits:
             quantizer._check_bits(b)
+        if math.inf not in self.adc_bits:
+            object.__setattr__(self, "adc_bits", (*self.adc_bits, math.inf))
 
 
 @dataclass(frozen=True)
@@ -364,10 +371,10 @@ def rate_from_sinr(sinr_linear, w_hz):
     return _rate(s, w_hz)
 
 
-def generate_layout(cfg, seed=None):
+def generate_layout(cfg, seed):
     """Hexagonal sites, uniform user drop, link states, pathloss, and
     serving-link covariances.  Deterministic given the seed."""
-    rng = np.random.default_rng(cfg.seed if seed is None else seed)
+    rng = np.random.default_rng(seed)
     bs = _hex_grid(cfg.area_m, cfg.cell_radius_m)
     n_bs = len(bs)
     n_ue = cfg.fixed_ue_count if cfg.fixed_ue_count is not None else rng.poisson(cfg.mean_ues_per_cell * n_bs)
@@ -415,7 +422,7 @@ def _quadform_sum(a, beam, taper, powers):
     return (powers * q).sum(-1)
 
 
-def run_drop_detailed(cfg, seed=None):
+def run_drop_detailed(cfg, seed):
     """One placement simulated for cfg.n_ttis TTIs; keeps beam usage.
 
     The cross-cell tables are evaluated only for users whose link to the
@@ -427,12 +434,10 @@ def run_drop_detailed(cfg, seed=None):
     table, so the results do not depend on how many rows are skipped.
     """
     drop = generate_layout(cfg, seed)
-    bs = drop.bs_positions
-    n_bs = len(bs)
     act = drop.active_ue
     n_act = len(act)
     srv = drop.association[act]
-    members = [np.nonzero(srv == c)[0] for c in range(n_bs)]
+    members = {c: np.nonzero(srv == c)[0] for c in np.unique(srv)}  # cells with users, ascending
 
     t_tx = _spread_taper(BS_ARRAY, cfg.cluster_spread_cos)
     t_rx = _spread_taper(UE_ARRAY, cfg.cluster_spread_cos)
@@ -440,21 +445,17 @@ def run_drop_detailed(cfg, seed=None):
     u_s, g_srv = _dominant_eig(drop.cov_rx)
     gain_srv = 10.0 ** (-drop.pathloss_db[act, srv] / 10.0)
 
-    # cross tables: receive pickup of every cell at each user's beam, and
-    # transmit leakage of each serving beam toward every user; rows of
+    # cross tables: receive pickup of every serving cell at each user's beam,
+    # and transmit leakage of each serving beam toward every user; rows of
     # users in outage to the cell stay zero (see the docstring)
-    w_rx = np.zeros((n_act, n_bs))
-    w_tx = [None] * n_bs
-    coupling = [None] * n_bs
-    for c in range(n_bs):
+    w_rx = np.zeros((n_act, len(drop.bs_positions)))
+    w_tx, coupling = {}, {}
+    for c, mem in members.items():
         near = np.nonzero(np.isfinite(drop.pathloss_db[act, c]))[0]
         p_near = drop.cluster_powers[near, c]
         cos_rx = drop.cluster_cos_rx[near, c]
         a_rx = _steering(UE_ARRAY, cos_rx[..., 0], cos_rx[..., 1])
         w_rx[near, c] = _quadform_sum(a_rx, u_s[near], t_rx, p_near)
-        mem = members[c]
-        if mem.size == 0:
-            continue  # the TTI loop skips cells without users
         cos_tx = drop.cluster_cos_tx[near, c]
         a_tx = _steering(BS_ARRAY, cos_tx[..., 0], cos_tx[..., 1])
         w = np.zeros((n_act, mem.size))
@@ -466,9 +467,10 @@ def run_drop_detailed(cfg, seed=None):
     y_inter = 10.0 ** (-drop.pathloss_db[act] / 10.0) * w_rx  # pathloss x beam pickup, per cell
 
     n_a = len(cfg.adc_bits)
-    # one row per ADC width, plus the resolution-blind row that feeds the
-    # PF history (alpha = 0 gives exactly the unquantized SINR)
-    alpha_rows = np.array([*(quantizer.alpha_of(b) for b in cfg.adc_bits), 0.0])[:, None]
+    # one row per ADC width; the infinite-resolution row (alpha = 0, exactly
+    # the unquantized SINR) feeds the PF history
+    alpha_rows = np.array([quantizer.alpha_of(b) for b in cfg.adc_bits])[:, None]
+    ref = cfg.adc_bits.index(math.inf)
     psd, n0 = 10.0 ** (TX_POWER_DBM / 10.0) / cfg.bw_hz, _NOISE_PSD_MW_HZ
     served_bits = np.full(n_act, 1.0)
     lin_sinr = np.zeros((n_a, n_act))
@@ -488,10 +490,7 @@ def run_drop_detailed(cfg, seed=None):
         psi = np.zeros(n_act)
         bw = np.zeros(n_act)
         i_now = np.zeros(n_act)
-        for c in range(n_bs):
-            mem = members[c]
-            if mem.size == 0:
-                continue
+        for c, mem in members.items():
             if sdma:
                 gr = schedule_sdma_greedy(served_bits, gamma_est[mem], coupling[c], mem, cfg)
                 if drop.interior_bs[c]:
@@ -514,10 +513,10 @@ def run_drop_detailed(cfg, seed=None):
         sel = np.nonzero(div)[0]
         s = sinr_quantized(gamma[sel] / div[sel], g_srv[sel], psi[sel], alpha_rows)
         r = rate_from_sinr(s, bw[sel])
-        lin_sinr[:, sel] += s[:-1]
-        rate_sum[:, sel] += r[:-1]
+        lin_sinr[:, sel] += s
+        rate_sum[:, sel] += r
         sched_cnt[sel] += 1
-        served_bits[sel] += r[-1] * TTI_S
+        served_bits[sel] += r[ref] * TTI_S
         i_lag = i_now
 
     results = []
@@ -538,11 +537,11 @@ def run_drop_detailed(cfg, seed=None):
     return DropResult(ue_results=results, beam_counts=np.array(beam_counts, dtype=int))
 
 
-def run_drops(cfg, n_drops, n_jobs=1):
+def run_drops(cfg, n_drops, seed, n_jobs=1):
     """Independent drops with spawned RNG substreams.
 
     Results are identical for any n_jobs: drop i always uses the i-th
-    child of SeedSequence(cfg.seed).
+    child of SeedSequence(seed).
     """
-    seeds = np.random.SeedSequence(cfg.seed).spawn(n_drops)
+    seeds = np.random.SeedSequence(seed).spawn(n_drops)
     return pool_map(run_drop_detailed, [(cfg, s) for s in seeds], n_jobs)

@@ -231,13 +231,11 @@ def measure_evm(n_bits, lpf_order, sigma_rf_sq=0.0, n_symbols=24, seed=0):
     return 100.0 * math.sqrt(np.mean(np.abs(err) ** 2) / np.mean(np.abs(grid) ** 2))
 
 
-def evm_prediction(alpha, sigma_rf_sq, sigma_v_sq, sig_power=1.0):
-    """Analytic EVM percent: distortion gain alpha plus noise-to-signal terms."""
+def evm_prediction(alpha, sigma_rf_sq, sigma_v_sq):
+    """Analytic EVM percent of a unit-power signal: distortion gain alpha plus noise terms."""
     if not all(0 <= v < math.inf for v in (alpha, sigma_rf_sq, sigma_v_sq)):
         raise ValueError("inputs must be nonnegative and finite")
-    if not (0 < sig_power < math.inf):
-        raise ValueError("signal power must be positive and finite")
-    return 100.0 * math.sqrt(alpha**2 + (sigma_rf_sq + sigma_v_sq) / sig_power)
+    return 100.0 * math.sqrt(alpha**2 + (sigma_rf_sq + sigma_v_sq))
 
 
 def inband_quantization_noise(n_bits, occupied_bw_hz):

@@ -336,9 +336,9 @@ def cell_runs():
     def run(scheduler, adc_bits, beams):
         cfg = network.NetworkConfig(
             adc_bits=adc_bits, n_beams_max=beams,
-            scheduler=scheduler, n_ttis=200, seed=7,
+            scheduler=scheduler, n_ttis=200,
         )
-        return network.run_drops(cfg, 20, n_jobs=1)
+        return network.run_drops(cfg, 20, 7, n_jobs=1)
 
     t0 = time.perf_counter()
     ofdma = run("OFDMA_PF", (3, 4, math.inf), 4)

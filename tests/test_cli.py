@@ -188,7 +188,9 @@ def test_out_naming_a_file_exits_one(tmp_path, capsys, below):
 
 
 @pytest.mark.parametrize("line,field", [("fixed_ues = 1000000000", "cell.fixed_ues"),
-                                        ("mean_ues = 1e9", "cell.mean_ues")])
+                                        ("mean_ues = 1e9", "cell.mean_ues"),
+                                        ("fixed_ues = 10\narea_m = 1e6", "cell.area_m"),
+                                        ("mean_ues = 0.001\narea_m = 1e5", "cell.area_m")])
 def test_oversized_drop_exits_one_before_running(tmp_path, capsys, monkeypatch, line, field):
     # a drop this large would ask numpy for gigabytes; the config check must stop it first
     monkeypatch.setattr(network, "run_drops", lambda *a, **kw: pytest.fail("the drop ran"))

@@ -23,13 +23,13 @@ class NoShadow:
 
 
 def toy_config(**kw):
-    base = dict(area_m=600.0, fixed_ue_count=40, n_ttis=4, seed=3)
+    base = dict(area_m=600.0, fixed_ue_count=40, n_ttis=4)
     base.update(kw)
     return network.NetworkConfig(**base)
 
 
 def test_hex_layout_counts():
-    drop = network.generate_layout(network.NetworkConfig())
+    drop = network.generate_layout(network.NetworkConfig(), seed=0)
     n_bs = len(drop.bs_positions)
     assert 30 <= n_bs <= 45
     assert n_bs == 42
@@ -215,8 +215,8 @@ def test_run_drop_deterministic():
 
 def test_run_drops_jobs_invariant():
     cfg = toy_config(adc_bits=(4,))
-    serial = network.run_drops(cfg, 2, n_jobs=1)
-    parallel = network.run_drops(cfg, 2, n_jobs=2)
+    serial = network.run_drops(cfg, 2, 3, n_jobs=1)
+    parallel = network.run_drops(cfg, 2, 3, n_jobs=2)
     for x, y in zip(serial, parallel):
         assert [dataclasses.astuple(r) for r in x.ue_results] == [
             dataclasses.astuple(r) for r in y.ue_results
@@ -336,6 +336,23 @@ def test_config_validation():
         network.NetworkConfig(area_m=-5.0)
     with pytest.raises(ValueError):
         network.NetworkConfig(adc_bits=(4, 4))
+
+
+def test_config_records_infinite_resolution():
+    assert network.NetworkConfig(adc_bits=(4,)).adc_bits == (4, math.inf)
+    assert network.NetworkConfig(adc_bits=(3, math.inf, 4)).adc_bits == (3, math.inf, 4)
+
+
+@pytest.mark.parametrize("scheduler", network.SCHEDULERS)
+def test_appended_reference_row_matches_listed(scheduler):
+    # the appended infinite-resolution row is the one the PF history reads,
+    # so a drop gives the same rows whether or not the caller lists it
+    rows = [
+        [dataclasses.astuple(r) for r in network.run_drop_detailed(toy_config(scheduler=scheduler, adc_bits=bits),
+                                                                   seed=3).ue_results]
+        for bits in ((3, 4), (3, 4, math.inf))
+    ]
+    assert rows[0] == rows[1]
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])

@@ -226,6 +226,4 @@ def test_evm_prediction_values():
     assert txchain.evm_prediction(0.0, 0.0, 0.0) == 0.0
     assert txchain.evm_prediction(0.01, 0.0, 0.0) == pytest.approx(1.0)
     with pytest.raises(ValueError):
-        txchain.evm_prediction(0.01, 0.0, 0.0, sig_power=0.0)
-    with pytest.raises(ValueError):
         txchain.evm_prediction(math.nan, 0.0, 0.0)
