@@ -378,6 +378,8 @@ def test_link_validate_columns_and_agreement(tmp_path):
     pytest.param("sdma-link", "[sdma]\nadc_bits = 3\nsir_db = 20:20\nsir_points = 1\ngamma0_db = 0\n"
                  "n_symbols = 3\nused_prbs = 100\n", id="sdma-link"),
     pytest.param("tx-psd", "[tx]\npsd_cases = 4:0,inf:1\nn_symbols = 2\nnperseg = 1024\n", id="tx-psd"),
+    pytest.param("aclr-sweep", "[tx]\nbits = 4,inf\nlpf_orders = 1,0\nn_symbols = 2\nnperseg = 1024\n",
+                 id="aclr-sweep"),
     pytest.param("evm-sweep", "[tx]\nevm_bits = 4,inf\nevm_lpf_order = 1\nn_symbols = 2\n"
                  "inv_sigma_rf_db = 40:40\nrf_points = 1\n", id="evm-sweep"),
 ])
@@ -510,11 +512,17 @@ def test_evm_sweep_artifacts(tmp_path):
     ("power-table", "", {
         "power_table.csv": "77bafc0f4ad391a7be79116acce95a8b34a04a2e00155f83fcbfaa465237b053",
     }),
+    ("tx-psd", "[tx]\npsd_cases = 4:0,4:1,inf:0\nn_symbols = 2\nnperseg = 1024\n", {
+        "tx_psd_n4_o0.csv": "c091654c8b5dc691d71ba0fa5c05846dc04cf7941fa6a8c92ce7c49d85132fba",
+        "tx_psd_n4_o1.csv": "61dfead7a239c2546e14694937c034bc82009e263949c8556535bbcb46c4a0c0",
+        "tx_psd_ninf_o0.csv": "599f23c6b91bdcb5f7e751e2f2f5a29c50670f8d00b39a75d794cd3079f38dc9",
+    }),
 ])
 def test_waveform_csvs_bit_identical(tmp_path, preset, config, digests):
     # digests recorded before the FIR helpers and the infinite-resolution
-    # paths were folded together; each waveform config includes an inf
-    # width, and power-table runs at defaults
+    # paths were folded together, and the tx-psd row (two cases of one
+    # width) before the PSD jobs were grouped by width; each waveform
+    # config includes an inf width, and power-table runs at defaults
     cfg = tmp_path / "c.ini"
     cfg.write_text(config)
     out = tmp_path / "out"
