@@ -468,14 +468,13 @@ def _run_sdma_link(ctx):
     all_bits = tuple(bits) + ((math.inf,) if math.inf not in bits else ())
 
     for gamma0 in ctx.cfg[("sdma", "gamma0_db")]:
-        args = []
-        for n_adc in all_bits:
-            for i, s in enumerate(sirs):
-                args.append((s, float(gamma0), n_adc, num, n_sym, ctx.seed + i))
+        # one job per SIR point; it measures every width on the same received signal
+        g = float(gamma0)
+        args = [(s, g, all_bits, num, n_sym, ctx.seed + i) for i, s in enumerate(sirs)]
         results = parallel.pool_map(ofdm.run_sdma_link_trial, args, ctx.jobs)
         rows = [
-            (s, n_adc, math.inf, prbs, meas, ofdm.predict_sdma_sinr_db(s, g, n_adc, num))
-            for (s, g, n_adc, *_), meas in zip(args, results)
+            (s, n_adc, math.inf, prbs, meas[j], ofdm.predict_sdma_sinr_db(s, g, n_adc, num))
+            for j, n_adc in enumerate(all_bits) for s, meas in zip(sirs, results)
         ]
         name = f"sdma_link_g{gamma0:g}.csv"
         _write_csv(ctx, name,
@@ -639,18 +638,32 @@ axes[1].set_xscale("log")
 
 # ---------------------------------------------------------------- tx
 
-def _psd_job(bits, order, prbs, n_sym, nperseg, seed):
-    """Welch PSD of one DAC-chain output, and the output's power."""
+def _psd_job(bits, orders, prbs, n_sym, nperseg, seed):
+    """[(Welch PSD, output power)] of one DAC width's chain output, one per filter order.
+
+    The unfiltered block is built once; each order filters it anew.
+    """
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    _, out = txchain.transmit(bits, order, ofdm.OfdmNumerology(used_prbs=prbs), "QPSK", n_sym, rng)
-    return txchain.estimate_psd(out, nperseg), np.var(out.samples)
+    _, block = txchain.transmit(bits, 0, ofdm.OfdmNumerology(used_prbs=prbs), "QPSK", n_sym, rng)
+    results = []
+    for i, order in enumerate(orders):
+        out = txchain.apply_reconstruction_lpf(block, order)
+        if i == len(orders) - 1:
+            del block  # the last Welch call of this width runs without the unfiltered copy
+        results.append((txchain.estimate_psd(out, nperseg), np.var(out.samples)))
+    return results
 
 
 def _psd_sweep(ctx, cases):
-    """(bits, order, Welch PSD, block power) of the tx chain at each (bits, order) case."""
+    """(bits, order, Welch PSD, block power) of the tx chain at each (bits, order) case, in case order."""
     tx = [ctx.cfg[("tx", k)] for k in ("used_prbs", "n_symbols", "nperseg")]
-    results = parallel.pool_map(_psd_job, [(b, o, *tx, ctx.seed) for b, o in cases], ctx.jobs)
-    return [(b, o, *r) for (b, o), r in zip(cases, results)]
+    orders = {}  # one pool job per width, over the orders its cases ask for
+    for b, o in cases:
+        orders.setdefault(b, []).append(o)
+    results = parallel.pool_map(_psd_job, [(b, width_orders, *tx, ctx.seed)
+                                           for b, width_orders in orders.items()], ctx.jobs)
+    by_width = {b: iter(r) for b, r in zip(orders, results)}
+    return [(b, o, *next(by_width[b])) for b, o in cases]
 
 
 def _run_tx_psd(ctx):
@@ -718,16 +731,15 @@ def _run_evm_sweep(ctx):
     order = ctx.cfg[("tx", "evm_lpf_order")]
     n_sym = ctx.cfg[("tx", "n_symbols")]
     points = [float(x) for x in _grid(ctx.cfg[("tx", "inv_sigma_rf_db")], ctx.cfg[("tx", "rf_points")])]
-    swept = [(b, x) for b in bits for x in points]
-    # the last len(bits) jobs measure each width's floor, without RF noise
-    args = [(b, order, 10.0 ** (-x / 10.0), n_sym, ctx.seed) for b, x in swept]
-    args += [(b, order, 0.0, n_sym, ctx.seed) for b in bits]
+    # one job per width; its last entry is the width's floor, without RF noise
+    noise = [10.0 ** (-x / 10.0) for x in points] + [0.0]
+    args = [(b, order, noise, n_sym, ctx.seed) for b in bits]
     results = parallel.pool_map(txchain.measure_evm, args, ctx.jobs)
-    rows = [(b, x, evm) for (b, x), evm in zip(swept, results)]
+    rows = [(b, x, evm) for b, evms in zip(bits, results) for x, evm in zip(points, evms)]
     _write_csv(ctx, "evm_sweep.csv", ("n_bits", "inv_sigma_rf_db", "evm_pct"), rows)
 
     floor_rows = []
-    for b, measured in zip(bits, results[len(swept):]):
+    for b, (*_, measured) in zip(bits, results):
         sig_v2 = txchain.inband_quantization_noise(b, txchain.EVM_NUMEROLOGY.occupied_bw_hz)
         predicted = txchain.evm_prediction(quantizer.alpha_of(b), 0.0, sig_v2)
         floor_rows.append((b, measured, predicted))

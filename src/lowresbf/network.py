@@ -88,8 +88,10 @@ OUTAGE_DECAY_M = 30.0
 OUTAGE_MARGIN = 5.2
 LOS_DECAY_M = 67.1
 _NOISE_PSD_MW_HZ = 10.0 ** ((-174.0 + NOISE_FIGURE_DB) / 10.0)
-# most users a drop may expect: run_drop_detailed's cross tables hold n x n float64
-# entries for n users, 4096^2 x 8 B = 128 MiB (a default drop: 42 cells, about 420 users)
+# most users a drop may expect: the heaviest per-user arrays are the (64, 64) complex
+# serving covariances, 64 KiB per user, with same-size temporaries in
+# covariance_from_clusters and _dominant_eig; a 1445-user drop peaked at 450 MB RSS
+# (a default drop: 42 cells, about 420 users, 175 MB)
 MAX_UES_PER_DROP = 4096
 # most user-cell links (users x _max_cells) a drop may expect: generate_layout holds
 # per-link arrays and k_max-deep cluster arrays; at this bound 10 users over 26k sites

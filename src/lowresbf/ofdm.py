@@ -153,11 +153,12 @@ def _frac_delay(x, tau):
 
 
 def fir_circular(x, h):
-    """Odd-length FIR h applied circularly to x, group delay removed.
+    """Odd-length FIR h applied circularly along the last axis of x, group delay removed.
 
-    Circular application preserves the cyclic structure of the signal.
+    Circular application preserves the cyclic structure of the signal;
+    each row of a 2-D x is filtered on its own, with one response.
     """
-    return np.fft.ifft(np.fft.fft(x) * fir_zero_phase_response(h, x.size))
+    return np.fft.ifft(np.fft.fft(x) * fir_zero_phase_response(h, np.shape(x)[-1]))
 
 
 def fir_zero_phase_response(h, n):
@@ -190,9 +191,11 @@ def _check_db(name, value, allow_inf=False):
                          f"got {value!r}")
 
 
-def _run_chain(db, scale, psi, n_adc, n_dac, num, n_symbols, seed):
+def _run_chain(db, scale, psi, adc_bits, n_dac, num, n_symbols, seed):
     # db sets the noise power sig_pow * scale * 10^(-db/10); psi is the
-    # interferer's power relative to the signal, 0 for none
+    # interferer's power relative to the signal, 0 for none.  Everything
+    # before the ADC is built once; one post-equalization SINR per width
+    # in adc_bits
     if isinstance(n_symbols, bool) or not isinstance(n_symbols, int) or n_symbols < 3:
         raise ValueError(f"n_symbols must be an integer of at least 3 "
                          f"(2 pilot symbols plus 1 data symbol), got {n_symbols!r}")
@@ -213,16 +216,14 @@ def _run_chain(db, scale, psi, n_adc, n_dac, num, n_symbols, seed):
 
     y = ComplexSampleBlock(x + noise, CHIP_RATE_HZ)
     y = agc_normalize(y)
-    y = quantizer.quantize(y, n_adc)
     # band-edge FIR, applied circularly so the equalizer sees cyclic
-    # symbols; the genie reference is the same filter on the FFT bin grid
+    # symbols, to every width's row at once; the genie reference is the
+    # same filter on the FFT bin grid
     h = firwin(129, num.occupied_bw_hz / 2, fs=CHIP_RATE_HZ)
-    filtered = fir_circular(y.samples, h)
-    rx = ofdm_demodulate(ComplexSampleBlock(filtered, CHIP_RATE_HZ), num)
-
+    filtered = fir_circular(np.stack([quantizer.quantize(y, n_adc).samples for n_adc in adc_bits]), h)
     timing = np.exp(-2j * np.pi * num.signed_bins * RX_TIMING_OFFSET / FFT_SIZE)
     ref = fir_zero_phase_response(h, FFT_SIZE)[num.signed_bins % FFT_SIZE] * timing
-    return _equalize(rx, grid, ref)
+    return [_equalize(ofdm_demodulate(ComplexSampleBlock(f, CHIP_RATE_HZ), num), grid, ref) for f in filtered]
 
 
 def run_link_trial(snr_db, n_adc, n_dac, num, n_symbols=24, seed=0):
@@ -232,21 +233,23 @@ def run_link_trial(snr_db, n_adc, n_dac, num, n_symbols=24, seed=0):
     n_dac bits and the receive side to n_adc bits.
     """
     _check_db("snr_db", snr_db)
-    return _run_chain(snr_db, 1.0, 0.0, n_adc, n_dac, num, n_symbols, seed)
+    return _run_chain(snr_db, 1.0, 0.0, (n_adc,), n_dac, num, n_symbols, seed)[0]
 
 
-def run_sdma_link_trial(sir_db, gamma0_db, n_adc, num, n_symbols=24, seed=0):
-    """Post-equalization SINR with an in-band interfering stream.
+def run_sdma_link_trial(sir_db, gamma0_db, adc_bits, num, n_symbols=24, seed=0):
+    """Post-equalization SINR in dB with an in-band interfering stream, one per ADC width.
 
     The interferer is an independent grid of the same numerology at
     relative power 10^(-sir_db/10); sir_db = inf removes it.  gamma0_db
     sets the per-subcarrier SNR floor: the full-band noise is stronger
     by the oversampling ratio.  The transmit side is unquantized, so
-    only the n_adc-bit receive quantizer distorts.
+    only the receive quantizer distorts, and every width in adc_bits
+    sees the same signal, interferer and noise: entry i equals a call
+    with adc_bits=(adc_bits[i],).
     """
     _check_db("sir_db", sir_db, allow_inf=True)
     _check_db("gamma0_db", gamma0_db)
-    return _run_chain(gamma0_db, num.osr, 10.0 ** (-sir_db / 10.0), n_adc, math.inf, num, n_symbols, seed)
+    return _run_chain(gamma0_db, num.osr, 10.0 ** (-sir_db / 10.0), adc_bits, math.inf, num, n_symbols, seed)
 
 
 def predict_link_snr_db(snr_db, n_adc, num):

@@ -191,27 +191,29 @@ def _chain_bin_response(lpf_order, k_signed):
     return h_int * zoh * lpf / (INTERP_M * ZOH_OVERSAMPLE)
 
 
-def measure_evm(n_bits, lpf_order, sigma_rf_sq=0.0, n_symbols=24, seed=0):
-    """Error vector magnitude in percent through the full converter chain.
+def measure_evm(n_bits, lpf_order, sigma_rf_sq=(0.0,), n_symbols=24, seed=0):
+    """Error vector magnitude in percent through the full converter chain, one per noise power.
 
     A fully occupied OFDM frame runs through dac_convert at n_bits and
     the order-lpf_order reconstruction filter; white noise of per-subcarrier power
-    sigma_rf_sq models the remaining RF impairments.  Demodulation uses
-    the known chain response per subcarrier with no per-frame fitting,
-    so the correlated part of the quantization error is counted, as the
-    analytic model requires.
+    sigma_rf_sq[i] models the remaining RF impairments of entry i.  The
+    frame, and the unit noise a lone call draws after it, are built once;
+    each entry scales that noise, so entry i equals a call with
+    sigma_rf_sq=(sigma_rf_sq[i],).  Demodulation uses the known chain
+    response per subcarrier with no per-frame fitting, so the correlated
+    part of the quantization error is counted, as the analytic model
+    requires.
     """
     _check_order(lpf_order)
     quantizer._check_bits(n_bits)
-    if not (0 <= sigma_rf_sq < math.inf):
-        raise ValueError(f"noise power must be nonnegative and finite, got {sigma_rf_sq!r}")
+    for s in sigma_rf_sq:
+        if not (0 <= s < math.inf):
+            raise ValueError(f"noise power must be nonnegative and finite, got {s!r}")
     num = EVM_NUMEROLOGY
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     grid, z = transmit(n_bits, lpf_order, num, EVM_MODULATION, n_symbols, rng)
-    x = z.samples
-    if sigma_rf_sq > 0:
-        var = sigma_rf_sq * INTERP_M * ZOH_OVERSAMPLE * num.osr  # unit per-subcarrier pickup
-        x = x + math.sqrt(var / 2.0) * (rng.standard_normal(x.size) + 1j * rng.standard_normal(x.size))
+    if any(s > 0 for s in sigma_rf_sq):
+        unit = rng.standard_normal(z.samples.size) + 1j * rng.standard_normal(z.samples.size)
 
     L = ZOH_OVERSAMPLE
     n_an = FFT_SIZE * INTERP_M * L
@@ -221,14 +223,21 @@ def measure_evm(n_bits, lpf_order, sigma_rf_sq=0.0, n_symbols=24, seed=0):
     # reference below
     guard = (INTERP_TAPS - 1) // 2
     start = (CP_LEN * INTERP_M - guard) * L
-    sym = x.reshape(n_symbols, SYMBOL_SAMPLES)[:, start:start + n_an]
-    spec = np.fft.fft(sym, axis=1) * (math.sqrt(num.n_subcarriers) / n_an)
-    rx = spec[:, num.signed_bins % n_an]
-
     ref = _chain_bin_response(lpf_order, num.signed_bins)
     ref = ref * np.exp(-2j * np.pi * num.signed_bins * (guard * L) / n_an)
-    err = rx / ref[None, :] - grid
-    return 100.0 * math.sqrt(np.mean(np.abs(err) ** 2) / np.mean(np.abs(grid) ** 2))
+
+    evms = []
+    for s in sigma_rf_sq:
+        x = z.samples
+        if s > 0:
+            var = s * INTERP_M * ZOH_OVERSAMPLE * num.osr  # unit per-subcarrier pickup
+            x = x + math.sqrt(var / 2.0) * unit
+        sym = x.reshape(n_symbols, SYMBOL_SAMPLES)[:, start:start + n_an]
+        spec = np.fft.fft(sym, axis=1) * (math.sqrt(num.n_subcarriers) / n_an)
+        rx = spec[:, num.signed_bins % n_an]
+        err = rx / ref[None, :] - grid
+        evms.append(100.0 * math.sqrt(np.mean(np.abs(err) ** 2) / np.mean(np.abs(grid) ** 2)))
+    return evms
 
 
 def evm_prediction(alpha, sigma_rf_sq, sigma_v_sq):

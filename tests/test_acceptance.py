@@ -231,11 +231,12 @@ def sdma_measurements():
     sirs = (0.0, 10.0, 20.0, 30.0, math.inf)
     meas = {}
     t0 = time.perf_counter()
+    widths = (3, 4, math.inf)
     for gamma0 in (0.0, 15.0):
-        for n_adc in (3, 4, math.inf):
-            for i, s in enumerate(sirs):
-                meas[(gamma0, n_adc, s)] = ofdm.run_sdma_link_trial(
-                    s, gamma0, n_adc, NUM_200, n_symbols=24, seed=i)
+        for i, s in enumerate(sirs):
+            per_width = ofdm.run_sdma_link_trial(s, gamma0, widths, NUM_200, n_symbols=24, seed=i)
+            for n_adc, m in zip(widths, per_width):
+                meas[(gamma0, n_adc, s)] = m
     return meas, time.perf_counter() - t0
 
 
@@ -307,7 +308,7 @@ def test_evm_floor_matches_prediction():
     num = ofdm.OfdmNumerology(used_prbs=275)
     report = []
     for n_bits in (3, 4, 5, 6):
-        measured = txchain.measure_evm(n_bits, 1, sigma_rf_sq=0.0, n_symbols=8, seed=0)
+        measured, = txchain.measure_evm(n_bits, 1, sigma_rf_sq=(0.0,), n_symbols=8, seed=0)
         alpha = quantizer.alpha_of(n_bits)
         sig_v2 = txchain.inband_quantization_noise(n_bits, num.occupied_bw_hz)
         predicted = txchain.evm_prediction(alpha, 0.0, sig_v2)
@@ -321,7 +322,7 @@ def test_evm_resolution_thresholds():
     # 1/sigma_RF^2 = 40 dB: residual RF error variance 1e-4
     vals = {}
     for n_bits in (4, 5, 6):
-        vals[n_bits] = txchain.measure_evm(n_bits, 1, sigma_rf_sq=1e-4, n_symbols=8, seed=0)
+        vals[n_bits], = txchain.measure_evm(n_bits, 1, sigma_rf_sq=(1e-4,), n_symbols=8, seed=0)
     assert vals[4] < 8.0, f"4-bit EVM {vals[4]:.3f}% misses the 8% threshold"
     assert vals[6] < 3.5, f"6-bit EVM {vals[6]:.3f}% misses the 3.5% threshold"
     assert vals[5] >= 3.5, f"5-bit EVM {vals[5]:.3f}% unexpectedly meets the 3.5% threshold"

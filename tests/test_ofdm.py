@@ -134,20 +134,20 @@ LINK, SDMA = ofdm.run_link_trial, ofdm.run_sdma_link_trial
     pytest.param(LINK, (0.0, 4, 4, NUM_10, 2), "n_symbols", id="link-n_symbols-2"),
     pytest.param(LINK, (10.0, 4, 6, NUM_10, 3.5), "n_symbols", id="link-n_symbols-3.5"),
     pytest.param(LINK, (10.0, 4, 6, NUM_10, True), "n_symbols", id="link-n_symbols-True"),
-    pytest.param(SDMA, (20.0, 0.0, 3, NUM_10, 2), "n_symbols", id="sdma-n_symbols-2"),
+    pytest.param(SDMA, (20.0, 0.0, (3,), NUM_10, 2), "n_symbols", id="sdma-n_symbols-2"),
     pytest.param(LINK, (math.nan, 4, 6, NUM_10, 3), "snr_db", id="link-snr_db-nan"),
     pytest.param(LINK, (math.inf, 4, 6, NUM_10, 3), "snr_db", id="link-snr_db-inf"),
-    pytest.param(SDMA, (20.0, math.nan, 3, NUM_10, 3), "gamma0_db", id="sdma-gamma0_db-nan"),
-    pytest.param(SDMA, (20.0, -math.inf, 3, NUM_10, 3), "gamma0_db", id="sdma-gamma0_db--inf"),
-    pytest.param(SDMA, (math.nan, 0.0, 3, NUM_10, 3), "sir_db", id="sdma-sir_db-nan"),
-    pytest.param(SDMA, (-math.inf, 0.0, 3, NUM_10, 3), "sir_db", id="sdma-sir_db--inf"),
-    pytest.param(SDMA, (True, 0.0, 3, NUM_10, 3), "sir_db", id="sdma-sir_db-True"),
+    pytest.param(SDMA, (20.0, math.nan, (3,), NUM_10, 3), "gamma0_db", id="sdma-gamma0_db-nan"),
+    pytest.param(SDMA, (20.0, -math.inf, (3,), NUM_10, 3), "gamma0_db", id="sdma-gamma0_db--inf"),
+    pytest.param(SDMA, (math.nan, 0.0, (3,), NUM_10, 3), "sir_db", id="sdma-sir_db-nan"),
+    pytest.param(SDMA, (-math.inf, 0.0, (3,), NUM_10, 3), "sir_db", id="sdma-sir_db--inf"),
+    pytest.param(SDMA, (True, 0.0, (3,), NUM_10, 3), "sir_db", id="sdma-sir_db-True"),
     pytest.param(LINK, (-4000.0, 4, 6, NUM_10, 3), "snr_db", id="link-snr_db--4000"),
     pytest.param(LINK, (4000.0, 4, 6, NUM_10, 3), "snr_db", id="link-snr_db-4000"),
-    pytest.param(SDMA, (20.0, -4000.0, 3, NUM_10, 3), "gamma0_db", id="sdma-gamma0_db--4000"),
-    pytest.param(SDMA, (20.0, 4000.0, 3, NUM_10, 3), "gamma0_db", id="sdma-gamma0_db-4000"),
-    pytest.param(SDMA, (-4000.0, 0.0, 3, NUM_10, 3), "sir_db", id="sdma-sir_db--4000"),
-    pytest.param(SDMA, (4000.0, 0.0, 3, NUM_10, 3), "sir_db", id="sdma-sir_db-4000"),
+    pytest.param(SDMA, (20.0, -4000.0, (3,), NUM_10, 3), "gamma0_db", id="sdma-gamma0_db--4000"),
+    pytest.param(SDMA, (20.0, 4000.0, (3,), NUM_10, 3), "gamma0_db", id="sdma-gamma0_db-4000"),
+    pytest.param(SDMA, (-4000.0, 0.0, (3,), NUM_10, 3), "sir_db", id="sdma-sir_db--4000"),
+    pytest.param(SDMA, (4000.0, 0.0, (3,), NUM_10, 3), "sir_db", id="sdma-sir_db-4000"),
     pytest.param(ofdm.predict_link_snr_db, (math.nan, 4, NUM_10), "snr_db", id="predict-snr_db-nan"),
     pytest.param(ofdm.predict_link_snr_db, (math.inf, 4, NUM_10), "snr_db", id="predict-snr_db-inf"),
     pytest.param(ofdm.predict_link_snr_db, (-4000.0, 4, NUM_10), "snr_db", id="predict-snr_db--4000"),
@@ -189,13 +189,21 @@ def test_sdma_trial_reduces_to_link_trial():
     # noise power that snr_db = gamma0 - OSR would, so the chains agree.
     num = ofdm.OfdmNumerology(used_prbs=200)
     osr_db = ofdm.osr_gain_db(ofdm.FFT_SIZE, num.n_subcarriers)
-    sdma = ofdm.run_sdma_link_trial(math.inf, 12.0, math.inf, num, 6, 9)
+    sdma, = ofdm.run_sdma_link_trial(math.inf, 12.0, (math.inf,), num, 6, 9)
     plain = ofdm.run_link_trial(12.0 - osr_db, math.inf, math.inf, num, 6, 9)
     assert sdma == pytest.approx(plain, abs=1e-6)
 
 
 def test_sdma_low_noise_floor_small_quantization_loss():
     num = ofdm.OfdmNumerology(used_prbs=200)
-    coarse = ofdm.run_sdma_link_trial(10.0, 0.0, 3, num, n_symbols=8, seed=1)
-    fine = ofdm.run_sdma_link_trial(10.0, 0.0, math.inf, num, n_symbols=8, seed=1)
+    coarse, fine = ofdm.run_sdma_link_trial(10.0, 0.0, (3, math.inf), num, n_symbols=8, seed=1)
     assert fine - coarse < 0.5
+
+
+def test_sdma_widths_equal_one_width_calls():
+    # every width quantizes the same received signal; the transmit side,
+    # the noise and the band-edge FIR response are built once per call
+    num = ofdm.OfdmNumerology(used_prbs=200)
+    widths = (3, 4, math.inf)
+    lone = [ofdm.run_sdma_link_trial(10.0, 0.0, (b,), num, 8, 1)[0] for b in widths]
+    assert ofdm.run_sdma_link_trial(10.0, 0.0, widths, num, 8, 1) == lone

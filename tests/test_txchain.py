@@ -197,11 +197,12 @@ def test_aclr_monotone_in_bits_and_order():
 
 def test_clean_loopback_evm():
     for order in (0, 1, 2, 3):
-        assert txchain.measure_evm(math.inf, order, n_symbols=4) < 0.1
+        evm, = txchain.measure_evm(math.inf, order, n_symbols=4)
+        assert evm < 0.1
 
 
 def test_evm_floor_matches_prediction():
-    measured = txchain.measure_evm(4, 1, sigma_rf_sq=0.0, n_symbols=8)
+    measured, = txchain.measure_evm(4, 1, sigma_rf_sq=(0.0,), n_symbols=8)
     a = quantizer.alpha_of(4)
     sig_v2 = txchain.inband_quantization_noise(4, 275 * 12 * 120e3)
     predicted = txchain.evm_prediction(a, 0.0, sig_v2)
@@ -210,16 +211,24 @@ def test_evm_floor_matches_prediction():
 
 def test_evm_monotonicity():
     floors = [
-        txchain.measure_evm(b, 1, n_symbols=4)
+        txchain.measure_evm(b, 1, n_symbols=4)[0]
         for b in (3, 4, 5)
     ]
     assert floors[0] > floors[1] > floors[2]
-    quiet = txchain.measure_evm(4, 1, sigma_rf_sq=1e-4, n_symbols=4)
-    loud = txchain.measure_evm(4, 1, sigma_rf_sq=1e-2, n_symbols=4)
+    quiet, loud = txchain.measure_evm(4, 1, sigma_rf_sq=(1e-4, 1e-2), n_symbols=4)
     assert loud > quiet
     for bad in (-0.1, math.nan, math.inf):
-        with pytest.raises(ValueError):
-            txchain.measure_evm(4, 1, sigma_rf_sq=bad)
+        for noise in ((bad,), (1e-4, bad), (bad, 0.0)):
+            with pytest.raises(ValueError, match="noise power"):
+                txchain.measure_evm(4, 1, sigma_rf_sq=noise)
+
+
+def test_evm_noise_sequence_equals_lone_calls():
+    # the frame is built once per call and every entry redraws its noise
+    # from the rng state saved after the grid draw
+    noise = [1e-2, 1e-4, 0.0]
+    lone = [txchain.measure_evm(4, 1, (s,), n_symbols=4)[0] for s in noise]
+    assert txchain.measure_evm(4, 1, noise, n_symbols=4) == lone
 
 
 def test_evm_prediction_values():
