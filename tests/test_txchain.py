@@ -224,8 +224,8 @@ def test_evm_monotonicity():
 
 
 def test_evm_noise_sequence_equals_lone_calls():
-    # the frame is built once per call and every entry redraws its noise
-    # from the rng state saved after the grid draw
+    # the frame and its unit noise are built once per call; every entry
+    # scales the noise a lone call would draw after the grid
     noise = [1e-2, 1e-4, 0.0]
     lone = [txchain.measure_evm(4, 1, (s,), n_symbols=4)[0] for s in noise]
     assert txchain.measure_evm(4, 1, noise, n_symbols=4) == lone
