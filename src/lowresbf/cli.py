@@ -668,10 +668,9 @@ def _psd_sweep(ctx, cases):
 
 def _run_tx_psd(ctx):
     names = []
-    for bits, order, report, block_var in _psd_sweep(ctx, ctx.cfg[("tx", "psd_cases")]):
+    for bits, order, (freqs, psd), block_var in _psd_sweep(ctx, ctx.cfg[("tx", "psd_cases")]):
         name = f"tx_psd_n{_fmt(bits)}_o{order}.csv"
         names.append(name)
-        freqs, psd = report.freqs_hz, report.psd_dbm_per_hz
         _write_csv(ctx, name, ("freq_offset_hz", "psd_db"), list(zip(freqs, psd)),
                    notes=("unit-power baseband; PSD is relative (dBc/Hz)",))
         total = np.trapezoid(10.0 ** (psd / 10.0), freqs)
@@ -696,9 +695,9 @@ def _run_aclr_sweep(ctx):
     orders = [int(o) for o in ctx.cfg[("tx", "lpf_orders")]]
     rows = []
     table = {}
-    for b, o, report, _var in _psd_sweep(ctx, [(b, o) for b in bits for o in orders]):
+    for b, o, psd, _var in _psd_sweep(ctx, [(b, o) for b in bits for o in orders]):
         for idx in (-2, -1, 1, 2):
-            table[(b, o, idx)] = txchain.measure_aclr(report, idx)
+            table[(b, o, idx)] = txchain.measure_aclr(psd, idx)
             rows.append((b, o, idx, table[(b, o, idx)], ACLR_LIMIT_BS_DB, ACLR_LIMIT_UE_DB))
     _write_csv(ctx, "aclr_sweep.csv",
                ("n_bits", "lpf_order", "adj_index", "aclr_db", "limit_bs_db", "limit_ue_db"), rows)

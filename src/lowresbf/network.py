@@ -87,6 +87,7 @@ NLOS_SHADOW_DB = 8.7
 OUTAGE_DECAY_M = 30.0
 OUTAGE_MARGIN = 5.2
 LOS_DECAY_M = 67.1
+_TX_POWER_MW = 10.0 ** (TX_POWER_DBM / 10.0)
 _NOISE_PSD_MW_HZ = 10.0 ** ((-174.0 + NOISE_FIGURE_DB) / 10.0)
 # most users a drop may expect: the heaviest per-user arrays are the (64, 64) complex
 # serving covariances, 64 KiB per user, with same-size temporaries in
@@ -337,8 +338,6 @@ def schedule_sdma_greedy(served_bits, gamma_est, coupling, member_ids, cfg):
     local indices into member_ids.
     """
     mem = np.asarray(member_ids, dtype=int)
-    if mem.size == 0:
-        return np.zeros(0, dtype=int)
     weights = _rate(gamma_est) / served_bits[mem]
 
     def sum_rates(grp):
@@ -424,87 +423,81 @@ def _quadform_sum(a, beam, taper, powers):
     return (powers * q).sum(-1)
 
 
-def run_drop_detailed(cfg, seed):
-    """One placement simulated for cfg.n_ttis TTIs; keeps beam usage.
+def _cross_tables(drop, members, v_s, e_srv, u_s, cfg):
+    """Cross-cell tables, dicts keyed by serving cell in members order: (y_inter, w_tx, coupling).
 
-    The cross-cell tables are evaluated only for users whose link to the
-    cell is not in outage; outage rows stay zero.  This is exact: every
-    table entry reaches the SINR only through a product with the link's
-    gain 10^(-PL/10), and an outage link has PL = inf and thus gain 0.0,
-    so a zero entry and a computed finite one both contribute exactly 0.
-    Each kept row is computed by the same operations as in a dense
-    table, so the results do not depend on how many rows are skipped.
+    y_inter[c] is cell c's pathloss-weighted pickup at every active
+    user's beam, w_tx[c][k, j] the leakage of c's j-th member beam toward
+    user k, and coupling[c] that leakage among c's members over the
+    serving beam gain.  Rows of users in outage to c stay zero.  This is
+    exact: every entry reaches the SINR only through a product with the
+    link's gain 10^(-PL/10), which is 0.0 in outage (PL = inf), so a zero
+    entry and a computed finite one both contribute exactly 0.  Each kept
+    row is computed as in a dense table, so the results do not depend on
+    how many rows are skipped.
     """
-    drop = generate_layout(cfg, seed)
-    act = drop.active_ue
-    n_act = len(act)
-    srv = drop.association[act]
-    members = {c: np.nonzero(srv == c)[0] for c in np.unique(srv)}  # cells with users, ascending
-
+    n_act = len(drop.active_ue)
     t_tx = _spread_taper(BS_ARRAY, cfg.cluster_spread_cos)
     t_rx = _spread_taper(UE_ARRAY, cfg.cluster_spread_cos)
-    v_s, e_srv = _dominant_eig(drop.cov_tx)
-    u_s, g_srv = _dominant_eig(drop.cov_rx)
-    gain_srv = 10.0 ** (-drop.pathloss_db[act, srv] / 10.0)
-
-    # cross tables: receive pickup of every serving cell at each user's beam,
-    # and transmit leakage of each serving beam toward every user; rows of
-    # users in outage to the cell stay zero (see the docstring)
-    w_rx = np.zeros((n_act, len(drop.bs_positions)))
-    w_tx, coupling = {}, {}
+    y_inter, w_tx, coupling = {}, {}, {}
     for c, mem in members.items():
-        near = np.nonzero(np.isfinite(drop.pathloss_db[act, c]))[0]
+        pl_c = drop.pathloss_db[drop.active_ue, c]
+        near = np.nonzero(np.isfinite(pl_c))[0]
         p_near = drop.cluster_powers[near, c]
         cos_rx = drop.cluster_cos_rx[near, c]
         a_rx = _steering(UE_ARRAY, cos_rx[..., 0], cos_rx[..., 1])
-        w_rx[near, c] = _quadform_sum(a_rx, u_s[near], t_rx, p_near)
+        w_rx_c = np.zeros(n_act)
+        w_rx_c[near] = _quadform_sum(a_rx, u_s[near], t_rx, p_near)
+        y_inter[c] = 10.0 ** (-pl_c / 10.0) * w_rx_c
         cos_tx = drop.cluster_cos_tx[near, c]
         a_tx = _steering(BS_ARRAY, cos_tx[..., 0], cos_tx[..., 1])
-        w = np.zeros((n_act, mem.size))
+        w = w_tx[c] = np.zeros((n_act, mem.size))
         for j, m in enumerate(mem):
             w[near, j] = _quadform_sum(a_tx, v_s[m], t_tx, p_near)
-        w_tx[c] = w
         coupling[c] = (w[mem] / e_srv[mem][:, None]).T.copy()  # [beam j, user k]
+    return y_inter, w_tx, coupling
 
-    y_inter = 10.0 ** (-drop.pathloss_db[act] / 10.0) * w_rx  # pathloss x beam pickup, per cell
 
-    n_a = len(cfg.adc_bits)
+def _tti_loop(cfg, interior_bs, members, signal, g_srv, y_inter, w_tx, coupling):
+    """Schedule cfg.n_ttis TTIs: (lin_sinr, rate_sum, sched_cnt, beam_counts).
+
+    lin_sinr and rate_sum sum each active user's scheduled SINR and rate,
+    one row per width of cfg.adc_bits; sched_cnt counts each user's
+    scheduled TTIs, and beam_counts the group size of every SDMA instance
+    in an interior cell.  Interference is summed over cells in ascending order.
+    """
+    n_act = len(signal)
     # one row per ADC width; the infinite-resolution row (alpha = 0, exactly
     # the unquantized SINR) feeds the PF history
     alpha_rows = np.array([quantizer.alpha_of(b) for b in cfg.adc_bits])[:, None]
     ref = cfg.adc_bits.index(math.inf)
-    psd, n0 = 10.0 ** (TX_POWER_DBM / 10.0) / cfg.bw_hz, _NOISE_PSD_MW_HZ
+    psd, n0 = _TX_POWER_MW / cfg.bw_hz, _NOISE_PSD_MW_HZ
     served_bits = np.full(n_act, 1.0)
-    lin_sinr = np.zeros((n_a, n_act))
+    lin_sinr, rate_sum = np.zeros((2, len(cfg.adc_bits), n_act))
     sched_cnt = np.zeros(n_act)
-    rate_sum = np.zeros((n_a, n_act))
     beam_counts = []
     i_lag = np.zeros(n_act)
     sdma = cfg.scheduler == "SDMA_GREEDY"
-    signal = psd * gain_srv * e_srv * g_srv  # serving-link received power, TTI-invariant
 
     for _ in range(cfg.n_ttis):
         gamma_est = signal / (n0 + i_lag)
         se_est = _rate(gamma_est)
         # per scheduled user: power divisor (group size), leakage ratio psi
         # and bandwidth; div = 0 marks a user not scheduled this TTI
-        div = np.zeros(n_act)
-        psi = np.zeros(n_act)
-        bw = np.zeros(n_act)
-        i_now = np.zeros(n_act)
+        div, psi, bw, i_now = np.zeros((4, n_act))
         for c, mem in members.items():
             if sdma:
                 gr = schedule_sdma_greedy(served_bits, gamma_est[mem], coupling[c], mem, cfg)
-                if drop.interior_bs[c]:
+                if interior_bs[c]:
                     beam_counts.append(len(gr))
-                contrib = (psd / len(gr)) * y_inter[:, c] * w_tx[c][:, gr].sum(1)
+                contrib = (psd / len(gr)) * y_inter[c] * w_tx[c][:, gr].sum(1)
                 sub = coupling[c][np.ix_(gr, gr)]
                 div[mem[gr]] = len(gr)
                 psi[mem[gr]] = sub.sum(0) - np.diag(sub)
                 bw[mem[gr]] = cfg.bw_hz
             else:
                 shares = schedule_ofdma_pf(served_bits, se_est[mem], mem, cfg.bw_hz)
-                contrib = psd * y_inter[:, c] * (w_tx[c] @ (shares / cfg.bw_hz))
+                contrib = psd * y_inter[c] * (w_tx[c] @ (shares / cfg.bw_hz))
                 div[mem] = 1.0
                 bw[mem] = shares
             # this cell's beams interfere at every user it does not serve
@@ -520,23 +513,30 @@ def run_drop_detailed(cfg, seed):
         sched_cnt[sel] += 1
         served_bits[sel] += r[ref] * TTI_S
         i_lag = i_now
+    return lin_sinr, rate_sum, sched_cnt, np.array(beam_counts, dtype=int)
 
-    results = []
+
+def run_drop_detailed(cfg, seed):
+    """One placement simulated for cfg.n_ttis TTIs; keeps beam usage."""
+    drop = generate_layout(cfg, seed)
+    act = drop.active_ue
+    srv = drop.association[act]
+    members = {c: np.nonzero(srv == c)[0] for c in np.unique(srv)}  # cells with users, ascending
+    v_s, e_srv = _dominant_eig(drop.cov_tx)
+    u_s, g_srv = _dominant_eig(drop.cov_rx)
+    y_inter, w_tx, coupling = _cross_tables(drop, members, v_s, e_srv, u_s, cfg)
+    # serving-link received power, TTI-invariant
+    signal = _TX_POWER_MW / cfg.bw_hz * 10.0 ** (-drop.pathloss_db[act, srv] / 10.0) * e_srv * g_srv
+    lin_sinr, rate_sum, sched_cnt, beam_counts = _tti_loop(
+        cfg, drop.interior_bs, members, signal, g_srv, y_inter, w_tx, coupling)
     interior_ue = drop.interior_bs[srv]
-    for ai, b in enumerate(cfg.adc_bits):
-        for s in range(n_act):
-            n_sched = sched_cnt[s]
-            results.append(
-                UeResult(
-                    ue_index=int(act[s]),
-                    serving_bs=int(srv[s]),
-                    n_bits=b,
-                    sinr_db=10.0 * math.log10(lin_sinr[ai, s] / n_sched) if n_sched > 0 else math.nan,
-                    rate_bps=rate_sum[ai, s] / cfg.n_ttis,
-                    interior=bool(interior_ue[s]),
-                )
-            )
-    return DropResult(ue_results=results, beam_counts=np.array(beam_counts, dtype=int))
+    results = [
+        UeResult(ue_index=int(act[s]), serving_bs=int(srv[s]), n_bits=b,
+                 sinr_db=10.0 * math.log10(lin_sinr[ai, s] / sched_cnt[s]) if sched_cnt[s] > 0 else math.nan,
+                 rate_bps=rate_sum[ai, s] / cfg.n_ttis, interior=bool(interior_ue[s]))
+        for ai, b in enumerate(cfg.adc_bits) for s in range(len(act))
+    ]
+    return DropResult(ue_results=results, beam_counts=beam_counts)
 
 
 def run_drops(cfg, n_drops, seed, n_jobs=1):

@@ -249,6 +249,8 @@ def run_sdma_link_trial(sir_db, gamma0_db, adc_bits, num, n_symbols=24, seed=0):
     """
     _check_db("sir_db", sir_db, allow_inf=True)
     _check_db("gamma0_db", gamma0_db)
+    if len(adc_bits) == 0:
+        raise ValueError("adc_bits must list at least one width")
     return _run_chain(gamma0_db, num.osr, 10.0 ** (-sir_db / 10.0), adc_bits, math.inf, num, n_symbols, seed)
 
 

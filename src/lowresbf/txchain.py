@@ -23,7 +23,6 @@ caller sets only its DAC width (n_bits) and filter order (lpf_order).
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.signal import firwin, welch
@@ -34,7 +33,6 @@ from .ofdm import (CHIP_RATE_HZ, CP_LEN, FFT_SIZE, MAX_PRBS, SCS_HZ, OfdmNumerol
                    fir_zero_phase_response, ofdm_modulate, random_grid)
 
 __all__ = [
-    "SpectrumReport",
     "dac_convert",
     "butterworth_response",
     "apply_reconstruction_lpf",
@@ -66,20 +64,6 @@ _INTERP_FIR = firwin(INTERP_TAPS, 0.98 * CHIP_RATE_HZ / 2, fs=DAC_FS_HZ) * INTER
 def _check_order(order):
     if isinstance(order, bool) or not (isinstance(order, int) and order >= 0):
         raise ValueError(f"filter order must be a nonnegative integer, got {order!r}")
-
-
-@dataclass(frozen=True)
-class SpectrumReport:
-    freqs_hz: np.ndarray
-    psd_dbm_per_hz: np.ndarray
-
-    def __post_init__(self):
-        f = np.asarray(self.freqs_hz, dtype=float)
-        p = np.asarray(self.psd_dbm_per_hz, dtype=float)
-        if f.shape != p.shape or f.ndim != 1:
-            raise ValueError("frequency and PSD arrays must match 1-D shapes")
-        object.__setattr__(self, "freqs_hz", f)
-        object.__setattr__(self, "psd_dbm_per_hz", p)
 
 
 def dac_convert(baseband, n_bits):
@@ -128,7 +112,7 @@ def transmit(n_bits, lpf_order, num, modulation, n_symbols, rng):
 
 
 def estimate_psd(block, nperseg):
-    """Two-sided Welch PSD (Hann, 50% overlap), in dBm/Hz for 1 mW = 0 dB."""
+    """Two-sided Welch PSD (Hann, 50% overlap) as (freqs_hz, psd_db): ascending frequencies, dBm/Hz for 1 mW = 0 dB."""
     if block.samples.size < 4 * nperseg:
         raise ValueError("block must be at least 4 segments long")
     f, p = welch(
@@ -142,11 +126,10 @@ def estimate_psd(block, nperseg):
     )
     order = np.argsort(f)
     p = np.maximum(p[order], 1e-300)  # log of true zeros otherwise
-    return SpectrumReport(f[order], 10.0 * np.log10(p))
+    return f[order], 10.0 * np.log10(p)
 
 
-def _band_power(report, center_hz, width_hz):
-    f = report.freqs_hz
+def _band_power(f, psd_db, center_hz, width_hz):
     lo, hi = center_hz - width_hz / 2, center_hz + width_hz / 2
     if lo < f[0] or hi > f[-1]:
         raise ValueError("PSD span does not cover the requested band")
@@ -154,11 +137,11 @@ def _band_power(report, center_hz, width_hz):
     if np.count_nonzero(m) < 2:
         raise ValueError(f"fewer than 2 PSD bins in the {width_hz / 1e6:g} MHz band at {center_hz / 1e6:g} MHz; "
                          "use a longer Welch segment")
-    return np.trapezoid(10.0 ** (report.psd_dbm_per_hz[m] / 10.0), f[m])
+    return np.trapezoid(10.0 ** (psd_db[m] / 10.0), f[m])
 
 
-def measure_aclr(report, adjacent_index):
-    """In-channel to adjacent-channel power ratio in dB.
+def measure_aclr(psd, adjacent_index):
+    """In-channel to adjacent-channel power ratio in dB of an estimate_psd pair (freqs_hz, psd_db).
 
     Both powers integrate MEAS_BW_HZ, centered on the carrier and on the
     adjacent carrier at adjacent_index times CH_BW_HZ (negative index
@@ -167,8 +150,8 @@ def measure_aclr(report, adjacent_index):
     if isinstance(adjacent_index, bool) or not (
             isinstance(adjacent_index, int) and 1 <= abs(adjacent_index) <= N_ADJACENT):
         raise ValueError(f"adjacent_index must be a nonzero integer within +-{N_ADJACENT}")
-    p_in = _band_power(report, 0.0, MEAS_BW_HZ)
-    p_ac = _band_power(report, adjacent_index * CH_BW_HZ, MEAS_BW_HZ)
+    p_in = _band_power(*psd, 0.0, MEAS_BW_HZ)
+    p_ac = _band_power(*psd, adjacent_index * CH_BW_HZ, MEAS_BW_HZ)
     return 10.0 * math.log10(p_in / p_ac)
 
 
@@ -206,6 +189,8 @@ def measure_evm(n_bits, lpf_order, sigma_rf_sq=(0.0,), n_symbols=24, seed=0):
     """
     _check_order(lpf_order)
     quantizer._check_bits(n_bits)
+    if len(sigma_rf_sq) == 0:
+        raise ValueError("sigma_rf_sq must list at least one noise power")
     for s in sigma_rf_sq:
         if not (0 <= s < math.inf):
             raise ValueError(f"noise power must be nonnegative and finite, got {s!r}")

@@ -5,11 +5,13 @@ modules and reads their arguments and return values: `DropResult.ue_results`
 and `beam_counts`, `NetworkDrop.pathloss_db`, the greedy scheduler's member
 ids and config, the `.samples` of waveform blocks, and `quantize` handing
 back its input at infinite resolution.  An untraced run never touches those
-observers, so this runs the tracer in process and fails when one breaks.
+observers, so this runs the tracer in process and fails when one breaks, or
+when a traced name no longer names a public function of its module.
 The perfbench modules are read, and no bytecode is written beside them.
 """
 
 import importlib.util
+import inspect
 import sys
 from pathlib import Path
 
@@ -52,3 +54,17 @@ def test_traced_workload_runs_clean(name, tmp_path):
     assert codes == [0] * len(workload.presets)
     assert not tracer.errors
     assert tracer.spans
+
+
+@pytest.mark.parametrize("name", sorted({*bench_spec.TIMED_FUNCTIONS, *bench_trace.OBSERVERS}))
+def test_traced_name_is_public_function(name):
+    # the tracer wraps the functions its modules list in __all__ (all public
+    # names when there is none) and matches them by name, so a renamed or
+    # privatized function would leave its metrics reading 0 without an error
+    short, attr = name.split(".")
+    assert short in bench_trace.TRACED_MODULES
+    module = importlib.import_module(f"{bench_trace.PACKAGE}.{short}")
+    public = getattr(module, "__all__", None) or [n for n in vars(module) if not n.startswith("_")]
+    assert attr in public
+    fn = getattr(module, attr)
+    assert inspect.isfunction(fn) and fn.__module__ == module.__name__

@@ -490,33 +490,34 @@ def test_evm_sweep_artifacts(tmp_path):
 
 
 @pytest.mark.parametrize("preset,config,digests", [
-    ("aqnm-curves", "[aqnm]\nbits = 1,4,inf\ngamma_points = 5\n", {
+    pytest.param("aqnm-curves", "[aqnm]\nbits = 1,4,inf\ngamma_points = 5\n", {
         "aqnm_alpha.csv": "f4af798910276757cbd454ad5c32ebaf8b42678152923b7405c029360383df01",
         "aqnm_sinr.csv": "706708b67b5d7c10cf16f46d1e169eed54c23368def83a9c854f475fa8e5fc0b",
-    }),
-    ("link-validate", "[link]\nadc_bits = 3,inf\nsnr_db = 10:10\nsnr_points = 1\nn_symbols = 3\nused_prbs = 100\n", {
+    }, id="aqnm-curves"),
+    pytest.param("link-validate", "[link]\nadc_bits = 3,inf\nsnr_db = 10:10\nsnr_points = 1\nn_symbols = 3\n"
+                                  "used_prbs = 100\n", {
         "link_validate.csv": "f1c5ee7bbe5a2f4ce7f600a2cabd336a2a035afe4658e4ec25f85e6ebe23d3db",
-    }),
-    ("sdma-link", "[sdma]\nadc_bits = 3\nsir_db = 20:20\nsir_points = 1\ngamma0_db = 0\nn_symbols = 3\n"
-                  "used_prbs = 100\n", {
+    }, id="link-validate"),
+    pytest.param("sdma-link", "[sdma]\nadc_bits = 3\nsir_db = 20:20\nsir_points = 1\ngamma0_db = 0\nn_symbols = 3\n"
+                              "used_prbs = 100\n", {
         "sdma_link_g0.csv": "ad759d4f3115d7d04e027c40df07ffb99a5e055eb0389a61084b13f1b0348178",
-    }),
-    ("aclr-sweep", "[tx]\nbits = 4,inf\nlpf_orders = 0,1\nn_symbols = 2\nnperseg = 1024\n", {
+    }, id="sdma-link"),
+    pytest.param("aclr-sweep", "[tx]\nbits = 4,inf\nlpf_orders = 0,1\nn_symbols = 2\nnperseg = 1024\n", {
         "aclr_sweep.csv": "e37c88b65fad78bb1cd2a39d89ec630ba54cf84d864dd004b3b27a4cb5ac153b",
-    }),
-    ("evm-sweep", "[tx]\nevm_bits = 4,inf\nevm_lpf_order = 1\nn_symbols = 2\ninv_sigma_rf_db = 40:40\n"
-                  "rf_points = 1\n", {
+    }, id="aclr-sweep"),
+    pytest.param("evm-sweep", "[tx]\nevm_bits = 4,inf\nevm_lpf_order = 1\nn_symbols = 2\ninv_sigma_rf_db = 40:40\n"
+                              "rf_points = 1\n", {
         "evm_floor.csv": "1d68a93230f112bfa8c1ac8e6fbe9fd6c07671d44c74b291516f8feb6e0095bc",
         "evm_sweep.csv": "5148c4b92195591178efc7e2a317b3557cfcd50a8f150949909a17fe33cd4ea6",
-    }),
-    ("power-table", "", {
+    }, id="evm-sweep"),
+    pytest.param("power-table", "", {
         "power_table.csv": "77bafc0f4ad391a7be79116acce95a8b34a04a2e00155f83fcbfaa465237b053",
-    }),
-    ("tx-psd", "[tx]\npsd_cases = 4:0,4:1,inf:0\nn_symbols = 2\nnperseg = 1024\n", {
+    }, id="power-table"),
+    pytest.param("tx-psd", "[tx]\npsd_cases = 4:0,4:1,inf:0\nn_symbols = 2\nnperseg = 1024\n", {
         "tx_psd_n4_o0.csv": "c091654c8b5dc691d71ba0fa5c05846dc04cf7941fa6a8c92ce7c49d85132fba",
         "tx_psd_n4_o1.csv": "61dfead7a239c2546e14694937c034bc82009e263949c8556535bbcb46c4a0c0",
         "tx_psd_ninf_o0.csv": "599f23c6b91bdcb5f7e751e2f2f5a29c50670f8d00b39a75d794cd3079f38dc9",
-    }),
+    }, id="tx-psd"),
 ])
 def test_waveform_csvs_bit_identical(tmp_path, preset, config, digests):
     # digests recorded before the FIR helpers and the infinite-resolution

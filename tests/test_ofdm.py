@@ -207,3 +207,8 @@ def test_sdma_widths_equal_one_width_calls():
     widths = (3, 4, math.inf)
     lone = [ofdm.run_sdma_link_trial(10.0, 0.0, (b,), num, 8, 1)[0] for b in widths]
     assert ofdm.run_sdma_link_trial(10.0, 0.0, widths, num, 8, 1) == lone
+
+
+def test_sdma_trial_rejects_no_widths():
+    with pytest.raises(ValueError, match="adc_bits"):
+        ofdm.run_sdma_link_trial(10.0, 0.0, (), ofdm.OfdmNumerology(used_prbs=200), 3, 0)

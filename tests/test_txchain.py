@@ -18,9 +18,9 @@ def make_waveform(n_symbols, used_prbs=275, seed=0, modulation="QPSK"):
     return ofdm.ofdm_modulate(grid, num), num
 
 
-def integrated_power(report):
-    df = report.freqs_hz[1] - report.freqs_hz[0]
-    return float(np.sum(10.0 ** (report.psd_dbm_per_hz / 10.0)) * df)
+def integrated_power(psd):
+    f, psd_db = psd
+    return float(np.sum(10.0 ** (psd_db / 10.0)) * (f[1] - f[0]))
 
 
 def test_butterworth_response():
@@ -121,7 +121,7 @@ def test_psd_white_noise_and_tone():
     tone = 1.3 * np.exp(2j * np.pi * t * 1000 / 65536)
     psd = txchain.estimate_psd(quantizer.ComplexSampleBlock(tone, 1e9), 4096)
     assert integrated_power(psd) == pytest.approx(1.3**2, rel=0.02)
-    lin = 10.0 ** (psd.psd_dbm_per_hz / 10.0)
+    lin = 10.0 ** (psd[1] / 10.0)
     assert lin.max() / np.median(lin) > 1e6  # single narrow peak
     with pytest.raises(ValueError):
         txchain.estimate_psd(quantizer.ComplexSampleBlock(x[:1000], 1e9), 4096)
@@ -129,10 +129,10 @@ def test_psd_white_noise_and_tone():
 
 def test_ofdm_psd_occupancy():
     block, num = make_waveform(12)
-    psd = txchain.estimate_psd(block, 4096)
-    lin = 10.0 ** (psd.psd_dbm_per_hz / 10.0)
-    level = np.median(lin[np.abs(psd.freqs_hz) < 150e6])
-    occupied = psd.freqs_hz[lin > level / 2.0]
+    f, psd_db = txchain.estimate_psd(block, 4096)
+    lin = 10.0 ** (psd_db / 10.0)
+    level = np.median(lin[np.abs(f) < 150e6])
+    occupied = f[lin > level / 2.0]
     width = occupied.max() - occupied.min()
     assert 392e6 < width < 400e6
 
@@ -150,13 +150,12 @@ def test_quantization_noise_floor_level():
     # over dac_fs, shaped by the hold and probed away from the images.
     block, _ = make_waveform(12)
     out = txchain.dac_convert(block, 4)
-    psd = txchain.estimate_psd(out, 4096)
+    f, psd_db = txchain.estimate_psd(out, 4096)
     a = quantizer.alpha_of(4)
-    f = psd.freqs_hz
     sel = (np.abs(f) > 250e6) & (np.abs(f) < 420e6)
     zoh = np.sinc(f[sel] / txchain.DAC_FS_HZ) ** 2
     predicted = a * (1 - a) / txchain.DAC_FS_HZ * zoh.mean()
-    measured = np.mean(10.0 ** (psd.psd_dbm_per_hz[sel] / 10.0))
+    measured = np.mean(10.0 ** (psd_db[sel] / 10.0))
     assert abs(10 * math.log10(measured / predicted)) < 1.0
 
 
@@ -167,7 +166,7 @@ def test_aclr_validation():
         txchain.measure_aclr(psd, 0)
     with pytest.raises(ValueError):
         txchain.measure_aclr(psd, 3)
-    flat = txchain.SpectrumReport(np.linspace(-1e9, 1e9, 2001), np.zeros(2001))
+    flat = (np.linspace(-1e9, 1e9, 2001), np.zeros(2001))
     assert txchain.measure_aclr(flat, 1) == pytest.approx(0.0, abs=0.01)
     for index in (True, 1.0):
         with pytest.raises(ValueError):
@@ -178,7 +177,7 @@ def test_aclr_validation():
 
 def test_aclr_needs_two_bins_per_window():
     # 200 MHz bins: the 396 MHz window around the carrier holds only the 0 Hz bin
-    coarse = txchain.SpectrumReport(np.linspace(-2e9, 2e9, 21), np.zeros(21))
+    coarse = (np.linspace(-2e9, 2e9, 21), np.zeros(21))
     with pytest.raises(ValueError, match="fewer than 2 PSD bins"):
         txchain.measure_aclr(coarse, 1)
 
@@ -229,6 +228,11 @@ def test_evm_noise_sequence_equals_lone_calls():
     noise = [1e-2, 1e-4, 0.0]
     lone = [txchain.measure_evm(4, 1, (s,), n_symbols=4)[0] for s in noise]
     assert txchain.measure_evm(4, 1, noise, n_symbols=4) == lone
+
+
+def test_evm_rejects_no_noise_powers():
+    with pytest.raises(ValueError, match="sigma_rf_sq"):
+        txchain.measure_evm(4, 1, ())
 
 
 def test_evm_prediction_values():
