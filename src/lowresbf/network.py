@@ -8,7 +8,11 @@ dominant covariance eigenvector.  Per TTI a proportional-fair OFDMA
 scheduler (bandwidth shares) or a greedy SDMA scheduler (spatial
 group, equal power split) allocates the resources, inter-cell
 interference is accumulated from the other cells' active beams, and
-quantized SINRs and rates are recorded per user.
+quantized SINRs and rates are recorded per user.  Every cell of a TTI
+is scheduled at once: the greedy SDMA admission runs all cells in
+lockstep, each round scoring every remaining candidate of every
+still-growing cell in one numpy pass, and one pass over padded
+per-cell arrays sums the interference and records the groups.
 
 The reference system is fixed by module constants: FC_HZ, BS_ARRAY,
 UE_ARRAY, TX_POWER_DBM, NOISE_FIGURE_DB, TTI_S, OVERHEAD,
@@ -28,6 +32,7 @@ has no wrap-around.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 from enum import IntEnum
 
@@ -130,12 +135,16 @@ class NetworkConfig:
         for name in ("area_m", "cell_radius_m", "bw_hz", "mean_ues_per_cell"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
-        if self.fixed_ue_count is not None and self.fixed_ue_count < 1:
-            raise ValueError("fixed_ue_count must be at least 1 (None draws a Poisson count)")
+        for name in ("n_beams_max", "n_ttis", "fixed_ue_count"):
+            v = getattr(self, name)
+            if name == "fixed_ue_count" and v is None:
+                continue  # None draws a Poisson count
+            if isinstance(v, bool) or not isinstance(v, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, not {v!r}")
+            if v < 1:
+                raise ValueError(f"{name} must be at least 1")
         if self.scheduler not in SCHEDULERS:
             raise ValueError(f"scheduler must be one of {SCHEDULERS}")
-        if self.n_beams_max < 1 or self.n_ttis < 1:
-            raise ValueError("n_beams_max and n_ttis must be at least 1")
         if self.cluster_spread_cos < 0 or self.mean_extra_clusters < 0:
             raise ValueError("cluster parameters must be nonnegative")
         if not self.adc_bits or len(set(self.adc_bits)) != len(self.adc_bits):
@@ -324,6 +333,57 @@ def _rate(sinr_linear, w_hz=1.0):
     return (1.0 - OVERHEAD) * w_hz * se
 
 
+def _sum_rates(gamma, coupling, cell, grp):
+    """Modeled sum rate of each row of grp, an (n_groups, k) array of slots of cell[row]."""
+    gp = gamma[cell[:, None], grp] / grp.shape[1]     # equal split of the transmit power
+    sub = coupling[cell[:, None, None], grp[:, :, None], grp[:, None, :]]
+    psi = sub.sum(1) - np.diagonal(sub, axis1=1, axis2=2)
+    s = gp / (1.0 + psi * gp)
+    return _rate(s).sum(-1)
+
+
+def _greedy_lockstep(weights, gamma, coupling, slots, n_beams_max):
+    """Greedy SDMA groups of a batch of cells, all admission rounds in lockstep.
+
+    Returns an (n_cells, m) mask of the admitted slots.  slots[c] lists
+    cell c's members as indices into weights (PF weights) and gamma (SINR
+    estimates), padded with len(gamma); coupling[c, j, k] is the leakage
+    of slot j's beam toward slot k's user over that user's serving gain.
+    Each round scores every remaining candidate of every still-growing
+    cell at once, with the cell's group in admission order and the
+    candidate last; masked slots score -inf, so ties go to the lowest slot.
+    """
+    n_cells, m = slots.shape
+    gain = np.append(gamma, 0.0)[slots]
+    member = slots < len(gamma)
+    free = member.copy()
+    n_mem = member.sum(1)
+    rows = np.arange(n_cells)
+    group = np.empty((n_cells, min(n_beams_max, m)), dtype=int)
+    group[:, 0] = np.argmax(np.append(weights, -np.inf)[slots], axis=1)
+    free[rows, group[:, 0]] = False
+    best = _sum_rates(gain, coupling, rows, group[:, :1])
+    grow = rows
+    for k in range(1, group.shape[1]):
+        grow = grow[n_mem[grow] > k]  # cells with a candidate left
+        if grow.size == 0:
+            break
+        at, slot = np.nonzero(free[grow])
+        grp = np.empty((at.size, k + 1), dtype=int)
+        grp[:, :k] = group[grow[at], :k]
+        grp[:, k] = slot
+        score = np.full((grow.size, m), -np.inf)
+        score[at, slot] = _sum_rates(gain, coupling, grow[at], grp)
+        pick = np.argmax(score, axis=1)
+        rate = score[np.arange(grow.size), pick]
+        admit = ~(rate <= best[grow])  # a cell stops once its best candidate's rate is <= its group's
+        grow, pick = grow[admit], pick[admit]
+        best[grow] = rate[admit]
+        group[grow, k] = pick
+        free[grow, pick] = False
+    return member & ~free
+
+
 def schedule_sdma_greedy(served_bits, gamma_est, coupling, member_ids, cfg):
     """Greedy spatial grouping: seed with the max PF weight, then admit
     the candidate with the best modeled sum-rate gain while it is
@@ -333,35 +393,16 @@ def schedule_sdma_greedy(served_bits, gamma_est, coupling, member_ids, cfg):
     The sum-rate model splits power equally across the group and uses
     the group-recomputed leakage ratios; it is the quantized-SINR
     formula at the scheduler's resolution-blind operating point (the
-    quantization terms drop out at infinite resolution).  All candidate
-    groups of one admission round are scored in one batch.  Returns
-    local indices into member_ids.
+    quantization terms drop out at infinite resolution).  This is one
+    cell of the lockstep batch the drop runs.  Returns local indices
+    into member_ids, ascending.
     """
     mem = np.asarray(member_ids, dtype=int)
-    weights = _rate(gamma_est) / served_bits[mem]
-
-    def sum_rates(grp):
-        """Modeled sum rate of each row of grp, an (n_groups, k) index array."""
-        gp = gamma_est[grp] / grp.shape[1]     # equal split of the transmit power
-        sub = coupling[grp[:, :, None], grp[:, None, :]]
-        psi = sub.sum(1) - np.diagonal(sub, axis1=1, axis2=2)
-        s = gp / (1.0 + psi * gp)
-        return _rate(s).sum(-1)
-
-    group = [int(np.argmax(weights))]
-    best = sum_rates(np.array([group]))[0]
-    candidates = [i for i in range(mem.size) if i != group[0]]
-    while len(group) < cfg.n_beams_max and candidates:
-        grp = np.empty((len(candidates), len(group) + 1), dtype=int)
-        grp[:, :-1] = group
-        grp[:, -1] = candidates
-        rates = sum_rates(grp)
-        pick = int(np.argmax(rates))
-        if rates[pick] <= best:
-            break
-        best = rates[pick]
-        group.append(candidates.pop(pick))
-    return np.array(sorted(group), dtype=int)
+    if mem.size == 0:
+        return np.zeros(0, dtype=int)
+    chosen = _greedy_lockstep(_rate(gamma_est) / served_bits[mem], gamma_est, coupling[None],
+                              np.arange(mem.size)[None], cfg.n_beams_max)
+    return np.nonzero(chosen[0])[0]
 
 
 def rate_from_sinr(sinr_linear, w_hz):
@@ -423,13 +464,25 @@ def _quadform_sum(a, beam, taper, powers):
     return (powers * q).sum(-1)
 
 
-def _cross_tables(drop, members, v_s, e_srv, u_s, cfg):
-    """Cross-cell tables, dicts keyed by serving cell in members order: (y_inter, w_tx, coupling).
+def _member_slots(members, n_act):
+    """Each cell's members in members order, one row per cell, padded with n_act
+    to one slot past the largest cell, so every row ends in a padding slot."""
+    slots = np.full((len(members), max((mem.size for mem in members.values()), default=0) + 1), n_act)
+    for i, mem in enumerate(members.values()):
+        slots[i, :mem.size] = mem
+    return slots
 
-    y_inter[c] is cell c's pathloss-weighted pickup at every active
-    user's beam, w_tx[c][k, j] the leakage of c's j-th member beam toward
-    user k, and coupling[c] that leakage among c's members over the
-    serving beam gain.  Rows of users in outage to c stay zero.  This is
+
+def _cross_tables(drop, members, v_s, e_srv, u_s, cfg):
+    """Cross-cell tables, one row per serving cell in members order: (pickup, leak, coupling).
+
+    pickup[i] is the i-th cell's pathloss-weighted pickup at every active
+    user's beam, 0 at its own members (a cell's beams interfere only at
+    users it does not serve); leak[k, u] the leakage of user u's serving
+    beam toward user k, with a zero last column for padding slots; and
+    coupling[i, j, k] that leakage among the slots of _member_slots, from
+    slot j's beam toward slot k's user over the serving beam gain, zero on
+    padding slots.  Rows of users in outage to a cell stay zero.  This is
     exact: every entry reaches the SINR only through a product with the
     link's gain 10^(-PL/10), which is 0.0 in outage (PL = inf), so a zero
     entry and a computed finite one both contribute exactly 0.  Each kept
@@ -439,8 +492,9 @@ def _cross_tables(drop, members, v_s, e_srv, u_s, cfg):
     n_act = len(drop.active_ue)
     t_tx = _spread_taper(BS_ARRAY, cfg.cluster_spread_cos)
     t_rx = _spread_taper(UE_ARRAY, cfg.cluster_spread_cos)
-    y_inter, w_tx, coupling = {}, {}, {}
-    for c, mem in members.items():
+    pickup = np.zeros((len(members), n_act))
+    leak = np.zeros((n_act, n_act + 1))
+    for i, (c, mem) in enumerate(members.items()):
         pl_c = drop.pathloss_db[drop.active_ue, c]
         near = np.nonzero(np.isfinite(pl_c))[0]
         p_near = drop.cluster_powers[near, c]
@@ -448,23 +502,29 @@ def _cross_tables(drop, members, v_s, e_srv, u_s, cfg):
         a_rx = _steering(UE_ARRAY, cos_rx[..., 0], cos_rx[..., 1])
         w_rx_c = np.zeros(n_act)
         w_rx_c[near] = _quadform_sum(a_rx, u_s[near], t_rx, p_near)
-        y_inter[c] = 10.0 ** (-pl_c / 10.0) * w_rx_c
+        pickup[i] = 10.0 ** (-pl_c / 10.0) * w_rx_c
+        pickup[i, mem] = 0.0
         cos_tx = drop.cluster_cos_tx[near, c]
         a_tx = _steering(BS_ARRAY, cos_tx[..., 0], cos_tx[..., 1])
-        w = w_tx[c] = np.zeros((n_act, mem.size))
-        for j, m in enumerate(mem):
-            w[near, j] = _quadform_sum(a_tx, v_s[m], t_tx, p_near)
-        coupling[c] = (w[mem] / e_srv[mem][:, None]).T.copy()  # [beam j, user k]
-    return y_inter, w_tx, coupling
+        for u in mem:
+            leak[near, u] = _quadform_sum(a_tx, v_s[u], t_tx, p_near)
+    width = _member_slots(members, n_act).shape[1]
+    coupling = np.zeros((len(members), width, width))
+    for i, mem in enumerate(members.values()):
+        coupling[i, :mem.size, :mem.size] = (leak[np.ix_(mem, mem)] / e_srv[mem][:, None]).T
+    return pickup, leak, coupling
 
 
-def _tti_loop(cfg, interior_bs, members, signal, g_srv, y_inter, w_tx, coupling):
+def _tti_loop(cfg, interior_bs, members, signal, g_srv, pickup, leak, coupling):
     """Schedule cfg.n_ttis TTIs: (lin_sinr, rate_sum, sched_cnt, beam_counts).
 
-    lin_sinr and rate_sum sum each active user's scheduled SINR and rate,
-    one row per width of cfg.adc_bits; sched_cnt counts each user's
-    scheduled TTIs, and beam_counts the group size of every SDMA instance
-    in an interior cell.  Interference is summed over cells in ascending order.
+    Every cell of a TTI is scheduled at once: SDMA runs the greedy
+    admission rounds of all cells in lockstep (_greedy_lockstep), and
+    OFDMA splits each cell's band in turn.  lin_sinr and rate_sum sum
+    each active user's scheduled SINR and rate, one row per width of
+    cfg.adc_bits; sched_cnt counts each user's scheduled TTIs, and
+    beam_counts the group size of every SDMA instance in an interior
+    cell.  Interference is summed over cells in ascending order.
     """
     n_act = len(signal)
     # one row per ADC width; the infinite-resolution row (alpha = 0, exactly
@@ -478,31 +538,44 @@ def _tti_loop(cfg, interior_bs, members, signal, g_srv, y_inter, w_tx, coupling)
     beam_counts = []
     i_lag = np.zeros(n_act)
     sdma = cfg.scheduler == "SDMA_GREEDY"
+    slots = _member_slots(members, n_act)
+    rows = np.arange(len(slots))
+    interior = interior_bs[list(members)]
+    # OFDMA weights each cell's member beams by bandwidth share, one
+    # matrix-vector product per cell, on a C-ordered copy of the cell's leak
+    # columns made once per drop; the fancy-indexed view is Fortran-ordered,
+    # and BLAS sums it on another kernel, with other rounding
+    cell_leak = [] if sdma else [leak.take(mem, axis=1) for mem in members.values()]
 
     for _ in range(cfg.n_ttis):
         gamma_est = signal / (n0 + i_lag)
         se_est = _rate(gamma_est)
         # per scheduled user: power divisor (group size), leakage ratio psi
         # and bandwidth; div = 0 marks a user not scheduled this TTI
-        div, psi, bw, i_now = np.zeros((4, n_act))
-        for c, mem in members.items():
-            if sdma:
-                gr = schedule_sdma_greedy(served_bits, gamma_est[mem], coupling[c], mem, cfg)
-                if interior_bs[c]:
-                    beam_counts.append(len(gr))
-                contrib = (psd / len(gr)) * y_inter[c] * w_tx[c][:, gr].sum(1)
-                sub = coupling[c][np.ix_(gr, gr)]
-                div[mem[gr]] = len(gr)
-                psi[mem[gr]] = sub.sum(0) - np.diag(sub)
-                bw[mem[gr]] = cfg.bw_hz
-            else:
+        div, psi, bw = np.zeros((3, n_act))
+        if sdma:
+            chosen = _greedy_lockstep(se_est / served_bits, gamma_est, coupling, slots, cfg.n_beams_max)
+            size = chosen.sum(1)
+            beam_counts.append(size[interior])
+            # each cell's group, ascending, padded with the row's last slot (always padding)
+            pad = slots.shape[1] - 1
+            grp = np.sort(np.where(chosen, np.arange(pad + 1), pad), axis=1)[:, :size.max(initial=0)]
+            ids = np.take_along_axis(slots, grp, axis=1)
+            sub = coupling[rows[:, None, None], grp[:, :, None], grp[:, None, :]]
+            on = ids < n_act
+            div[ids[on]] = np.repeat(size, size)
+            psi[ids[on]] = (sub.sum(1) - np.diagonal(sub, axis1=1, axis2=2))[on]
+            bw[ids[on]] = cfg.bw_hz
+            contrib = (psd / size[:, None]) * pickup * leak[:, ids].sum(-1).T
+        else:
+            beams = np.empty((len(slots), n_act))  # each cell's bandwidth-weighted beam leakage
+            for i, (mem, w) in enumerate(zip(members.values(), cell_leak)):
                 shares = schedule_ofdma_pf(served_bits, se_est[mem], mem, cfg.bw_hz)
-                contrib = psd * y_inter[c] * (w_tx[c] @ (shares / cfg.bw_hz))
-                div[mem] = 1.0
+                beams[i] = w @ (shares / cfg.bw_hz)
                 bw[mem] = shares
-            # this cell's beams interfere at every user it does not serve
-            contrib[mem] = 0.0
-            i_now += contrib
+            div[:] = 1.0  # every active user is a member of some cell
+            contrib = psd * pickup * beams
+        i_now = contrib.sum(0)
 
         gamma = signal / (n0 + i_now)
         sel = np.nonzero(div)[0]
@@ -513,7 +586,7 @@ def _tti_loop(cfg, interior_bs, members, signal, g_srv, y_inter, w_tx, coupling)
         sched_cnt[sel] += 1
         served_bits[sel] += r[ref] * TTI_S
         i_lag = i_now
-    return lin_sinr, rate_sum, sched_cnt, np.array(beam_counts, dtype=int)
+    return lin_sinr, rate_sum, sched_cnt, np.array(beam_counts, dtype=int).ravel()
 
 
 def run_drop_detailed(cfg, seed):
@@ -524,11 +597,11 @@ def run_drop_detailed(cfg, seed):
     members = {c: np.nonzero(srv == c)[0] for c in np.unique(srv)}  # cells with users, ascending
     v_s, e_srv = _dominant_eig(drop.cov_tx)
     u_s, g_srv = _dominant_eig(drop.cov_rx)
-    y_inter, w_tx, coupling = _cross_tables(drop, members, v_s, e_srv, u_s, cfg)
+    pickup, leak, coupling = _cross_tables(drop, members, v_s, e_srv, u_s, cfg)
     # serving-link received power, TTI-invariant
     signal = _TX_POWER_MW / cfg.bw_hz * 10.0 ** (-drop.pathloss_db[act, srv] / 10.0) * e_srv * g_srv
     lin_sinr, rate_sum, sched_cnt, beam_counts = _tti_loop(
-        cfg, drop.interior_bs, members, signal, g_srv, y_inter, w_tx, coupling)
+        cfg, drop.interior_bs, members, signal, g_srv, pickup, leak, coupling)
     interior_ue = drop.interior_bs[srv]
     results = [
         UeResult(ue_index=int(act[s]), serving_bs=int(srv[s]), n_bits=b,

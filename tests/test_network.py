@@ -8,7 +8,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -281,6 +281,60 @@ def test_sdma_greedy_matches_oracle(case):
     assert got.tolist() == want.tolist()
 
 
+def test_sdma_greedy_empty_members():
+    cfg = toy_config(scheduler="SDMA_GREEDY")
+    group = network.schedule_sdma_greedy(np.ones(3), np.zeros(0), np.zeros((0, 0)), [], cfg)
+    assert group.size == 0 and group.dtype.kind == "i"
+
+
+def _lockstep_batch(sizes, gamma, couplings, order):
+    """A batch of cells: cell i holds the next sizes[i] users of order, ascending."""
+    ends = np.cumsum(sizes)
+    members = [np.sort(order[end - k:end]) for k, end in zip(sizes, ends)]
+    slots = np.full((len(sizes), max(sizes) + 1), len(gamma))
+    coupling = np.zeros((len(sizes), max(sizes) + 1, max(sizes) + 1))
+    for i, (mem, c) in enumerate(zip(members, couplings)):
+        slots[i, :mem.size] = mem
+        coupling[i, :mem.size, :mem.size] = c
+    return members, slots, coupling
+
+
+@st.composite
+def _lockstep_cases(draw):
+    sizes = draw(st.lists(st.integers(1, 5), min_size=1, max_size=5))
+    n = sum(sizes)
+    gamma = draw(hnp.arrays(float, n, elements=st.one_of(_TIED, st.floats(0.0, 1e5))))
+    served = draw(hnp.arrays(float, n, elements=st.one_of(_TIED.filter(bool), st.floats(1e-3, 1e9))))
+    couplings = [
+        draw(hnp.arrays(float, (k, k), elements=st.one_of(st.sampled_from([0.0, 0.5]), st.floats(0.0, 2.0))))
+        for k in sizes
+    ]
+    order = np.array(draw(st.permutations(range(n))))  # members interleave over the user index
+    return sizes, gamma, served, couplings, order, draw(st.integers(1, 6))
+
+
+# a cell that admits every member, one fully coupled cell that stops after
+# its seed, and a one-member cell; then one cell of tied users
+_ROUNDS_APART = ([4, 3, 1], np.full(8, 100.0), np.ones(8),
+                 [np.zeros((4, 4)), np.ones((3, 3)), np.zeros((1, 1))], np.arange(8)[::-1], 6)
+_ALL_TIED = ([4], np.full(4, 50.0), np.ones(4), [np.full((4, 4), 0.5)], np.arange(4), 2)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_lockstep_cases())
+@example(_ROUNDS_APART)
+@example(_ALL_TIED)
+def test_sdma_lockstep_matches_oracle_per_cell(case):
+    sizes, gamma, served, couplings, order, n_beams = case
+    members, slots, coupling = _lockstep_batch(sizes, gamma, couplings, order)
+    weights = network._rate(gamma) / served
+    chosen = network._greedy_lockstep(weights, gamma, coupling, slots, n_beams)
+    cfg = toy_config(scheduler="SDMA_GREEDY", n_beams_max=n_beams)
+    for i, (mem, c) in enumerate(zip(members, couplings)):
+        want = _greedy_oracle(served, gamma[mem], c, mem, cfg)
+        assert np.nonzero(chosen[i])[0].tolist() == want.tolist()
+
+
 def _rows_sha256(result):
     rows = [
         tuple(float(v) if isinstance(v, float) else v for v in dataclasses.astuple(r))
@@ -289,17 +343,26 @@ def _rows_sha256(result):
     return hashlib.sha256(repr(rows).encode()).hexdigest()
 
 
-@pytest.mark.parametrize("scheduler,seed,digest", [
-    ("OFDMA_PF", 4, "5ae5ed937bdc898b44368c1618dadbe5ed6bb31c84b3a454a11b860030328ef7"),
-    ("OFDMA_PF", 7, "a5095be5f633c45b9670c514cea6959c22dfd8ab273665e99d99332475979962"),
-    ("SDMA_GREEDY", 4, "370546736a90999dd5f79473873b0f1a11aaae338e289c40cb1bb7bc3c1e999d"),
-    ("SDMA_GREEDY", 7, "55f0fee35391a1dbe2be981bde8aa2339302a2ec633e26e7a51c6f0c412815fe"),
+def _drop_row(scheduler, seed, digest, n_beams=4):
+    # the default beam count stays out of the id, so the first rows keep theirs
+    beams = [] if n_beams == 4 else [f"beams{n_beams}"]
+    return pytest.param(scheduler, seed, digest, n_beams, id="-".join([scheduler, str(seed), *beams, digest]))
+
+
+@pytest.mark.parametrize("scheduler,seed,digest,n_beams", [
+    _drop_row("OFDMA_PF", 4, "5ae5ed937bdc898b44368c1618dadbe5ed6bb31c84b3a454a11b860030328ef7"),
+    _drop_row("OFDMA_PF", 7, "a5095be5f633c45b9670c514cea6959c22dfd8ab273665e99d99332475979962"),
+    _drop_row("SDMA_GREEDY", 4, "370546736a90999dd5f79473873b0f1a11aaae338e289c40cb1bb7bc3c1e999d"),
+    _drop_row("SDMA_GREEDY", 7, "55f0fee35391a1dbe2be981bde8aa2339302a2ec633e26e7a51c6f0c412815fe"),
+    # one beam per cell; and 8 beams, where an exterior cell admits more than 4
+    _drop_row("SDMA_GREEDY", 4, "38e138e6543637ca82b0c84e18c264f0ab5bfb89394c9f2acc3f1e38ed7cc15a", n_beams=1),
+    _drop_row("SDMA_GREEDY", 6, "b481399f6c4290f8b800a397fcc05a3df19be0b3df569caccbf07d8172a7f8f1", n_beams=8),
 ])
-def test_drop_rows_bit_identical(scheduler, seed, digest):
-    # digests of the dense-table, one-candidate-at-a-time implementation;
-    # about 80% of these toy links are in outage, so the sparse tables and
-    # the batched scheduler must reproduce every row bit for bit
-    cfg = toy_config(scheduler=scheduler, adc_bits=(3, 4, math.inf), n_ttis=6)
+def test_drop_rows_bit_identical(scheduler, seed, digest, n_beams):
+    # digests of the dense-table, one-candidate-at-a-time, one-cell-at-a-time
+    # implementation; about 80% of these toy links are in outage, so the sparse
+    # tables and the lockstep scheduler must reproduce every row bit for bit
+    cfg = toy_config(scheduler=scheduler, adc_bits=(3, 4, math.inf), n_ttis=6, n_beams_max=n_beams)
     assert _rows_sha256(network.run_drop_detailed(cfg, seed=seed)) == digest
 
 
@@ -366,6 +429,18 @@ def test_config_rejects_nonfinite_fields(name, value):
 def test_config_rejects_fixed_ue_count_below_one(count):
     with pytest.raises(ValueError, match="fixed_ue_count"):
         network.NetworkConfig(fixed_ue_count=count)
+
+
+@pytest.mark.parametrize("value", [2.5, 3.0, True, "4"])
+@pytest.mark.parametrize("name", ["n_beams_max", "n_ttis", "fixed_ue_count"])
+def test_config_rejects_non_integer_counts(name, value):
+    with pytest.raises(ValueError, match=name):
+        network.NetworkConfig(**{name: value})
+
+
+def test_config_accepts_numpy_integer_counts():
+    cfg = network.NetworkConfig(n_beams_max=np.int64(2), n_ttis=np.int32(3), fixed_ue_count=np.int64(5))
+    assert (cfg.n_beams_max, cfg.n_ttis, cfg.fixed_ue_count) == (2, 3, 5)
 
 
 def test_single_fixed_ue_drop_runs():
