@@ -492,8 +492,10 @@ def _cross_tables(drop, members, v_s, e_srv, u_s, cfg):
     n_act = len(drop.active_ue)
     t_tx = _spread_taper(BS_ARRAY, cfg.cluster_spread_cos)
     t_rx = _spread_taper(UE_ARRAY, cfg.cluster_spread_cos)
+    width = _member_slots(members, n_act).shape[1]
     pickup = np.zeros((len(members), n_act))
     leak = np.zeros((n_act, n_act + 1))
+    coupling = np.zeros((len(members), width, width))
     for i, (c, mem) in enumerate(members.items()):
         pl_c = drop.pathloss_db[drop.active_ue, c]
         near = np.nonzero(np.isfinite(pl_c))[0]
@@ -508,9 +510,6 @@ def _cross_tables(drop, members, v_s, e_srv, u_s, cfg):
         a_tx = _steering(BS_ARRAY, cos_tx[..., 0], cos_tx[..., 1])
         for u in mem:
             leak[near, u] = _quadform_sum(a_tx, v_s[u], t_tx, p_near)
-    width = _member_slots(members, n_act).shape[1]
-    coupling = np.zeros((len(members), width, width))
-    for i, mem in enumerate(members.values()):
         coupling[i, :mem.size, :mem.size] = (leak[np.ix_(mem, mem)] / e_srv[mem][:, None]).T
     return pickup, leak, coupling
 

@@ -359,9 +359,10 @@ def _drop_row(scheduler, seed, digest, n_beams=4):
     _drop_row("SDMA_GREEDY", 6, "b481399f6c4290f8b800a397fcc05a3df19be0b3df569caccbf07d8172a7f8f1", n_beams=8),
 ])
 def test_drop_rows_bit_identical(scheduler, seed, digest, n_beams):
-    # digests of the dense-table, one-candidate-at-a-time, one-cell-at-a-time
-    # implementation; about 80% of these toy links are in outage, so the sparse
-    # tables and the lockstep scheduler must reproduce every row bit for bit
+    # the first four digests come from the dense-table, one-candidate-at-a-time
+    # implementation, the last two from the one-cell-at-a-time scheduler; about
+    # 80% of these toy links are in outage, so the sparse tables and the
+    # lockstep scheduler must reproduce every row bit for bit
     cfg = toy_config(scheduler=scheduler, adc_bits=(3, 4, math.inf), n_ttis=6, n_beams_max=n_beams)
     assert _rows_sha256(network.run_drop_detailed(cfg, seed=seed)) == digest
 
