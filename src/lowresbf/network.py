@@ -95,14 +95,17 @@ LOS_DECAY_M = 67.1
 _TX_POWER_MW = 10.0 ** (TX_POWER_DBM / 10.0)
 _NOISE_PSD_MW_HZ = 10.0 ** ((-174.0 + NOISE_FIGURE_DB) / 10.0)
 # most users a drop may expect: the heaviest per-user arrays are the (64, 64) complex
-# serving covariances, 64 KiB per user, with same-size temporaries in
-# covariance_from_clusters and _dominant_eig; a 1445-user drop peaked at 450 MB RSS
-# (a default drop: 42 cells, about 420 users, 175 MB)
+# serving covariances, 64 KiB per user, with same-size temporaries in _dominant_eig;
+# a 1445-user drop peaked at 347 MB RSS and a 4096-user drop at 741 MB
+# (a default drop: 42 cells, about 430 users, 178 MB)
 MAX_UES_PER_DROP = 4096
 # most user-cell links (users x _max_cells) a drop may expect: generate_layout holds
 # per-link arrays and k_max-deep cluster arrays; at this bound 10 users over 26k sites
 # (area_m 25900) peaked at 260 MB RSS, 155 MB above the import (a default drop: 175 MB)
 MAX_LINKS_PER_DROP = 2 ** 18
+# most (member, live cluster) rows _cross_tables multiplies in one gemm, 1 MiB
+# of complex rows at 64 antennas, so a crowded cell needs no large temporaries
+_GAIN_ROWS = 1024
 
 _FINITE_FIELDS = (
     "area_m", "cell_radius_m", "bw_hz", "mean_ues_per_cell", "mean_extra_clusters", "cluster_spread_cos",
@@ -130,7 +133,10 @@ class NetworkConfig:
 
     def __post_init__(self):
         for name in _FINITE_FIELDS:
-            if not math.isfinite(getattr(self, name)):
+            v = getattr(self, name)
+            if isinstance(v, bool) or not isinstance(v, numbers.Real):
+                raise ValueError(f"{name} must be a real number, not {v!r}")
+            if not math.isfinite(v):
                 raise ValueError(f"{name} must be finite")
         for name in ("area_m", "cell_radius_m", "bw_hz", "mean_ues_per_cell"):
             if getattr(self, name) <= 0:
@@ -147,10 +153,15 @@ class NetworkConfig:
             raise ValueError(f"scheduler must be one of {SCHEDULERS}")
         if self.cluster_spread_cos < 0 or self.mean_extra_clusters < 0:
             raise ValueError("cluster parameters must be nonnegative")
-        if not self.adc_bits or len(set(self.adc_bits)) != len(self.adc_bits):
-            raise ValueError("adc_bits must list at least one width, each once")
+        if not isinstance(self.adc_bits, (tuple, list)) or not self.adc_bits:
+            raise ValueError(f"adc_bits must be a tuple of at least one width, not {self.adc_bits!r}")
         for b in self.adc_bits:
-            quantizer._check_bits(b)
+            try:
+                quantizer._check_bits(b)
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"adc_bits: {exc}") from None
+        if len(set(self.adc_bits)) != len(self.adc_bits):
+            raise ValueError("adc_bits must list each width once")
         if math.inf not in self.adc_bits:
             object.__setattr__(self, "adc_bits", (*self.adc_bits, math.inf))
 
@@ -272,6 +283,10 @@ def covariance_from_clusters(powers, cos_uv, shape, spread_cos):
 
     powers: (..., k) nonnegative, normalized here so trace(Q) = n_ant.
     cos_uv: (..., k, 2) direction cosines in [-1, 1].
+
+    Clusters past a set's last powered one add exact zeros to the sum
+    over c, so each set is summed only up to that cluster, one einsum per
+    depth; the padded slots of a drop's cluster arrays are skipped this way.
     """
     p = np.asarray(powers, dtype=float)
     if np.any(p < 0):
@@ -279,15 +294,24 @@ def covariance_from_clusters(powers, cos_uv, shape, spread_cos):
     tot = p.sum(axis=-1, keepdims=True)
     if np.any(tot <= 0):
         raise ValueError("at least one cluster must carry power")
-    p = p / tot
-    a = _steering(shape, cos_uv[..., 0], cos_uv[..., 1])
-    q = np.einsum("...k,...kn,...km->...nm", p, a, a.conj())
-    return q * _spread_taper(shape, spread_cos)
+    batch, k_max = p.shape[:-1], p.shape[-1]
+    p = (p / tot).reshape(-1, k_max)
+    cos_uv = np.reshape(cos_uv, (-1, k_max, 2))
+    depth = k_max - np.argmax(p[:, ::-1] > 0, axis=-1)
+    n_ant = math.prod(shape)
+    q = np.empty((len(p), n_ant, n_ant), dtype=complex)
+    for k in np.unique(depth):
+        sets = np.nonzero(depth == k)[0]
+        a = _steering(shape, cos_uv[sets, :k, 0], cos_uv[sets, :k, 1])
+        q[sets] = np.einsum("...k,...kn,...km->...nm", p[sets, :k], a, a.conj())
+    q *= _spread_taper(shape, spread_cos)
+    return q.reshape(*batch, n_ant, n_ant)
 
 
 def _draw_clusters(rng, batch_shape, mean_extra):
     n_cl = 1 + rng.poisson(mean_extra, batch_shape)
     k_max = int(n_cl.max(initial=1))  # a batch without links still gets one slot
+    # each link's live slots are a prefix of its row; the rest carry zero power
     mask = np.arange(k_max)[(None,) * len(batch_shape)] < n_cl[..., None]
     powers = np.where(mask, rng.exponential(1.0, (*batch_shape, k_max)), 0.0)
     powers = powers / powers.sum(-1, keepdims=True)
@@ -457,11 +481,19 @@ def generate_layout(cfg, seed):
     )
 
 
-def _quadform_sum(a, beam, taper, powers):
-    """Σ_c p_c · |beam^H (a_c a_c^H ⊙ T) beam| for batched cluster sets."""
-    y = a.conj() * beam[..., None, :]
-    q = ((y.conj() @ taper) * y).sum(-1).real
-    return (powers * q).sum(-1)
+def _cluster_gains(y, taper, one_row):
+    """beam^H (a a^H ⊙ T) beam, as Re y^H T y for each row y = conj(a) ⊙ beam of y.
+
+    numpy multiplies a one-row operand on gemv and a taller one on gemm,
+    whose rows do not depend on how many there are.  one_row sends every
+    row through gemv on its own; otherwise the rows are one gemm, a lone
+    row padded to two.
+    """
+    if one_row:
+        z = (y[:, None].conj() @ taper)[:, 0]
+    else:
+        z = (np.repeat(y, 2, axis=0) if len(y) == 1 else y).conj() @ taper
+    return (z[:len(y)] * y).sum(-1).real
 
 
 def _member_slots(members, n_act):
@@ -488,8 +520,21 @@ def _cross_tables(drop, members, v_s, e_srv, u_s, cfg):
     entry and a computed finite one both contribute exactly 0.  Each kept
     row is computed as in a dense table, so the results do not depend on
     how many rows are skipped.
+
+    Only powered cluster slots are computed, and that is exact as well.
+    _draw_clusters pads every link to the drop's k_max slots, its live ones
+    a prefix; a zero-power slot adds p·q = 0 to a link's sum over clusters.
+    Each cell takes the live (near user, cluster) rows only, evaluates the
+    beam gains of all its members on them in gemms of up to _GAIN_ROWS rows
+    (_cluster_gains), scatters them into zeros of the padded (member, near
+    user, k_max) shape, and sums over that padded width, so numpy's
+    pairwise sum groups the terms as it would over every slot.  A gemm row
+    does not depend on how many rows the call has, once it has two, so each
+    gain equals that of one link's (k_max, n_ant) product; at k_max = 1
+    that product is a gemv, and so every row then goes through gemv.
     """
     n_act = len(drop.active_ue)
+    one_row = drop.cluster_powers.shape[-1] == 1
     t_tx = _spread_taper(BS_ARRAY, cfg.cluster_spread_cos)
     t_rx = _spread_taper(UE_ARRAY, cfg.cluster_spread_cos)
     width = _member_slots(members, n_act).shape[1]
@@ -500,16 +545,24 @@ def _cross_tables(drop, members, v_s, e_srv, u_s, cfg):
         pl_c = drop.pathloss_db[drop.active_ue, c]
         near = np.nonzero(np.isfinite(pl_c))[0]
         p_near = drop.cluster_powers[near, c]
-        cos_rx = drop.cluster_cos_rx[near, c]
-        a_rx = _steering(UE_ARRAY, cos_rx[..., 0], cos_rx[..., 1])
+        at, k = np.nonzero(p_near > 0)  # live (near user, cluster) rows
+        ue = near[at]
+        cos_rx = drop.cluster_cos_rx[ue, c, k]
+        a_rx = _steering(UE_ARRAY, cos_rx[:, 0], cos_rx[:, 1]).conj()
+        q = np.zeros(p_near.shape)
+        q[at, k] = _cluster_gains(a_rx * u_s[ue], t_rx, one_row)
         w_rx_c = np.zeros(n_act)
-        w_rx_c[near] = _quadform_sum(a_rx, u_s[near], t_rx, p_near)
+        w_rx_c[near] = (p_near * q).sum(-1)
         pickup[i] = 10.0 ** (-pl_c / 10.0) * w_rx_c
         pickup[i, mem] = 0.0
-        cos_tx = drop.cluster_cos_tx[near, c]
-        a_tx = _steering(BS_ARRAY, cos_tx[..., 0], cos_tx[..., 1])
-        for u in mem:
-            leak[near, u] = _quadform_sum(a_tx, v_s[u], t_tx, p_near)
+        cos_tx = drop.cluster_cos_tx[ue, c, k]
+        a_tx = _steering(BS_ARRAY, cos_tx[:, 0], cos_tx[:, 1]).conj()
+        q = np.zeros((mem.size, *p_near.shape))
+        step = max(1, _GAIN_ROWS // len(at))
+        for j in range(0, mem.size, step):
+            y = (a_tx * v_s[mem[j:j + step], None]).reshape(-1, a_tx.shape[-1])
+            q[j:j + step, at, k] = _cluster_gains(y, t_tx, one_row).reshape(-1, len(at))
+        leak[np.ix_(near, mem)] = (p_near * q).sum(-1).T
         coupling[i, :mem.size, :mem.size] = (leak[np.ix_(mem, mem)] / e_srv[mem][:, None]).T
     return pickup, leak, coupling
 

@@ -125,6 +125,39 @@ def test_generate_covariances_batch():
         assert np.linalg.eigvalsh(q).min() > -1e-10
 
 
+@st.composite
+def _cluster_sets(draw):
+    """A batch of cluster sets, each with a powered cluster, some zero-power slots among them
+    (every set one depth), and any number of zero-power slots with any cosines to append.
+
+    The powers lie on a 2^-10 grid, so the normalizing sum is exact at any width, in any
+    order; numpy sums 8 or more terms pairwise, so other powers could round it differently
+    once padded, and then the normalization, not the sum over clusters, would differ.
+    """
+    n_sets, k, n_pad = draw(st.integers(1, 4)), draw(st.integers(1, 5)), draw(st.integers(1, 6))
+    powers = draw(hnp.arrays(float, (n_sets, k), elements=st.integers(0, 4096).map(lambda n: n / 1024)))
+    powers[np.arange(n_sets), draw(hnp.arrays(int, n_sets, elements=st.integers(0, k - 1)))] = 1.0
+    cos = draw(hnp.arrays(float, (n_sets, k + n_pad, 2), elements=st.floats(-1.0, 1.0)))
+    shape = draw(st.sampled_from([(2, 3), (4, 4), (8, 8)]))
+    return powers, cos, shape, draw(st.sampled_from([0.0, 0.1, 0.3])), n_pad
+
+
+@settings(max_examples=150, deadline=None)
+@given(_cluster_sets())
+# a zero-power cluster between two powered ones, and one set padded past it
+@example((np.array([[0.75, 0.0, 0.25]]), np.array([[[0.1, 0.4], [0.9, -0.7], [-0.5, 0.2], [0.3, 0.3]]]), (8, 8), 0.3, 1))
+def test_covariance_ignores_zero_power_slots(case):
+    powers, cos, shape, spread, n_pad = case
+    padded = np.pad(powers, ((0, 0), (0, n_pad)))
+    want = network.covariance_from_clusters(powers, cos[:, :powers.shape[1]], shape, spread)
+    got = network.covariance_from_clusters(padded, cos, shape, spread)
+    assert got.tobytes() == want.tobytes()
+    # and both equal the one einsum over every slot, padding included
+    a = network._steering(shape, cos[..., 0], cos[..., 1])
+    dense = np.einsum("...k,...kn,...km->...nm", padded / padded.sum(-1, keepdims=True), a, a.conj())
+    assert got.tobytes() == (dense * network._spread_taper(shape, spread)).tobytes()
+
+
 def test_longterm_beams_properties():
     rng = np.random.default_rng(6)
     a = np.exp(1j * rng.uniform(0, 2 * np.pi, 16))
@@ -221,6 +254,64 @@ def test_run_drops_jobs_invariant():
         assert [dataclasses.astuple(r) for r in x.ue_results] == [
             dataclasses.astuple(r) for r in y.ue_results
         ]
+
+
+def _quadform_sum(a, beam, taper, powers):
+    """Σ_c p_c · |beam^H (a_c a_c^H ⊙ T) beam| for batched cluster sets."""
+    y = a.conj() * beam[..., None, :]
+    q = ((y.conj() @ taper) * y).sum(-1).real
+    return (powers * q).sum(-1)
+
+
+def _padded_tables(drop, members, v_s, e_srv, u_s, cfg):
+    """The tables over every padded cluster slot, one _quadform_sum per member, that
+    the live-slot tables replaced."""
+    n_act = len(drop.active_ue)
+    t_tx = network._spread_taper(network.BS_ARRAY, cfg.cluster_spread_cos)
+    t_rx = network._spread_taper(network.UE_ARRAY, cfg.cluster_spread_cos)
+    width = network._member_slots(members, n_act).shape[1]
+    pickup = np.zeros((len(members), n_act))
+    leak = np.zeros((n_act, n_act + 1))
+    coupling = np.zeros((len(members), width, width))
+    for i, (c, mem) in enumerate(members.items()):
+        pl_c = drop.pathloss_db[drop.active_ue, c]
+        near = np.nonzero(np.isfinite(pl_c))[0]
+        p_near = drop.cluster_powers[near, c]
+        cos_rx = drop.cluster_cos_rx[near, c]
+        a_rx = network._steering(network.UE_ARRAY, cos_rx[..., 0], cos_rx[..., 1])
+        w_rx_c = np.zeros(n_act)
+        w_rx_c[near] = _quadform_sum(a_rx, u_s[near], t_rx, p_near)
+        pickup[i] = 10.0 ** (-pl_c / 10.0) * w_rx_c
+        pickup[i, mem] = 0.0
+        cos_tx = drop.cluster_cos_tx[near, c]
+        a_tx = network._steering(network.BS_ARRAY, cos_tx[..., 0], cos_tx[..., 1])
+        for u in mem:
+            leak[near, u] = _quadform_sum(a_tx, v_s[u], t_tx, p_near)
+        coupling[i, :mem.size, :mem.size] = (leak[np.ix_(mem, mem)] / e_srv[mem][:, None]).T
+    return pickup, leak, coupling
+
+
+@pytest.mark.parametrize("seed,clusters", [
+    (3, dict(cluster_spread_cos=0.0)),
+    (4, dict()),
+    # one cluster per link: every slot is live and k_max is 1 (gemv rows)
+    (5, dict(mean_extra_clusters=0.0)),
+    (3, dict(mean_extra_clusters=0.0, fixed_ue_count=12)),
+    # k_max 3, and three cells whose near users have one live slot between them
+    (3, dict(mean_extra_clusters=0.3, fixed_ue_count=12)),
+    (6, dict(mean_extra_clusters=5.0)),
+])
+def test_cross_tables_match_padded_tables(seed, clusters):
+    cfg = toy_config(**clusters)
+    drop = network.generate_layout(cfg, seed)
+    srv = drop.association[drop.active_ue]
+    members = {c: np.nonzero(srv == c)[0] for c in np.unique(srv)}
+    v_s, e_srv = network._dominant_eig(drop.cov_tx)
+    u_s, _ = network._dominant_eig(drop.cov_rx)
+    got = network._cross_tables(drop, members, v_s, e_srv, u_s, cfg)
+    want = _padded_tables(drop, members, v_s, e_srv, u_s, cfg)
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w)
 
 
 def _greedy_oracle(served_bits, gamma_est, coupling, member_ids, cfg):
@@ -343,13 +434,14 @@ def _rows_sha256(result):
     return hashlib.sha256(repr(rows).encode()).hexdigest()
 
 
-def _drop_row(scheduler, seed, digest, n_beams=4):
-    # the default beam count stays out of the id, so the first rows keep theirs
-    beams = [] if n_beams == 4 else [f"beams{n_beams}"]
-    return pytest.param(scheduler, seed, digest, n_beams, id="-".join([scheduler, str(seed), *beams, digest]))
+def _drop_row(scheduler, seed, digest, n_beams=4, **clusters):
+    # the default beam count and cluster geometry stay out of the id, so the first rows keep theirs
+    tags = [] if n_beams == 4 else [f"beams{n_beams}"]
+    tags += [f"{name}{value:g}" for name, value in clusters.items()]
+    return pytest.param(scheduler, seed, digest, n_beams, clusters, id="-".join([scheduler, str(seed), *tags, digest]))
 
 
-@pytest.mark.parametrize("scheduler,seed,digest,n_beams", [
+@pytest.mark.parametrize("scheduler,seed,digest,n_beams,clusters", [
     _drop_row("OFDMA_PF", 4, "5ae5ed937bdc898b44368c1618dadbe5ed6bb31c84b3a454a11b860030328ef7"),
     _drop_row("OFDMA_PF", 7, "a5095be5f633c45b9670c514cea6959c22dfd8ab273665e99d99332475979962"),
     _drop_row("SDMA_GREEDY", 4, "370546736a90999dd5f79473873b0f1a11aaae338e289c40cb1bb7bc3c1e999d"),
@@ -357,13 +449,19 @@ def _drop_row(scheduler, seed, digest, n_beams=4):
     # one beam per cell; and 8 beams, where an exterior cell admits more than 4
     _drop_row("SDMA_GREEDY", 4, "38e138e6543637ca82b0c84e18c264f0ab5bfb89394c9f2acc3f1e38ed7cc15a", n_beams=1),
     _drop_row("SDMA_GREEDY", 6, "b481399f6c4290f8b800a397fcc05a3df19be0b3df569caccbf07d8172a7f8f1", n_beams=8),
+    # point clusters; and about 6 clusters per link, 12 to 17 slots deep
+    _drop_row("OFDMA_PF", 5, "b7c16f97fe343660725c37d8331eb740f126e5fd240304b520c2243e98311915", cluster_spread_cos=0.0),
+    _drop_row("SDMA_GREEDY", 3, "86e4fcb98e6e1bab8aa8952193844775a348de9ca5956e921564653253a885ae", cluster_spread_cos=0.0),
+    _drop_row("OFDMA_PF", 6, "0f824cb21d78570eac6a82111b9c971db88a80c4c6218527185fc1b511f0e703", mean_extra_clusters=5.0),
+    _drop_row("SDMA_GREEDY", 4, "84bf22dc248ecf338d50c4bb41c85155778fc5959679e971d1766b4be112b6fa", mean_extra_clusters=5.0),
 ])
-def test_drop_rows_bit_identical(scheduler, seed, digest, n_beams):
+def test_drop_rows_bit_identical(scheduler, seed, digest, n_beams, clusters):
     # the first four digests come from the dense-table, one-candidate-at-a-time
-    # implementation, the last two from the one-cell-at-a-time scheduler; about
-    # 80% of these toy links are in outage, so the sparse tables and the
-    # lockstep scheduler must reproduce every row bit for bit
-    cfg = toy_config(scheduler=scheduler, adc_bits=(3, 4, math.inf), n_ttis=6, n_beams_max=n_beams)
+    # implementation, the next two from the one-cell-at-a-time scheduler, the
+    # last four from tables over every padded cluster slot; about 80% of these
+    # toy links are in outage, so the sparse tables, the live-slot tables and
+    # the lockstep scheduler must reproduce every row bit for bit
+    cfg = toy_config(scheduler=scheduler, adc_bits=(3, 4, math.inf), n_ttis=6, n_beams_max=n_beams, **clusters)
     assert _rows_sha256(network.run_drop_detailed(cfg, seed=seed)) == digest
 
 
@@ -437,6 +535,24 @@ def test_config_rejects_fixed_ue_count_below_one(count):
 def test_config_rejects_non_integer_counts(name, value):
     with pytest.raises(ValueError, match=name):
         network.NetworkConfig(**{name: value})
+
+
+@pytest.mark.parametrize("value", ["1000", None, True, (1.0,)])
+@pytest.mark.parametrize("name", network._FINITE_FIELDS)
+def test_config_rejects_non_real_fields(name, value):
+    with pytest.raises(ValueError, match=name):
+        network.NetworkConfig(**{name: value})
+
+
+@pytest.mark.parametrize("value", [4, "3,4", None, (), ("3",), (None,), (True,), ([3],)])
+def test_config_rejects_malformed_adc_bits(value):
+    with pytest.raises(ValueError, match="adc_bits"):
+        network.NetworkConfig(adc_bits=value)
+
+
+def test_config_accepts_numpy_and_integer_reals():
+    cfg = network.NetworkConfig(area_m=500, bw_hz=np.float64(1e9), cluster_spread_cos=np.float32(0.25), adc_bits=[3, 4])
+    assert (cfg.area_m, cfg.bw_hz, cfg.adc_bits) == (500, 1e9, (3, 4, math.inf))
 
 
 def test_config_accepts_numpy_integer_counts():
