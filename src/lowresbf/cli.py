@@ -231,18 +231,12 @@ def validate_config(text, overrides=()):
     if resolved[("tx", "nperseg")] < txchain.MIN_NPERSEG:
         violations.append(f"tx.nperseg must be at least {txchain.MIN_NPERSEG}, so that every "
                           f"{txchain.MEAS_BW_HZ / 1e6:g} MHz ACLR window holds 2 Welch bins")
-    # users a drop expects: the fixed count, or the Poisson mean over every site the grid can hold
-    fixed, cap = resolved[("cell", "fixed_ues")], network.MAX_UES_PER_DROP
-    cells = network._max_cells(resolved[("cell", "area_m")], resolved[("cell", "radius_m")])
-    users = fixed if fixed >= 0 else resolved[("cell", "mean_ues")] * cells
-    if fixed > cap:
-        violations.append(f"cell.fixed_ues must be at most {cap} users per drop")
-    elif users > cap:
-        violations.append(f"cell.mean_ues times the cells of cell.area_m and cell.radius_m "
-                          f"(at most {cells:.0f}) must be at most {cap} users per drop")
-    elif users * cells > network.MAX_LINKS_PER_DROP:
-        violations.append(f"cell.area_m and cell.radius_m (at most {cells:.0f} cells) times {users:.0f} users "
-                          f"must be at most {network.MAX_LINKS_PER_DROP} links per drop")
+    fixed = resolved[("cell", "fixed_ues")]
+    oversized = network._oversized_drop(resolved[("cell", "area_m")], resolved[("cell", "radius_m")],
+                                        resolved[("cell", "mean_ues")], None if fixed < 0 else fixed)
+    if oversized:
+        violations.append(oversized.format(fixed="cell.fixed_ues", mean="cell.mean_ues", area="cell.area_m",
+                                           radius="cell.radius_m"))
     if violations:
         raise ConfigError(violations)
     return resolved
@@ -519,39 +513,6 @@ _NETWORK_NOTES = (
 )
 
 
-def _collect_cell_rows(drops_out, scheduler):
-    rows = []
-    for di, res in enumerate(drops_out):
-        for r in res.ue_results:
-            rows.append((di, r.ue_index, r.serving_bs, r.sinr_db, r.rate_bps, r.n_bits,
-                         scheduler, r.interior))
-    return rows
-
-
-def _interior_metric(drops_out, bits, attr):
-    vals = [
-        getattr(r, attr)
-        for res in drops_out
-        for r in res.ue_results
-        if r.n_bits == bits and r.interior and math.isfinite(r.sinr_db)
-    ]
-    return np.array(vals)
-
-
-def _write_cdfs(ctx, stem, drops_out, bits_list):
-    pct = np.arange(1, 100)
-    for b in bits_list:
-        tag = _fmt(b)
-        sv = _interior_metric(drops_out, b, "sinr_db")
-        rv = _interior_metric(drops_out, b, "rate_bps")
-        if sv.size == 0:
-            raise ValueError("no scheduled interior users; enlarge the area or UE density")
-        _write_csv(ctx, f"{stem}_sinr_cdf_n{tag}.csv", ("percentile", "value"),
-                   list(zip(pct, np.percentile(sv, pct))), notes=_NETWORK_NOTES)
-        _write_csv(ctx, f"{stem}_rate_cdf_n{tag}.csv", ("percentile", "value"),
-                   list(zip(pct, np.percentile(rv, pct))), notes=_NETWORK_NOTES)
-
-
 def _check_dominance(ctx, drops_out, bits_list):
     order = sorted(bits_list)
     for res in drops_out:
@@ -571,8 +532,11 @@ def _run_cell(ctx, scheduler, bits, stem):
     """Drops, per-UE CSV, CDFs, plot and rate-dominance check of a cell preset.
 
     Every width in bits, and the inf that NetworkConfig adds, is recorded on
-    the same resolution-blind schedules.  Returns the drops and the recorded
-    widths (ncfg.adc_bits), for the preset's own outputs and checks.
+    the same resolution-blind schedules.  The drops' UeResults are read once,
+    into the per-UE rows; each width's SINR and rate CDFs come from its rows
+    of scheduled interior users (finite SINR), in the same order for every
+    width.  Returns the drops and {width: those users' SINRs in dB}, keyed in
+    ncfg.adc_bits order, for the preset's own outputs and checks.
     """
     c = ctx.cfg
     fixed = c[("cell", "fixed_ues")]
@@ -590,22 +554,32 @@ def _run_cell(ctx, scheduler, bits, stem):
         fixed_ue_count=None if fixed < 0 else fixed,
     )
     drops_out = network.run_drops(ncfg, c[("cell", "drops")], ctx.seed, n_jobs=ctx.jobs)
-    all_bits = ncfg.adc_bits
-    rows = _collect_cell_rows(drops_out, scheduler)
+    rows = [(di, r.ue_index, r.serving_bs, r.sinr_db, r.rate_bps, r.n_bits, scheduler, r.interior)
+            for di, res in enumerate(drops_out) for r in res.ue_results]
     _write_csv(ctx, f"{stem}_ue.csv",
                ("drop", "ue", "serving_bs", "sinr_db", "rate_bps", "n_bits", "scheduler", "interior"),
                rows, notes=_NETWORK_NOTES)
-    _write_cdfs(ctx, stem, drops_out, all_bits)
-    tags = [_fmt(b) for b in all_bits]
-    _write_plot(ctx, f"{stem}_cdf.png", f"stem = {stem!r}\nbits = {tags!r}\n" + _CELL_PLOT)
-    _check_dominance(ctx, drops_out, all_bits)
-    return drops_out, all_bits
+    interior = {b: ([], []) for b in ncfg.adc_bits}  # width: (SINRs, rates) of its scheduled interior users
+    for *_, sinr_db, rate, b, _, inside in rows:
+        if inside and math.isfinite(sinr_db):
+            interior[b][0].append(sinr_db)
+            interior[b][1].append(rate)
+    pct = np.arange(1, 100)
+    for b, metrics in interior.items():
+        if not metrics[0]:
+            raise ValueError("no scheduled interior users; enlarge the area or UE density")
+        for metric, vals in zip(("sinr", "rate"), metrics):
+            _write_csv(ctx, f"{stem}_{metric}_cdf_n{_fmt(b)}.csv", ("percentile", "value"),
+                       list(zip(pct, np.percentile(vals, pct))), notes=_NETWORK_NOTES)
+    _write_plot(ctx, f"{stem}_cdf.png", f"stem = {stem!r}\nbits = {[_fmt(b) for b in interior]!r}\n" + _CELL_PLOT)
+    _check_dominance(ctx, drops_out, ncfg.adc_bits)
+    return drops_out, {b: np.array(sinrs) for b, (sinrs, _) in interior.items()}
 
 
 def _run_cell_ofdma(ctx):
-    drops_out, all_bits = _run_cell(ctx, "OFDMA_PF", ctx.cfg[("cell", "adc_bits")], "cell_ofdma")
-    if 3 in all_bits:
-        loss = _interior_metric(drops_out, math.inf, "sinr_db") - _interior_metric(drops_out, 3, "sinr_db")
+    drops_out, sinr_db = _run_cell(ctx, "OFDMA_PF", ctx.cfg[("cell", "adc_bits")], "cell_ofdma")
+    if 3 in sinr_db:
+        loss = sinr_db[math.inf] - sinr_db[3]
         med, p90 = np.percentile(loss, 50), np.percentile(loss, 90)
         if not (0.5 <= med <= 2.0):
             ctx.fail(f"3-bit median SINR loss {med:.2f} dB outside [0.5, 2]")
@@ -782,7 +756,7 @@ _PRESETS = {
     "sdma-link": (_run_sdma_link, ("sdma", "adc_bits"), ("sdma", "sir_db")),
     "cell-ofdma": (_run_cell_ofdma, ("cell", "adc_bits"), None),
     "cell-sdma": (_run_cell_sdma, ("cell", "sdma_bits"), None),
-    "tx-psd": (_run_tx_psd, ("tx", "bits"), None),
+    "tx-psd": (_run_tx_psd, None, None),  # its widths come from tx.psd_cases
     "aclr-sweep": (_run_aclr_sweep, ("tx", "bits"), None),
     "evm-sweep": (_run_evm_sweep, ("tx", "evm_bits"), None),
 }

@@ -142,13 +142,8 @@ class NetworkConfig:
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
         for name in ("n_beams_max", "n_ttis", "fixed_ue_count"):
-            v = getattr(self, name)
-            if name == "fixed_ue_count" and v is None:
-                continue  # None draws a Poisson count
-            if isinstance(v, bool) or not isinstance(v, numbers.Integral):
-                raise ValueError(f"{name} must be an integer, not {v!r}")
-            if v < 1:
-                raise ValueError(f"{name} must be at least 1")
+            if not (name == "fixed_ue_count" and self.fixed_ue_count is None):  # None draws a Poisson count
+                _check_count(name, getattr(self, name))
         if self.scheduler not in SCHEDULERS:
             raise ValueError(f"scheduler must be one of {SCHEDULERS}")
         if self.cluster_spread_cos < 0 or self.mean_extra_clusters < 0:
@@ -162,8 +157,37 @@ class NetworkConfig:
                 raise ValueError(f"adc_bits: {exc}") from None
         if len(set(self.adc_bits)) != len(self.adc_bits):
             raise ValueError("adc_bits must list each width once")
-        if math.inf not in self.adc_bits:
-            object.__setattr__(self, "adc_bits", (*self.adc_bits, math.inf))
+        bits = tuple(self.adc_bits)
+        object.__setattr__(self, "adc_bits", bits if math.inf in bits else (*bits, math.inf))
+        if oversized := _oversized_drop(self.area_m, self.cell_radius_m, self.mean_ues_per_cell, self.fixed_ue_count):
+            raise ValueError(oversized.format(fixed="fixed_ue_count", mean="mean_ues_per_cell", area="area_m",
+                                              radius="cell_radius_m"))
+
+
+def _check_count(name, v):
+    """A count is an integer (numpy's too, but not a bool) of at least 1."""
+    if isinstance(v, bool) or not isinstance(v, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, not {v!r}")
+    if v < 1:
+        raise ValueError(f"{name} must be at least 1")
+
+
+def _oversized_drop(area_m, radius_m, mean_ues_per_cell, fixed_ue_count):
+    """Why a drop would break a size cap, with {fixed}, {mean}, {area} and {radius} for the caller's field names.
+
+    It expects fixed_ue_count users (mean_ues_per_cell per _max_cells site if None), and a link per user and site.
+    """
+    cells = _max_cells(area_m, radius_m)
+    users = mean_ues_per_cell * cells if fixed_ue_count is None else fixed_ue_count
+    if fixed_ue_count is not None and users > MAX_UES_PER_DROP:
+        return f"{{fixed}} must be at most {MAX_UES_PER_DROP} users per drop"
+    if users > MAX_UES_PER_DROP:
+        return (f"{{mean}} times the cells of {{area}} and {{radius}} (at most {cells:.0f}) "
+                f"must be at most {MAX_UES_PER_DROP} users per drop")
+    if users * cells > MAX_LINKS_PER_DROP:
+        return (f"{{area}} and {{radius}} (at most {cells:.0f} cells) times {users:.0f} users "
+                f"must be at most {MAX_LINKS_PER_DROP} links per drop")
+    return None
 
 
 @dataclass(frozen=True)
@@ -670,5 +694,6 @@ def run_drops(cfg, n_drops, seed, n_jobs=1):
     Results are identical for any n_jobs: drop i always uses the i-th
     child of SeedSequence(seed).
     """
+    _check_count("n_drops", n_drops)
     seeds = np.random.SeedSequence(seed).spawn(n_drops)
     return pool_map(run_drop_detailed, [(cfg, s) for s in seeds], n_jobs)

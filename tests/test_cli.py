@@ -155,9 +155,11 @@ def test_usage_error_exits_one(capsys):
     assert "config error" in capsys.readouterr().err
 
 
-def test_bits_flag_requires_matching_preset(capsys):
-    assert cli.main(["power-table", "--bits", "3,4"]) == 1
-    assert "--bits does not apply" in capsys.readouterr().err
+@pytest.mark.parametrize("preset", ["power-table", "tx-psd"])
+def test_bits_flag_requires_matching_preset(capsys, preset):
+    # tx-psd takes its widths from tx.psd_cases, so --bits would change only the headers
+    assert cli.main([preset, "--bits", "3,4"]) == 1
+    assert f"--bits does not apply to {preset}" in capsys.readouterr().err
 
 
 def test_missing_config_file_exits_one(tmp_path, capsys):
@@ -489,6 +491,9 @@ def test_evm_sweep_artifacts(tmp_path):
     py_compile.compile(str(out / "evm_sweep_plot.py"), doraise=True)
 
 
+_CELL_PIN = "[cell]\ndrops = 2\nttis = 4\narea_m = 600\nfixed_ues = 40\nadc_bits = 4,3\n"
+
+
 @pytest.mark.parametrize("preset,config,digests", [
     pytest.param("aqnm-curves", "[aqnm]\nbits = 1,4,inf\ngamma_points = 5\n", {
         "aqnm_alpha.csv": "f4af798910276757cbd454ad5c32ebaf8b42678152923b7405c029360383df01",
@@ -518,12 +523,32 @@ def test_evm_sweep_artifacts(tmp_path):
         "tx_psd_n4_o1.csv": "61dfead7a239c2546e14694937c034bc82009e263949c8556535bbcb46c4a0c0",
         "tx_psd_ninf_o0.csv": "599f23c6b91bdcb5f7e751e2f2f5a29c50670f8d00b39a75d794cd3079f38dc9",
     }, id="tx-psd"),
+    pytest.param("cell-ofdma", _CELL_PIN, {
+        "cell_ofdma_rate_cdf_n3.csv": "6fe16df1fdea636bc4c2e951823263f04ee37b8a347f9312412ce00f66b9a97d",
+        "cell_ofdma_rate_cdf_n4.csv": "4b21a62ace260b01301fb7dd446d603c1f0228acb5fc3fec7a583d4813c11999",
+        "cell_ofdma_rate_cdf_ninf.csv": "218fe70ea2e0e5a827c3e0ddb4a2c212b30b9a60b7e23ded98ca58c48f105a01",
+        "cell_ofdma_sinr_cdf_n3.csv": "9d79d5b7b9e1585bbb0ffa5c6dc6de9713f476c8028893c8363a2736c4bead7b",
+        "cell_ofdma_sinr_cdf_n4.csv": "a6813ae7f5e395007d776850d8af73215439ecdae1f0b033e22ba873d4fc4c79",
+        "cell_ofdma_sinr_cdf_ninf.csv": "b1a312243c3ec5df722fb354028efc2837b8958320357ca092fdd51c369c20fd",
+        "cell_ofdma_ue.csv": "88f227e740ef0c97b2ab548f81c3dc3755129e9b0817b0282263095f36aa88b5",
+    }, id="cell-ofdma"),
+    pytest.param("cell-sdma", _CELL_PIN, {
+        "cell_sdma_beams.csv": "67ce13d6a978c3e4261cde7e4082b26faa1c9bbe15e5f34e768c0d9a51e78d6a",
+        "cell_sdma_rate_cdf_n4.csv": "164949188438d891142936b5184905a0776319f7328d4299c8071cebc4718146",
+        "cell_sdma_rate_cdf_ninf.csv": "48d30c0d3460e645f5bc183440b220cf854a319dfaa207e7a50814460d8aecef",
+        "cell_sdma_sinr_cdf_n4.csv": "3fc3d6d2cc8dc2e412b43f3b767b8cd1f64b9be905d5fdff9f97329f5c34ccbf",
+        "cell_sdma_sinr_cdf_ninf.csv": "35eca270316f8a50ded281e3acba2313c045efd667703ccbb1fb9f92637135bf",
+        "cell_sdma_ue.csv": "0f78272060e24f6d4b8158bf47b6a3df31be75fa47f23f73f341e9178d26e62c",
+    }, id="cell-sdma"),
 ])
 def test_waveform_csvs_bit_identical(tmp_path, preset, config, digests):
     # digests recorded before the FIR helpers and the infinite-resolution
     # paths were folded together, and the tx-psd row (two cases of one
     # width) before the PSD jobs were grouped by width; each waveform
-    # config includes an inf width, and power-table runs at defaults
+    # config includes an inf width, and power-table runs at defaults.
+    # The cell rows, recorded before the cell presets reduced their drops
+    # in one pass, list the widths out of order and pin the per-user rows,
+    # every CDF and the beam histogram
     cfg = tmp_path / "c.ini"
     cfg.write_text(config)
     out = tmp_path / "out"

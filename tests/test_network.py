@@ -553,6 +553,10 @@ def test_config_rejects_malformed_adc_bits(value):
 def test_config_accepts_numpy_and_integer_reals():
     cfg = network.NetworkConfig(area_m=500, bw_hz=np.float64(1e9), cluster_spread_cos=np.float32(0.25), adc_bits=[3, 4])
     assert (cfg.area_m, cfg.bw_hz, cfg.adc_bits) == (500, 1e9, (3, 4, math.inf))
+    # a list that already holds inf is stored as a tuple too, so the config hashes
+    listed = network.NetworkConfig(adc_bits=[3, math.inf])
+    assert listed.adc_bits == (3, math.inf)
+    assert hash(listed) == hash(network.NetworkConfig(adc_bits=(3, math.inf)))
 
 
 def test_config_accepts_numpy_integer_counts():
@@ -576,3 +580,37 @@ def test_drop_with_every_user_in_outage(scheduler):
     assert result.ue_results == []
     assert result.beam_counts.size == 0
     assert len(drop.ue_positions) == 2
+
+
+@pytest.mark.parametrize("n_drops", [0, -1, 1.5, 2.0, True, "2", None])
+def test_run_drops_rejects_bad_drop_counts(n_drops):
+    with pytest.raises(ValueError, match="n_drops"):
+        network.run_drops(toy_config(), n_drops, seed=0)
+
+
+def test_run_drops_accepts_numpy_drop_count():
+    assert len(network.run_drops(toy_config(n_ttis=1), np.int64(2), seed=0)) == 2
+
+
+@pytest.mark.parametrize("kw,field", [
+    (dict(fixed_ue_count=network.MAX_UES_PER_DROP + 1), "fixed_ue_count"),
+    (dict(fixed_ue_count=10**6), "fixed_ue_count"),
+    (dict(mean_ues_per_cell=1e7), "mean_ues_per_cell"),
+    (dict(fixed_ue_count=10, area_m=1e6), "area_m"),
+    (dict(mean_ues_per_cell=0.001, area_m=1e5), "area_m"),
+], ids=["fixed-over-cap", "fixed-million", "mean", "fixed-links", "mean-links"])
+def test_config_rejects_oversized_drop(kw, field):
+    # such a drop would ask numpy for gigabytes of covariances or link arrays
+    with pytest.raises(ValueError, match=f"^{field} "):
+        network.NetworkConfig(**kw)
+
+
+def test_config_accepts_drop_at_its_limits():
+    cells = network._max_cells(1000.0, 100.0)
+    assert network.NetworkConfig(fixed_ue_count=network.MAX_UES_PER_DROP).fixed_ue_count == network.MAX_UES_PER_DROP
+    mean = network.MAX_UES_PER_DROP / cells
+    assert network.NetworkConfig(mean_ues_per_cell=mean).mean_ues_per_cell == mean
+    # 10 users over the largest square area whose sites bound keeps them within the link cap
+    area = 25900.0
+    assert 10 * network._max_cells(area, 100.0) <= network.MAX_LINKS_PER_DROP
+    assert network.NetworkConfig(fixed_ue_count=10, area_m=area).area_m == area
