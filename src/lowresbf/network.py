@@ -37,6 +37,7 @@ from dataclasses import dataclass
 from enum import IntEnum
 
 import numpy as np
+from scipy.linalg import lapack
 
 from . import quantizer
 from .parallel import pool_map
@@ -95,9 +96,10 @@ LOS_DECAY_M = 67.1
 _TX_POWER_MW = 10.0 ** (TX_POWER_DBM / 10.0)
 _NOISE_PSD_MW_HZ = 10.0 ** ((-174.0 + NOISE_FIGURE_DB) / 10.0)
 # most users a drop may expect: the heaviest per-user arrays are the (64, 64) complex
-# serving covariances, 64 KiB per user, with same-size temporaries in _dominant_eig;
-# a 1445-user drop peaked at 347 MB RSS and a 4096-user drop at 741 MB
-# (a default drop: 42 cells, about 430 users, 178 MB)
+# serving covariances, 64 KiB per user, and covariance_from_clusters' temporaries, then the
+# n x n leakage table and the OFDMA loop's per-cell copies of its columns; at one BLAS
+# thread a 1509-user drop (area_m 1889) peaked at 356 MB RSS and a 4096-user drop at
+# 735 MB, 535 MB of it by the end of generate_layout (a default drop: 42 cells, 463 users, 154 MB)
 MAX_UES_PER_DROP = 4096
 # most user-cell links (users x _max_cells) a drop may expect: generate_layout holds
 # per-link arrays and k_max-deep cluster arrays; at this bound 10 users over 26k sites
@@ -106,6 +108,9 @@ MAX_LINKS_PER_DROP = 2 ** 18
 # most (member, live cluster) rows _cross_tables multiplies in one gemm, 1 MiB
 # of complex rows at 64 antennas, so a crowded cell needs no large temporaries
 _GAIN_ROWS = 1024
+# relative gap between a covariance's top two eigenvalues below which _dominant_eig
+# takes the full eigh; over the 6 drops of a default cell preset run the smallest is 8e-4
+_TIE_GAP = 1e-6
 
 _FINITE_FIELDS = (
     "area_m", "cell_radius_m", "bw_hz", "mean_ues_per_cell", "mean_extra_clusters", "cluster_spread_cos",
@@ -344,8 +349,8 @@ def _draw_clusters(rng, batch_shape, mean_extra):
     return powers, cos_tx, cos_rx
 
 
-def _dominant_eig(q):
-    """Unit-norm dominant eigenvector of each covariance, and its eigenvalue (the beam gain)."""
+def _eigh_dominant(q):
+    """_dominant_eig through a full eigh, for near-tied top pairs."""
     lam, vec = np.linalg.eigh(q)
     # lowest index among numerically tied top eigenvalues, so isotropic
     # covariances resolve deterministically
@@ -355,6 +360,35 @@ def _dominant_eig(q):
     v = np.take_along_axis(vec, np.broadcast_to(idx, (*vec.shape[:-1], 1)), axis=-1)[..., 0]
     gain = np.take_along_axis(lam, first[..., None], axis=-1)[..., 0]
     return v, gain.real
+
+
+def _dominant_eig(q):
+    """Unit-norm dominant eigenvector of each covariance, and its eigenvalue (the beam gain).
+
+    LAPACK's selected-eigenpair driver (zheevx) solves only the top two
+    eigenpairs of each (n, n) matrix.  Where the second eigenvalue is within
+    _TIE_GAP of the top, relative, the matrix goes through the full eigh
+    (_eigh_dominant) instead, which picks the lowest index among eigenvalues
+    >= top * (1 - 1e-12): tied and near-tied matrices resolve exactly as a
+    full eigh does, and an isotropic covariance gives basis vector 0.
+    Elsewhere the beam v and gain agree with the full eigh's to
+    1 - |<v, v_eigh>| <= 1e-12 and a relative 1e-12 (measured: 2e-15 on a
+    default drop), and the beam's phase is arbitrary, as eigh's is.
+    """
+    n = q.shape[-1]
+    mats = q.reshape(-1, n, n)
+    v = np.empty(mats.shape[:-1], dtype=complex)
+    gain = np.empty(len(mats))
+    lwork = int(lapack.zheevx_lwork(n, lower=1)[0].real)  # blocked back-transform, faster with BLAS threads
+    for i, m in enumerate(mats):
+        w, z, _, _, info = lapack.zheevx(m, range="I", il=n - 1, iu=n, lower=1, lwork=lwork)
+        if info != 0:
+            raise np.linalg.LinAlgError(f"zheevx failed on covariance {i} (info {info})")
+        if w[0] >= w[1] * (1.0 - _TIE_GAP):
+            v[i], gain[i] = _eigh_dominant(m)
+        else:
+            v[i], gain[i] = z[:, 1], w[1]
+    return v.reshape(q.shape[:-1]), gain.reshape(q.shape[:-2])
 
 
 def schedule_ofdma_pf(served_bits, spectral_effs, member_ids, bw_hz):
@@ -695,5 +729,6 @@ def run_drops(cfg, n_drops, seed, n_jobs=1):
     child of SeedSequence(seed).
     """
     _check_count("n_drops", n_drops)
+    _check_count("n_jobs", n_jobs)
     seeds = np.random.SeedSequence(seed).spawn(n_drops)
     return pool_map(run_drop_detailed, [(cfg, s) for s in seeds], n_jobs)

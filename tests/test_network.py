@@ -176,6 +176,55 @@ def test_longterm_beams_properties():
     assert top == pytest.approx(gain, rel=1e-9)
 
 
+def _eigh_dominant_eig(q):
+    """The full-eigh _dominant_eig that the selected-eigenpair solver replaced."""
+    lam, vec = np.linalg.eigh(q)
+    # lowest index among numerically tied top eigenvalues, so isotropic
+    # covariances resolve deterministically
+    top = lam[..., -1:]
+    first = np.argmax(lam >= top * (1.0 - 1e-12), axis=-1)
+    idx = np.expand_dims(np.expand_dims(first, -1), -1)
+    v = np.take_along_axis(vec, np.broadcast_to(idx, (*vec.shape[:-1], 1)), axis=-1)[..., 0]
+    gain = np.take_along_axis(lam, first[..., None], axis=-1)[..., 0]
+    return v, gain.real
+
+
+@st.composite
+def _serving_covariances(draw):
+    """A stack of cluster covariances at one end of the link, as generate_layout builds them."""
+    shape = draw(st.sampled_from([network.BS_ARRAY, network.UE_ARRAY]))
+    n_sets, k = draw(st.integers(1, 3)), draw(st.integers(1, 5))
+    powers = draw(hnp.arrays(float, (n_sets, k), elements=st.floats(0.0, 1.0)))
+    powers[:, 0] = draw(hnp.arrays(float, n_sets, elements=st.floats(1e-3, 1.0)))  # every set carries power
+    cos = draw(hnp.arrays(float, (n_sets, k, 2), elements=st.floats(-1.0, 1.0)))
+    return network.covariance_from_clusters(powers, cos, shape, draw(st.floats(0.0, 0.5)))
+
+
+_STEER = network._steering(network.UE_ARRAY, 0.3, -0.2)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_serving_covariances())
+@example(np.eye(16, dtype=complex)[None])  # isotropic: basis vector 0
+@example(np.outer(_STEER, _STEER.conj())[None])  # rank 1
+# two orthogonal point clusters of equal power: a tied top pair
+@example(network.covariance_from_clusters(np.array([[0.5, 0.5]]), np.array([[[0.0, 0.0], [1.0, 0.0]]]),
+                                          network.UE_ARRAY, 0.0))
+@example(np.zeros((0, 64, 64), dtype=complex))
+def test_dominant_eig_matches_full_eigh(q):
+    v, gain = network._dominant_eig(q)
+    v_ref, gain_ref = _eigh_dominant_eig(q)
+    assert v.shape == q.shape[:-1] and gain.shape == q.shape[:-2]
+    np.testing.assert_allclose(np.linalg.norm(v, axis=-1), 1.0, rtol=0, atol=1e-12)
+    assert np.all(1.0 - np.abs(np.einsum("...i,...i->...", v.conj(), v_ref)) <= 1e-12)
+    np.testing.assert_allclose(gain, gain_ref, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(gain, np.einsum("...i,...ij,...j->...", v.conj(), q, v).real, rtol=1e-12, atol=0)
+    # a tied top pair goes through the full eigh, and resolves as it did
+    lam = np.linalg.eigvalsh(q)
+    tied = lam[..., -2] >= lam[..., -1] * (1.0 - 1e-12)
+    assert np.array_equal(v[tied], v_ref[tied]) and np.array_equal(gain[tied], gain_ref[tied])
+
+
 def test_ofdma_pf_shares():
     shares = network.schedule_ofdma_pf(np.ones(3), np.array([2.0, 2.0]), [0, 1], 1e9)
     np.testing.assert_allclose(shares, 5e8)
@@ -435,13 +484,17 @@ def _rows_sha256(result):
 
 
 def _drop_row(scheduler, seed, digest, n_beams=4, **clusters):
+    return scheduler, seed, digest, n_beams, clusters
+
+
+def _drop_id(scheduler, seed, n_beams, clusters):
     # the default beam count and cluster geometry stay out of the id, so the first rows keep theirs
     tags = [] if n_beams == 4 else [f"beams{n_beams}"]
     tags += [f"{name}{value:g}" for name, value in clusters.items()]
-    return pytest.param(scheduler, seed, digest, n_beams, clusters, id="-".join([scheduler, str(seed), *tags, digest]))
+    return "-".join([scheduler, str(seed), *tags])
 
 
-@pytest.mark.parametrize("scheduler,seed,digest,n_beams,clusters", [
+_DROP_ROWS = [
     _drop_row("OFDMA_PF", 4, "5ae5ed937bdc898b44368c1618dadbe5ed6bb31c84b3a454a11b860030328ef7"),
     _drop_row("OFDMA_PF", 7, "a5095be5f633c45b9670c514cea6959c22dfd8ab273665e99d99332475979962"),
     _drop_row("SDMA_GREEDY", 4, "370546736a90999dd5f79473873b0f1a11aaae338e289c40cb1bb7bc3c1e999d"),
@@ -454,15 +507,44 @@ def _drop_row(scheduler, seed, digest, n_beams=4, **clusters):
     _drop_row("SDMA_GREEDY", 3, "86e4fcb98e6e1bab8aa8952193844775a348de9ca5956e921564653253a885ae", cluster_spread_cos=0.0),
     _drop_row("OFDMA_PF", 6, "0f824cb21d78570eac6a82111b9c971db88a80c4c6218527185fc1b511f0e703", mean_extra_clusters=5.0),
     _drop_row("SDMA_GREEDY", 4, "84bf22dc248ecf338d50c4bb41c85155778fc5959679e971d1766b4be112b6fa", mean_extra_clusters=5.0),
+]
+
+
+def _drop_config(scheduler, n_beams, clusters):
+    return toy_config(scheduler=scheduler, adc_bits=(3, 4, math.inf), n_ttis=6, n_beams_max=n_beams, **clusters)
+
+
+@pytest.mark.parametrize("scheduler,seed,digest,n_beams,clusters", [
+    pytest.param(*row, id=f"{_drop_id(*row[:2], *row[3:])}-{row[2]}") for row in _DROP_ROWS
 ])
-def test_drop_rows_bit_identical(scheduler, seed, digest, n_beams, clusters):
+def test_drop_rows_bit_identical(scheduler, seed, digest, n_beams, clusters, monkeypatch):
     # the first four digests come from the dense-table, one-candidate-at-a-time
     # implementation, the next two from the one-cell-at-a-time scheduler, the
     # last four from tables over every padded cluster slot; about 80% of these
     # toy links are in outage, so the sparse tables, the live-slot tables and
-    # the lockstep scheduler must reproduce every row bit for bit
-    cfg = toy_config(scheduler=scheduler, adc_bits=(3, 4, math.inf), n_ttis=6, n_beams_max=n_beams, **clusters)
-    assert _rows_sha256(network.run_drop_detailed(cfg, seed=seed)) == digest
+    # the lockstep scheduler must reproduce every row bit for bit.  The beams
+    # come from the full-eigh oracle, so the digests guard every stage after
+    # the eigensolver bit for bit; test_drop_rows_match_eigh_oracle bounds
+    # what the production solver changes
+    monkeypatch.setattr(network, "_dominant_eig", _eigh_dominant_eig)
+    assert _rows_sha256(network.run_drop_detailed(_drop_config(scheduler, n_beams, clusters), seed=seed)) == digest
+
+
+@pytest.mark.parametrize("scheduler,seed,n_beams,clusters", [
+    pytest.param(*row[:2], *row[3:], id=_drop_id(*row[:2], *row[3:])) for row in _DROP_ROWS
+])
+def test_drop_rows_match_eigh_oracle(scheduler, seed, n_beams, clusters, monkeypatch):
+    cfg = _drop_config(scheduler, n_beams, clusters)
+    got = network.run_drop_detailed(cfg, seed=seed)
+    monkeypatch.setattr(network, "_dominant_eig", _eigh_dominant_eig)
+    want = network.run_drop_detailed(cfg, seed=seed)
+    assert np.array_equal(got.beam_counts, want.beam_counts)
+    assert len(got.ue_results) == len(want.ue_results)
+    for g, w in zip(got.ue_results, want.ue_results):
+        assert (g.ue_index, g.serving_bs, g.n_bits, g.interior) == (w.ue_index, w.serving_bs, w.n_bits, w.interior)
+        assert math.isnan(g.sinr_db) == math.isnan(w.sinr_db)
+        assert math.isnan(w.sinr_db) or abs(g.sinr_db - w.sinr_db) <= 1e-9
+        assert abs(g.rate_bps - w.rate_bps) <= 1e-12 * abs(w.rate_bps)
 
 
 def test_resolution_dominance_per_ue():
@@ -588,8 +670,18 @@ def test_run_drops_rejects_bad_drop_counts(n_drops):
         network.run_drops(toy_config(), n_drops, seed=0)
 
 
+@pytest.mark.parametrize("n_jobs", [0, -3, 1.5, "2", True, None])
+def test_run_drops_rejects_bad_job_counts(n_jobs):
+    with pytest.raises(ValueError, match="n_jobs"):
+        network.run_drops(toy_config(n_ttis=1), 2, seed=0, n_jobs=n_jobs)
+
+
 def test_run_drops_accepts_numpy_drop_count():
     assert len(network.run_drops(toy_config(n_ttis=1), np.int64(2), seed=0)) == 2
+
+
+def test_run_drops_accepts_numpy_job_count():
+    assert len(network.run_drops(toy_config(n_ttis=1), 2, seed=0, n_jobs=np.int64(1))) == 2
 
 
 @pytest.mark.parametrize("kw,field", [
