@@ -484,14 +484,11 @@ def _rows_sha256(result):
 
 
 def _drop_row(scheduler, seed, digest, n_beams=4, **clusters):
-    return scheduler, seed, digest, n_beams, clusters
-
-
-def _drop_id(scheduler, seed, n_beams, clusters):
+    """(id, digest, drop arguments) of one pinned drop."""
     # the default beam count and cluster geometry stay out of the id, so the first rows keep theirs
     tags = [] if n_beams == 4 else [f"beams{n_beams}"]
     tags += [f"{name}{value:g}" for name, value in clusters.items()]
-    return "-".join([scheduler, str(seed), *tags])
+    return "-".join([scheduler, str(seed), *tags]), digest, (scheduler, seed, n_beams, clusters)
 
 
 _DROP_ROWS = [
@@ -514,10 +511,10 @@ def _drop_config(scheduler, n_beams, clusters):
     return toy_config(scheduler=scheduler, adc_bits=(3, 4, math.inf), n_ttis=6, n_beams_max=n_beams, **clusters)
 
 
-@pytest.mark.parametrize("scheduler,seed,digest,n_beams,clusters", [
-    pytest.param(*row, id=f"{_drop_id(*row[:2], *row[3:])}-{row[2]}") for row in _DROP_ROWS
+@pytest.mark.parametrize("scheduler,seed,n_beams,clusters,digest", [
+    pytest.param(*drop, digest, id=f"{name}-{digest}") for name, digest, drop in _DROP_ROWS
 ])
-def test_drop_rows_bit_identical(scheduler, seed, digest, n_beams, clusters, monkeypatch):
+def test_drop_rows_bit_identical(scheduler, seed, n_beams, clusters, digest, monkeypatch):
     # the first four digests come from the dense-table, one-candidate-at-a-time
     # implementation, the next two from the one-cell-at-a-time scheduler, the
     # last four from tables over every padded cluster slot; about 80% of these
@@ -531,7 +528,7 @@ def test_drop_rows_bit_identical(scheduler, seed, digest, n_beams, clusters, mon
 
 
 @pytest.mark.parametrize("scheduler,seed,n_beams,clusters", [
-    pytest.param(*row[:2], *row[3:], id=_drop_id(*row[:2], *row[3:])) for row in _DROP_ROWS
+    pytest.param(*drop, id=name) for name, _, drop in _DROP_ROWS
 ])
 def test_drop_rows_match_eigh_oracle(scheduler, seed, n_beams, clusters, monkeypatch):
     cfg = _drop_config(scheduler, n_beams, clusters)
@@ -677,11 +674,7 @@ def test_run_drops_rejects_bad_job_counts(n_jobs):
 
 
 def test_run_drops_accepts_numpy_drop_count():
-    assert len(network.run_drops(toy_config(n_ttis=1), np.int64(2), seed=0)) == 2
-
-
-def test_run_drops_accepts_numpy_job_count():
-    assert len(network.run_drops(toy_config(n_ttis=1), 2, seed=0, n_jobs=np.int64(1))) == 2
+    assert len(network.run_drops(toy_config(n_ttis=1), np.int64(2), seed=0, n_jobs=np.int64(1))) == 2
 
 
 @pytest.mark.parametrize("kw,field", [
