@@ -22,7 +22,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import firwin
 
 from . import quantizer
 from .quantizer import ComplexSampleBlock
@@ -152,6 +151,30 @@ def _frac_delay(x, tau):
     return np.fft.ifft(np.fft.fft(x) * ramp)
 
 
+def _cosine_window(n, a0, sym=True):
+    """Two-term cosine window a0 - (1-a0)cos: symmetric (Hamming at 0.54) or periodic (Hann at 0.5).
+
+    Built as scipy.signal.windows.general_hamming builds it, term by term
+    from zeros over linspace(-pi, pi), so the values match it bit for bit.
+    """
+    if n <= 1:
+        return np.ones(n)
+    m = n if sym else n + 1
+    fac = np.linspace(-np.pi, np.pi, m)
+    w = np.zeros(m)
+    for k, a in enumerate((a0, 1.0 - a0)):
+        w += a * np.cos(k * fac)
+    return w if sym else w[:-1]
+
+
+def _lowpass_fir(numtaps, cutoff_hz, fs_hz):
+    """Hamming-windowed sinc lowpass of odd length numtaps, unit DC gain: scipy.signal.firwin's taps, bit for bit."""
+    c = cutoff_hz / (0.5 * fs_hz)
+    m = np.arange(numtaps, dtype=float) - 0.5 * (numtaps - 1)
+    h = c * np.sinc(c * m) * _cosine_window(numtaps, 0.54)
+    return h / np.sum(h)
+
+
 def fir_circular(x, h):
     """Odd-length FIR h applied circularly along the last axis of x, group delay removed.
 
@@ -219,7 +242,7 @@ def _run_chain(db, scale, psi, adc_bits, n_dac, num, n_symbols, seed):
     # band-edge FIR, applied circularly so the equalizer sees cyclic
     # symbols, to every width's row at once; the genie reference is the
     # same filter on the FFT bin grid
-    h = firwin(129, num.occupied_bw_hz / 2, fs=CHIP_RATE_HZ)
+    h = _lowpass_fir(129, num.occupied_bw_hz / 2, CHIP_RATE_HZ)
     filtered = fir_circular(np.stack([quantizer.quantize(y, n_adc).samples for n_adc in adc_bits]), h)
     timing = np.exp(-2j * np.pi * num.signed_bins * RX_TIMING_OFFSET / FFT_SIZE)
     ref = fir_zero_phase_response(h, FFT_SIZE)[num.signed_bins % FFT_SIZE] * timing

@@ -25,12 +25,12 @@ caller sets only its DAC width (n_bits) and filter order (lpf_order).
 import math
 
 import numpy as np
-from scipy.signal import firwin, welch
+import scipy.fft
 
 from . import quantizer
 from .quantizer import ComplexSampleBlock
-from .ofdm import (CHIP_RATE_HZ, CP_LEN, FFT_SIZE, MAX_PRBS, SCS_HZ, OfdmNumerology, fir_circular,
-                   fir_zero_phase_response, ofdm_modulate, random_grid)
+from .ofdm import (CHIP_RATE_HZ, CP_LEN, FFT_SIZE, MAX_PRBS, SCS_HZ, OfdmNumerology, _cosine_window, _lowpass_fir,
+                   fir_circular, fir_zero_phase_response, ofdm_modulate, random_grid)
 
 __all__ = [
     "dac_convert",
@@ -58,7 +58,8 @@ SYMBOL_SAMPLES = (FFT_SIZE + CP_LEN) * INTERP_M * ZOH_OVERSAMPLE  # analog sampl
 # Welch bins lie fs/nperseg apart at the analog rate; 2 must fall in every MEAS_BW_HZ window
 MIN_NPERSEG = math.ceil(2 * DAC_FS_HZ * ZOH_OVERSAMPLE / MEAS_BW_HZ)
 # anti-image FIR: cut just under the pre-interpolation Nyquist; gain INTERP_M restores amplitude
-_INTERP_FIR = firwin(INTERP_TAPS, 0.98 * CHIP_RATE_HZ / 2, fs=DAC_FS_HZ) * INTERP_M
+_INTERP_FIR = _lowpass_fir(INTERP_TAPS, 0.98 * CHIP_RATE_HZ / 2, DAC_FS_HZ) * INTERP_M
+_WELCH_CHUNK = 64  # segments per FFT call in _welch
 
 
 def _check_order(order):
@@ -111,19 +112,32 @@ def transmit(n_bits, lpf_order, num, modulation, n_symbols, rng):
     return grid, apply_reconstruction_lpf(block, lpf_order)
 
 
+def _welch(x, fs, nperseg):
+    """Two-sided Welch PSD of complex x as (freqs, psd) in FFT order: scipy.signal.welch's bytes for its defaults.
+
+    Periodic Hann, nperseg//2 overlap, per-segment mean removed, density
+    scaling.  Segments go through the FFT _WELCH_CHUNK at a time, so the
+    working set stays a few chunks above the (nperseg, n_seg) power array.
+    """
+    w = _cosine_window(nperseg, 0.5, sym=False)
+    # ShortTimeFFT.fac_psd's sequential builtin sum; np.sum's pairwise order changes the last bits
+    w = w * (1 / np.sqrt(sum(w**2) / (1 / fs)))
+    segs = np.lib.stride_tricks.sliding_window_view(x, nperseg)[::nperseg - nperseg // 2]
+    power = np.empty((nperseg, len(segs)))
+    for i in range(0, len(segs), _WELCH_CHUNK):
+        seg = segs[i:i + _WELCH_CHUNK]
+        spec = scipy.fft.fft((seg - seg.mean(axis=-1, keepdims=True)) * w, axis=-1)
+        power[:, i:i + len(seg)] = (spec.real**2 + spec.imag**2).T
+    return np.fft.fftfreq(nperseg, 1 / fs), power.mean(axis=-1)
+
+
 def estimate_psd(block, nperseg):
     """Two-sided Welch PSD (Hann, 50% overlap) as (freqs_hz, psd_db): ascending frequencies, dBm/Hz for 1 mW = 0 dB."""
+    if isinstance(nperseg, bool) or not (isinstance(nperseg, (int, np.integer)) and nperseg >= 1):
+        raise ValueError(f"nperseg must be a positive integer, got {nperseg!r}")
     if block.samples.size < 4 * nperseg:
         raise ValueError("block must be at least 4 segments long")
-    f, p = welch(
-        block.samples,
-        fs=block.sample_rate,
-        window="hann",
-        nperseg=nperseg,
-        noverlap=nperseg // 2,
-        return_onesided=False,
-        scaling="density",
-    )
+    f, p = _welch(block.samples, block.sample_rate, nperseg)
     order = np.argsort(f)
     p = np.maximum(p[order], 1e-300)  # log of true zeros otherwise
     return f[order], 10.0 * np.log10(p)

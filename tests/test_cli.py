@@ -7,8 +7,10 @@ exercised at full scale by the acceptance suite.
 
 import hashlib
 import math
+import os
 import py_compile
 import runpy
+import subprocess
 import sys
 import time
 import types
@@ -834,3 +836,14 @@ def test_schema_text_resolves_in_domain_or_names_key(sec_key, text):
         assert all(math.isfinite(v) for v in leaves)
     if cast is cli._cast_orders:
         assert all(v >= 0 and v.is_integer() for v in leaves)
+
+
+def test_cli_import_leaves_heavy_scipy_unloaded():
+    # scipy.signal, and the scipy.stats and scipy.interpolate it pulls in, would double every
+    # process's start-up; the package needs none of them
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import sys, lowresbf.cli; "
+            "print(sorted(m for m in ('scipy.signal', 'scipy.stats', 'scipy.interpolate') if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

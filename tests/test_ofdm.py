@@ -5,9 +5,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import signal
 
-from lowresbf import ofdm, quantizer
+from lowresbf import ofdm, quantizer, txchain
 
 NUM = ofdm.OfdmNumerology()
 
@@ -99,6 +101,27 @@ def test_fir_lowpass_response():
     out = ofdm.fir_circular(np.exp(2j * np.pi * 30.0 * t), h)
     atten_db = -20 * np.log10(np.abs(out[mid]).mean() + 1e-300)
     assert atten_db >= 40.0
+
+
+# (numtaps, cutoff_hz, fs_hz): odd lengths, cutoffs strictly inside (0, fs/2)
+_FIR_ARGS = st.tuples(st.integers(0, 200).map(lambda k: 2 * k + 1), st.floats(1e-6, 1 - 1e-6),
+                      st.floats(1e-3, 1e11)).map(lambda t: (t[0], t[1] * t[2] / 2, t[2]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_FIR_ARGS)
+@example((txchain.INTERP_TAPS, 0.98 * ofdm.CHIP_RATE_HZ / 2, txchain.DAC_FS_HZ))  # txchain._INTERP_FIR
+@example((129, ofdm.OfdmNumerology(274).occupied_bw_hz / 2, ofdm.CHIP_RATE_HZ))  # the link's band-edge FIR
+@example((129, ofdm.OfdmNumerology(275).occupied_bw_hz / 2, ofdm.CHIP_RATE_HZ))
+@example((129, ofdm.OfdmNumerology(1).occupied_bw_hz / 2, ofdm.CHIP_RATE_HZ))
+def test_lowpass_fir_equals_scipy_firwin(args):
+    numtaps, cutoff, fs = args
+    assert np.array_equal(ofdm._lowpass_fir(numtaps, cutoff, fs), signal.firwin(numtaps, cutoff, fs=fs))
+
+
+def test_interp_fir_is_scipy_firwin():
+    h = signal.firwin(txchain.INTERP_TAPS, 0.98 * ofdm.CHIP_RATE_HZ / 2, fs=txchain.DAC_FS_HZ)
+    assert np.array_equal(txchain._INTERP_FIR, h * txchain.INTERP_M)
 
 
 def test_fir_lowpass_band_limits_white_noise():

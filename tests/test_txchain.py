@@ -5,6 +5,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy import signal
 
 from lowresbf import ofdm, quantizer, txchain
 
@@ -125,6 +128,56 @@ def test_psd_white_noise_and_tone():
     assert lin.max() / np.median(lin) > 1e6  # single narrow peak
     with pytest.raises(ValueError):
         txchain.estimate_psd(quantizer.ComplexSampleBlock(x[:1000], 1e9), 4096)
+
+
+def _scipy_welch(x, fs, nperseg):
+    return signal.welch(x, fs=fs, window="hann", nperseg=nperseg, noverlap=nperseg // 2,
+                        return_onesided=False, scaling="density")
+
+
+# nperseg, segment count (63-65 and 128 straddle the FFT chunk edges), ragged tail, seed, DC offset, fs
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(st.integers(1, 300), st.just(txchain.MIN_NPERSEG)),
+       st.one_of(st.integers(1, 200), st.sampled_from([63, 64, 65, 128])),
+       st.floats(0, 1, exclude_max=True), st.integers(0, 2**32 - 1),
+       st.complex_numbers(max_magnitude=10, allow_nan=False, allow_infinity=False), st.floats(1e-3, 1e11))
+@example(txchain.MIN_NPERSEG, 64, 0.5, 0, 0j, txchain.DAC_FS_HZ * txchain.ZOH_OVERSAMPLE)
+@example(4096, 547, 0.0, 0, 0j, txchain.DAC_FS_HZ * txchain.ZOH_OVERSAMPLE)  # tx-psd: 16 symbols, 1,122,304 samples
+def test_welch_equals_scipy_welch(nperseg, n_seg, tail, seed, dc, fs):
+    hop = nperseg - nperseg // 2
+    n = nperseg + (n_seg - 1) * hop + int(tail * hop)
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(n) + 1j * rng.standard_normal(n) + dc
+    f, p = txchain._welch(x, fs, nperseg)
+    f_ref, p_ref = _scipy_welch(x, fs, nperseg)
+    assert p.shape == (nperseg,)
+    assert np.array_equal(f, f_ref) and np.array_equal(p, p_ref)
+
+
+def test_estimate_psd_equals_scipy_welch_on_tx_psd_frame():
+    # a tx-psd default case: 16 QPSK symbols over 275 PRBs through the 4-bit chain and an order-1
+    # filter, nperseg 4096
+    _, block = txchain.transmit(4, 1, ofdm.OfdmNumerology(275), "QPSK", 16, np.random.default_rng(0))
+    assert block.samples.size == 1_122_304
+    f, p = _scipy_welch(block.samples, block.sample_rate, 4096)
+    order = np.argsort(f)
+    f_db = txchain.estimate_psd(block, 4096)
+    assert np.array_equal(f_db[0], f[order])
+    assert np.array_equal(f_db[1], 10.0 * np.log10(np.maximum(p[order], 1e-300)))
+
+
+@pytest.mark.parametrize("nperseg", [1.5, True, 40.0, 0, -2])
+def test_estimate_psd_rejects_non_integer_nperseg(nperseg):
+    block = quantizer.ComplexSampleBlock(np.ones(400, dtype=complex), 1e9)
+    with pytest.raises(ValueError, match="nperseg"):
+        txchain.estimate_psd(block, nperseg)
+
+
+def test_estimate_psd_accepts_numpy_nperseg():
+    rng = np.random.default_rng(3)
+    block = quantizer.ComplexSampleBlock(rng.standard_normal(400) + 1j * rng.standard_normal(400), 1e9)
+    for a, b in zip(txchain.estimate_psd(block, np.int64(40)), txchain.estimate_psd(block, 40)):
+        assert np.array_equal(a, b)
 
 
 def test_ofdm_psd_occupancy():
