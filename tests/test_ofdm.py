@@ -119,11 +119,6 @@ def test_lowpass_fir_equals_scipy_firwin(args):
     assert np.array_equal(ofdm._lowpass_fir(numtaps, cutoff, fs), signal.firwin(numtaps, cutoff, fs=fs))
 
 
-def test_interp_fir_is_scipy_firwin():
-    h = signal.firwin(txchain.INTERP_TAPS, 0.98 * ofdm.CHIP_RATE_HZ / 2, fs=txchain.DAC_FS_HZ)
-    assert np.array_equal(txchain._INTERP_FIR, h * txchain.INTERP_M)
-
-
 def test_fir_lowpass_band_limits_white_noise():
     fs = 100.0
     rng = np.random.default_rng(5)

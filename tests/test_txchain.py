@@ -161,9 +161,9 @@ def test_estimate_psd_equals_scipy_welch_on_tx_psd_frame():
     assert block.samples.size == 1_122_304
     f, p = _scipy_welch(block.samples, block.sample_rate, 4096)
     order = np.argsort(f)
-    f_db = txchain.estimate_psd(block, 4096)
-    assert np.array_equal(f_db[0], f[order])
-    assert np.array_equal(f_db[1], 10.0 * np.log10(np.maximum(p[order], 1e-300)))
+    freqs, psd_db = txchain.estimate_psd(block, 4096)
+    assert np.array_equal(freqs, f[order])
+    assert np.array_equal(psd_db, 10.0 * np.log10(np.maximum(p[order], 1e-300)))
 
 
 @pytest.mark.parametrize("nperseg", [1.5, True, 40.0, 0, -2])
