@@ -97,9 +97,9 @@ _TX_POWER_MW = 10.0 ** (TX_POWER_DBM / 10.0)
 _NOISE_PSD_MW_HZ = 10.0 ** ((-174.0 + NOISE_FIGURE_DB) / 10.0)
 # most users a drop may expect: the heaviest per-user arrays are the (64, 64) complex
 # serving covariances, 64 KiB per user, and covariance_from_clusters' temporaries, then the
-# n x n leakage table and the OFDMA loop's per-cell copies of its columns; at one BLAS
-# thread a 1509-user drop (area_m 1889) peaked at 356 MB RSS and a 4096-user drop at
-# 735 MB, 535 MB of it by the end of generate_layout (a default drop: 42 cells, 463 users, 154 MB)
+# n x n leakage table; at one BLAS thread, seed 7 and adc_bits (3, 4), a 4096-user OFDMA drop
+# peaked at 583 MB RSS, 494 MB of it by the end of generate_layout, and a 1444-user drop
+# (area_m 1889) at 302 MB (a default drop: 427 users, 109 MB)
 MAX_UES_PER_DROP = 4096
 # most user-cell links (users x _max_cells) a drop may expect: generate_layout holds
 # per-link arrays and k_max-deep cluster arrays; at this bound 10 users over 26k sites
@@ -148,7 +148,7 @@ class NetworkConfig:
                 raise ValueError(f"{name} must be positive")
         for name in ("n_beams_max", "n_ttis", "fixed_ue_count"):
             if not (name == "fixed_ue_count" and self.fixed_ue_count is None):  # None draws a Poisson count
-                _check_count(name, getattr(self, name))
+                quantizer._check_int(name, getattr(self, name), 1)
         if self.scheduler not in SCHEDULERS:
             raise ValueError(f"scheduler must be one of {SCHEDULERS}")
         if self.cluster_spread_cos < 0 or self.mean_extra_clusters < 0:
@@ -167,14 +167,6 @@ class NetworkConfig:
         if oversized := _oversized_drop(self.area_m, self.cell_radius_m, self.mean_ues_per_cell, self.fixed_ue_count):
             raise ValueError(oversized.format(fixed="fixed_ue_count", mean="mean_ues_per_cell", area="area_m",
                                               radius="cell_radius_m"))
-
-
-def _check_count(name, v):
-    """A count is an integer (numpy's too, but not a bool) of at least 1."""
-    if isinstance(v, bool) or not isinstance(v, numbers.Integral):
-        raise ValueError(f"{name} must be an integer, not {v!r}")
-    if v < 1:
-        raise ValueError(f"{name} must be at least 1")
 
 
 def _oversized_drop(area_m, radius_m, mean_ues_per_cell, fixed_ue_count):
@@ -568,8 +560,10 @@ def _cross_tables(drop, members, v_s, e_srv, u_s, cfg):
 
     pickup[i] is the i-th cell's pathloss-weighted pickup at every active
     user's beam, 0 at its own members (a cell's beams interfere only at
-    users it does not serve); leak[k, u] the leakage of user u's serving
-    beam toward user k, with a zero last column for padding slots; and
+    users it does not serve); leak[k, j] the leakage toward user k of the
+    serving beam of the j-th user in members order (each cell's members in
+    turn, so a cell's columns are contiguous), with a zero last column for
+    padding slots; and
     coupling[i, j, k] that leakage among the slots of _member_slots, from
     slot j's beam toward slot k's user over the serving beam gain, zero on
     padding slots.  Rows of users in outage to a cell stay zero.  This is
@@ -599,7 +593,9 @@ def _cross_tables(drop, members, v_s, e_srv, u_s, cfg):
     pickup = np.zeros((len(members), n_act))
     leak = np.zeros((n_act, n_act + 1))
     coupling = np.zeros((len(members), width, width))
+    hi = 0
     for i, (c, mem) in enumerate(members.items()):
+        lo, hi = hi, hi + mem.size  # the cell's leak columns
         pl_c = drop.pathloss_db[drop.active_ue, c]
         near = np.nonzero(np.isfinite(pl_c))[0]
         p_near = drop.cluster_powers[near, c]
@@ -620,8 +616,8 @@ def _cross_tables(drop, members, v_s, e_srv, u_s, cfg):
         for j in range(0, mem.size, step):
             y = (a_tx * v_s[mem[j:j + step], None]).reshape(-1, a_tx.shape[-1])
             q[j:j + step, at, k] = _cluster_gains(y, t_tx, one_row).reshape(-1, len(at))
-        leak[np.ix_(near, mem)] = (p_near * q).sum(-1).T
-        coupling[i, :mem.size, :mem.size] = (leak[np.ix_(mem, mem)] / e_srv[mem][:, None]).T
+        leak[near, lo:hi] = (p_near * q).sum(-1).T
+        coupling[i, :mem.size, :mem.size] = (leak[mem, lo:hi] / e_srv[mem][:, None]).T
     return pickup, leak, coupling
 
 
@@ -651,11 +647,10 @@ def _tti_loop(cfg, interior_bs, members, signal, g_srv, pickup, leak, coupling):
     slots = _member_slots(members, n_act)
     rows = np.arange(len(slots))
     interior = interior_bs[list(members)]
-    # OFDMA weights each cell's member beams by bandwidth share, one
-    # matrix-vector product per cell, on a C-ordered copy of the cell's leak
-    # columns made once per drop; the fancy-indexed view is Fortran-ordered,
-    # and BLAS sums it on another kernel, with other rounding
-    cell_leak = [] if sdma else [leak.take(mem, axis=1) for mem in members.values()]
+    # leak's columns run over members in order (_cross_tables): cell i's are
+    # edges[i]:edges[i + 1], and col maps a user, or the padding slot n_act, to its column
+    edges = np.cumsum([0, *(mem.size for mem in members.values())])
+    col = np.argsort(np.concatenate([*members.values(), [n_act]]))  # the inverse permutation
 
     for _ in range(cfg.n_ttis):
         gamma_est = signal / (n0 + i_lag)
@@ -676,12 +671,12 @@ def _tti_loop(cfg, interior_bs, members, signal, g_srv, pickup, leak, coupling):
             div[ids[on]] = np.repeat(size, size)
             psi[ids[on]] = (sub.sum(1) - np.diagonal(sub, axis1=1, axis2=2))[on]
             bw[ids[on]] = cfg.bw_hz
-            contrib = (psd / size[:, None]) * pickup * leak[:, ids].sum(-1).T
+            contrib = (psd / size[:, None]) * pickup * leak[:, col[ids]].sum(-1).T
         else:
             beams = np.empty((len(slots), n_act))  # each cell's bandwidth-weighted beam leakage
-            for i, (mem, w) in enumerate(zip(members.values(), cell_leak)):
+            for i, mem in enumerate(members.values()):
                 shares = schedule_ofdma_pf(served_bits, se_est[mem], mem, cfg.bw_hz)
-                beams[i] = w @ (shares / cfg.bw_hz)
+                beams[i] = leak[:, edges[i]:edges[i + 1]] @ (shares / cfg.bw_hz)
                 bw[mem] = shares
             div[:] = 1.0  # every active user is a member of some cell
             contrib = psd * pickup * beams
@@ -728,7 +723,7 @@ def run_drops(cfg, n_drops, seed, n_jobs=1):
     Results are identical for any n_jobs: drop i always uses the i-th
     child of SeedSequence(seed).
     """
-    _check_count("n_drops", n_drops)
-    _check_count("n_jobs", n_jobs)
+    quantizer._check_int("n_drops", n_drops, 1)
+    quantizer._check_int("n_jobs", n_jobs, 1)
     seeds = np.random.SeedSequence(seed).spawn(n_drops)
     return pool_map(run_drop_detailed, [(cfg, s) for s in seeds], n_jobs)

@@ -63,10 +63,7 @@ class OfdmNumerology:
     used_prbs: int = 274
 
     def __post_init__(self):
-        if isinstance(self.used_prbs, bool) or not isinstance(self.used_prbs, int):
-            raise ValueError(f"used_prbs must be an integer, got {self.used_prbs!r}")
-        if not (0 < self.used_prbs <= MAX_PRBS):
-            raise ValueError("used_prbs out of range")
+        quantizer._check_int("used_prbs", self.used_prbs, 1, MAX_PRBS)
 
     @property
     def n_subcarriers(self):
@@ -96,6 +93,7 @@ def random_grid(modulation, n_symbols, n_subcarriers, rng):
         L = _QAM_AXIS[modulation]
     except KeyError:
         raise ValueError(f"unsupported modulation {modulation!r}") from None
+    quantizer._check_int("n_symbols", n_symbols, 1)
     axis = np.arange(-L + 1, L, 2, dtype=float)
     pts = (axis[:, None] + 1j * axis[None, :]).ravel() / math.sqrt(2.0 * (L * L - 1) / 3.0)
     return pts[rng.integers(0, pts.size, size=(n_symbols, n_subcarriers))]
@@ -219,9 +217,7 @@ def _run_chain(db, scale, psi, adc_bits, n_dac, num, n_symbols, seed):
     # interferer's power relative to the signal, 0 for none.  Everything
     # before the ADC is built once; one post-equalization SINR per width
     # in adc_bits
-    if isinstance(n_symbols, bool) or not isinstance(n_symbols, int) or n_symbols < 3:
-        raise ValueError(f"n_symbols must be an integer of at least 3 "
-                         f"(2 pilot symbols plus 1 data symbol), got {n_symbols!r}")
+    quantizer._check_int("n_symbols", n_symbols, 3)  # 2 pilot symbols plus 1 data symbol
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     grid = random_grid("QPSK", n_symbols, num.n_subcarriers, rng)
     x = quantizer.quantize(ofdm_modulate(grid, num), n_dac).samples

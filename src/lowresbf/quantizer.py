@@ -9,6 +9,7 @@ computed here.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -92,6 +93,14 @@ def _solve(n_bits):
         step = _golden_min(lambda s: quantizer_mse(s, n_bits), lo, 4.0)
         _cache[n_bits] = (step, quantizer_mse(step, n_bits))
     return _cache[n_bits]
+
+
+def _check_int(name, v, lo, hi=None):
+    """v if it is an integer (numpy's too, never a bool) in lo..hi, hi None for no upper bound; else a ValueError naming it."""
+    if isinstance(v, bool) or not isinstance(v, numbers.Integral) or v < lo or (hi is not None and v > hi):
+        bounds = f"of at least {lo}" if hi is None else f"in {lo}..{hi}"
+        raise ValueError(f"{name} must be an integer {bounds}, got {v!r}")
+    return v
 
 
 def _check_bits(n_bits):

@@ -62,11 +62,6 @@ _INTERP_FIR = _lowpass_fir(INTERP_TAPS, 0.98 * CHIP_RATE_HZ / 2, DAC_FS_HZ) * IN
 _WELCH_CHUNK = 64  # segments per FFT call in _welch
 
 
-def _check_order(order):
-    if isinstance(order, bool) or not (isinstance(order, int) and order >= 0):
-        raise ValueError(f"filter order must be a nonnegative integer, got {order!r}")
-
-
 def dac_convert(baseband, n_bits):
     """Interpolate, quantize to n_bits, and hold; returns the emulated analog signal.
 
@@ -87,7 +82,7 @@ def dac_convert(baseband, n_bits):
 
 def butterworth_response(order, f_hz):
     """Zero-phase Butterworth magnitude at the LPF_FC_HZ cutoff; order 0 means no filter at all."""
-    _check_order(order)
+    quantizer._check_int("filter order", order, 0)
     f = np.asarray(f_hz, dtype=float)
     if order == 0:
         return np.ones_like(f)
@@ -96,7 +91,7 @@ def butterworth_response(order, f_hz):
 
 def apply_reconstruction_lpf(block, lpf_order):
     """Apply the order-lpf_order Butterworth magnitude in the frequency domain."""
-    _check_order(lpf_order)
+    quantizer._check_int("filter order", lpf_order, 0)
     if lpf_order == 0:
         return block
     f = np.fft.fftfreq(block.samples.size, d=1.0 / block.sample_rate)
@@ -133,8 +128,7 @@ def _welch(x, fs, nperseg):
 
 def estimate_psd(block, nperseg):
     """Two-sided Welch PSD (Hann, 50% overlap) as (freqs_hz, psd_db): ascending frequencies, dBm/Hz for 1 mW = 0 dB."""
-    if isinstance(nperseg, bool) or not (isinstance(nperseg, (int, np.integer)) and nperseg >= 1):
-        raise ValueError(f"nperseg must be a positive integer, got {nperseg!r}")
+    quantizer._check_int("nperseg", nperseg, 1)
     if block.samples.size < 4 * nperseg:
         raise ValueError("block must be at least 4 segments long")
     f, p = _welch(block.samples, block.sample_rate, nperseg)
@@ -161,9 +155,8 @@ def measure_aclr(psd, adjacent_index):
     adjacent carrier at adjacent_index times CH_BW_HZ (negative index
     probes the other side).
     """
-    if isinstance(adjacent_index, bool) or not (
-            isinstance(adjacent_index, int) and 1 <= abs(adjacent_index) <= N_ADJACENT):
-        raise ValueError(f"adjacent_index must be a nonzero integer within +-{N_ADJACENT}")
+    if quantizer._check_int("adjacent_index", adjacent_index, -N_ADJACENT, N_ADJACENT) == 0:
+        raise ValueError("adjacent_index must be nonzero")
     p_in = _band_power(*psd, 0.0, MEAS_BW_HZ)
     p_ac = _band_power(*psd, adjacent_index * CH_BW_HZ, MEAS_BW_HZ)
     return 10.0 * math.log10(p_in / p_ac)
@@ -201,7 +194,7 @@ def measure_evm(n_bits, lpf_order, sigma_rf_sq=(0.0,), n_symbols=24, seed=0):
     part of the quantization error is counted, as the analytic model
     requires.
     """
-    _check_order(lpf_order)
+    quantizer._check_int("filter order", lpf_order, 0)
     quantizer._check_bits(n_bits)
     if len(sigma_rf_sq) == 0:
         raise ValueError("sigma_rf_sq must list at least one noise power")

@@ -358,8 +358,10 @@ def test_cross_tables_match_padded_tables(seed, clusters):
     v_s, e_srv = network._dominant_eig(drop.cov_tx)
     u_s, _ = network._dominant_eig(drop.cov_rx)
     got = network._cross_tables(drop, members, v_s, e_srv, u_s, cfg)
-    want = _padded_tables(drop, members, v_s, e_srv, u_s, cfg)
-    for g, w in zip(got, want):
+    pickup, leak, coupling = _padded_tables(drop, members, v_s, e_srv, u_s, cfg)
+    # _cross_tables keeps each cell's leak columns contiguous: members in order, then the padding column
+    cols = np.concatenate([*members.values(), [len(drop.active_ue)]])
+    for g, w in zip(got, (pickup, leak[:, cols], coupling)):
         assert np.array_equal(g, w)
 
 

@@ -6,12 +6,15 @@ regression in the closed-form MSE or the step search shows up as a
 disagreement with plain numerics.
 """
 
+import ast
+import dataclasses
 import math
+import pathlib
 
 import numpy as np
 import pytest
 
-from lowresbf import quantizer
+from lowresbf import network, ofdm, quantizer, txchain
 
 # Frozen solver outputs, guarding against silent drift.  Correctness is
 # established independently by the oracle tests further down.
@@ -202,3 +205,106 @@ def test_block_validation():
         quantizer.ComplexSampleBlock(np.array([]), 1.0)
     with pytest.raises(ValueError):
         quantizer.ComplexSampleBlock(np.array([1.0, np.nan]), 1.0)
+
+
+def _drop_rows(result):
+    return [dataclasses.astuple(r) for r in result.ue_results]
+
+
+def _toy_drop(**kw):
+    cfg = network.NetworkConfig(**{**dict(area_m=600.0, fixed_ue_count=40, n_ttis=4), **kw})
+    return _drop_rows(network.run_drop_detailed(cfg, seed=3))
+
+
+_PSD_BLOCK = quantizer.ComplexSampleBlock(np.random.default_rng(3).standard_normal(400) + 0j, 1e9)
+_FLAT_PSD = (np.linspace(-1e9, 1e9, 2001), np.zeros(2001))
+_F_HZ = np.array([1e6, 4e8, 4e9])
+
+# every library boundary that takes an integer: the name its rejections give,
+# a call that passes the argument, a valid value and out-of-range values
+INT_SITES = {
+    "OfdmNumerology": ("used_prbs", lambda v: ofdm.OfdmNumerology(used_prbs=v), 10, (0, 276)),
+    "random_grid": ("n_symbols", lambda v: ofdm.random_grid("QPSK", v, 12, np.random.default_rng(0)), 2, (0, -1)),
+    "run_link_trial": ("n_symbols", lambda v: ofdm.run_link_trial(30.0, 4, math.inf, ofdm.OfdmNumerology(1),
+                                                                  n_symbols=v), 3, (2, 0)),
+    "butterworth_response": ("filter order", lambda v: txchain.butterworth_response(v, _F_HZ), 1, (-1,)),
+    "apply_reconstruction_lpf": ("filter order", lambda v: txchain.apply_reconstruction_lpf(_PSD_BLOCK, v).samples,
+                                 1, (-1,)),
+    "measure_evm-order": ("filter order", lambda v: txchain.measure_evm(4, v, n_symbols=1), 1, (-1,)),
+    "measure_evm-n_symbols": ("n_symbols", lambda v: txchain.measure_evm(4, 1, n_symbols=v), 1, (0, -1)),
+    "transmit": ("n_symbols", lambda v: txchain.transmit(4, 1, ofdm.OfdmNumerology(1), "QPSK", v,
+                                                         np.random.default_rng(0))[1].samples, 1, (0, -1)),
+    "estimate_psd": ("nperseg", lambda v: txchain.estimate_psd(_PSD_BLOCK, v), 40, (0, -2)),
+    "measure_aclr": ("adjacent_index", lambda v: txchain.measure_aclr(_FLAT_PSD, v), 1, (0, 3, -3)),
+    "n_beams_max": ("n_beams_max", lambda v: _toy_drop(scheduler="SDMA_GREEDY", n_beams_max=v), 2, (0,)),
+    "n_ttis": ("n_ttis", lambda v: _toy_drop(n_ttis=v), 3, (0,)),
+    "fixed_ue_count": ("fixed_ue_count", lambda v: _toy_drop(fixed_ue_count=v), 5, (0, -1)),
+    "n_drops": ("n_drops", lambda v: [_drop_rows(d) for d in network.run_drops(
+        network.NetworkConfig(area_m=600.0, fixed_ue_count=20, n_ttis=1), v, seed=0)], 2, (0,)),
+    "n_jobs": ("n_jobs", lambda v: [_drop_rows(d) for d in network.run_drops(
+        network.NetworkConfig(area_m=600.0, fixed_ue_count=20, n_ttis=1), 1, seed=0, n_jobs=v)], 1, (0,)),
+}
+
+
+def _same(a, b):
+    """Equal item by item, NaN to NaN (the SINR of a user never scheduled)."""
+    if isinstance(a, (tuple, list)):
+        return isinstance(b, (tuple, list)) and len(a) == len(b) and all(map(_same, a, b))
+    if isinstance(a, (float, np.ndarray)):
+        return np.array_equal(a, b, equal_nan=True)
+    return a == b
+
+
+@pytest.mark.parametrize("make", [np.int64, np.int32])
+@pytest.mark.parametrize("site", INT_SITES)
+def test_integer_argument_takes_numpy_integers(site, make):
+    _, call, good, _ = INT_SITES[site]
+    assert _same(call(make(good)), call(good))
+
+
+@pytest.mark.parametrize("site", INT_SITES)
+def test_integer_argument_rejects_others_by_name(site):
+    name, call, _, out_of_range = INT_SITES[site]
+    for bad in (True, 2.5, 3.0, "4", *out_of_range):
+        with pytest.raises(ValueError, match=name):
+            call(bad)
+
+
+@pytest.mark.parametrize("n_symbols", [0, -1, 2.5, True])
+def test_measure_evm_rejects_bad_symbol_count_before_any_work(n_symbols, monkeypatch):
+    # at the parent these failed late: "empty sample block", numpy's negative dimensions, a TypeError
+    def no_fft(*_):
+        raise AssertionError("n_symbols reached the FFT")
+    monkeypatch.setattr(np.fft, "ifft", no_fft)
+    with pytest.raises(ValueError, match="n_symbols must be an integer of at least 1"):
+        txchain.measure_evm(4, 1, n_symbols=n_symbols)
+
+
+# functions whose integer type test is not an input rule: cli._fmt picks a number format
+_INTEGER_TYPE_TEST_EXEMPT = {"quantizer._check_int", "cli._fmt"}
+
+
+def _integer_type_tests(path):
+    """(module.function, line) of each isinstance call in the file that tests against int, np.integer or
+    numbers.Integral."""
+    found = []
+
+    def visit(node, func):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call) and isinstance(child.func, ast.Name) and child.func.id == "isinstance":
+                kinds = child.args[1].elts if isinstance(child.args[1], ast.Tuple) else [child.args[1]]
+                if any(isinstance(k, ast.Name) and k.id == "int"
+                       or isinstance(k, ast.Attribute) and k.attr in ("integer", "Integral") for k in kinds):
+                    found.append((f"{path.stem}.{func}", child.lineno))
+            visit(child, child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else func)
+
+    visit(ast.parse(path.read_text()), None)
+    return found
+
+
+def test_integer_rule_lives_in_one_place():
+    # one rule for every integer argument, so numpy integers pass everywhere and bools nowhere
+    src = pathlib.Path(quantizer.__file__).parent
+    found = [hit for path in sorted(src.glob("*.py")) for hit in _integer_type_tests(path)]
+    assert "quantizer._check_int" in {f for f, _ in found}
+    assert [hit for hit in found if hit[0] not in _INTEGER_TYPE_TEST_EXEMPT] == []
