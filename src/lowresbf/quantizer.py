@@ -96,7 +96,7 @@ def _solve(n_bits):
 
 
 def _check_int(name, v, lo, hi=None):
-    """v if it is an integer (numpy's too, never a bool) in lo..hi, hi None for no upper bound; else a ValueError naming it."""
+    """v if an integer (numpy's too, never a bool) in lo..hi, hi None for no bound; else a ValueError naming it."""
     if isinstance(v, bool) or not isinstance(v, numbers.Integral) or v < lo or (hi is not None and v > hi):
         bounds = f"of at least {lo}" if hi is None else f"in {lo}..{hi}"
         raise ValueError(f"{name} must be an integer {bounds}, got {v!r}")

@@ -272,7 +272,7 @@ def test_integer_argument_rejects_others_by_name(site):
 
 @pytest.mark.parametrize("n_symbols", [0, -1, 2.5, True])
 def test_measure_evm_rejects_bad_symbol_count_before_any_work(n_symbols, monkeypatch):
-    # at the parent these failed late: "empty sample block", numpy's negative dimensions, a TypeError
+    # unchecked, these fail late inside the chain: "empty sample block", numpy's negative dimensions, a TypeError
     def no_fft(*_):
         raise AssertionError("n_symbols reached the FFT")
     monkeypatch.setattr(np.fft, "ifft", no_fft)
