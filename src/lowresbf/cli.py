@@ -615,15 +615,13 @@ axes[1].set_xscale("log")
 def _psd_job(bits, orders, prbs, n_sym, nperseg, seed):
     """[(Welch PSD, output power)] of one DAC width's chain output, one per filter order.
 
-    The unfiltered block is built once; each order filters it anew.
+    The converter-rate block is built once; each order holds and filters it anew.
     """
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    _, block = txchain.transmit(bits, 0, ofdm.OfdmNumerology(used_prbs=prbs), "QPSK", n_sym, rng)
+    _, block = txchain.transmit(bits, ofdm.OfdmNumerology(used_prbs=prbs), "QPSK", n_sym, rng)
     results = []
-    for i, order in enumerate(orders):
+    for order in orders:
         out = txchain.apply_reconstruction_lpf(block, order)
-        if i == len(orders) - 1:
-            del block  # the last Welch call of this width runs without the unfiltered copy
         results.append((txchain.estimate_psd(out, nperseg), np.var(out.samples)))
     return results
 

@@ -18,6 +18,7 @@ MAX_PRBS, CP_LEN and CHIP_RATE_HZ (the 120 kHz, 4096-point NR profile
 at 491.52 MHz).  OfdmNumerology holds only the occupied band.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -179,16 +180,30 @@ def fir_circular(x, h):
     Circular application preserves the cyclic structure of the signal;
     each row of a 2-D x is filtered on its own, with one response.
     """
-    return np.fft.ifft(np.fft.fft(x) * fir_zero_phase_response(h, np.shape(x)[-1]))
+    spec = np.fft.fft(x)
+    spec *= fir_zero_phase_response(h, np.shape(x)[-1])
+    return np.fft.ifft(spec, out=spec)
 
 
 def fir_zero_phase_response(h, n):
-    """Response of odd-length FIR h on an n-point FFT grid, group delay removed.
+    """Read-only response of odd-length FIR h on an n-point FFT grid, group delay removed.
 
-    The delay (len(h)-1)/2 is taken out by a phase ramp.
+    The delay (len(h)-1)/2 is taken out by a phase ramp.  Responses are
+    cached by the taps' values and n, so each fixed filter of the link
+    and the DAC chain is built once per process.
     """
+    h = np.asarray(h)
+    return _fir_response(h.tobytes(), h.dtype.str, n)
+
+
+@functools.lru_cache(maxsize=8)
+def _fir_response(taps, dtype, n):
+    h = np.frombuffer(taps, dtype=dtype)
     d = (len(h) - 1) // 2
-    return np.fft.fft(h, n) * np.exp(2j * np.pi * np.arange(n) * d / n)
+    r = np.fft.fft(h, n)
+    r *= np.exp(2j * np.pi * np.arange(n) * d / n)
+    r.flags.writeable = False
+    return r
 
 
 def _equalize(rx_grid, tx_grid, ref):

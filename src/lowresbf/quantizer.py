@@ -54,7 +54,10 @@ def quantizer_mse(step, n_bits):
         I(a,b,c) = (Phi(b)-Phi(a))(1+c^2) - (b phi(b) - a phi(a)) - 2c(phi(a)-phi(b))
     summed over the positive half and doubled (even symmetry).
     """
-    half = 1 << (int(n_bits) - 1)
+    n = _check_bits(n_bits)
+    if n == math.inf:
+        raise ValueError("n_bits must be finite: an infinite-resolution quantizer has no MSE, got inf")
+    half = 1 << (n - 1)
     k = np.arange(half)
     a = k * step
     b = (k + 1) * step

@@ -5,8 +5,10 @@ quantization, a zero-order hold, and an optional reconstruction
 filter.  The hold is emulated by repeating each converter sample L
 times at an oversampled "analog" rate, which reproduces the sinc
 roll-off and the spectral images at multiples of the converter rate.
-PSD, adjacent-channel leakage, and EVM are measured on that emulated
-analog signal.
+With a filter, the held signal's spectrum comes from the
+converter-rate FFT in closed form, so no forward transform runs at
+the analog length.  PSD, adjacent-channel leakage, and EVM are
+measured on that emulated analog signal.
 
 All processing is complex baseband; the carrier frequency only labels
 plot axes.  Transmit power is normalized to 0 dBm, so PSD values are
@@ -18,10 +20,12 @@ MEAS_BW_HZ and N_ADJACENT for the channel raster, and EVM_NUMEROLOGY
 and EVM_MODULATION for the fully occupied 64QAM frame measure_evm
 runs; SYMBOL_SAMPLES (analog samples per OFDM symbol) and MIN_NPERSEG
 (the shortest Welch segment with 2 bins per ACLR window) follow from
-them.  transmit is the one chain from grid to analog signal, and a
-caller sets only its DAC width (n_bits) and filter order (lpf_order).
+them.  transmit is the one chain from grid to converter output, and a
+caller sets only its DAC width (n_bits); apply_reconstruction_lpf
+holds and filters that output at the order its caller picks.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -63,7 +67,7 @@ _WELCH_CHUNK = 64  # segments per FFT call in _welch
 
 
 def dac_convert(baseband, n_bits):
-    """Interpolate, quantize to n_bits, and hold; returns the emulated analog signal.
+    """Interpolate and quantize to n_bits; returns the converter-rate block at DAC_FS_HZ, not yet held.
 
     The input is trusted to be unit average power at the chip rate (the
     quantizer step is calibrated for that), matching how a converter's
@@ -75,9 +79,7 @@ def dac_convert(baseband, n_bits):
     up = np.zeros(baseband.samples.size * INTERP_M, dtype=complex)
     up[::INTERP_M] = baseband.samples
     up = fir_circular(up, _INTERP_FIR)
-    up = quantizer.quantize(ComplexSampleBlock(up, DAC_FS_HZ), n_bits).samples
-    z = np.repeat(up, ZOH_OVERSAMPLE)
-    return ComplexSampleBlock(z, DAC_FS_HZ * ZOH_OVERSAMPLE)
+    return quantizer.quantize(ComplexSampleBlock(up, DAC_FS_HZ), n_bits)
 
 
 def butterworth_response(order, f_hz):
@@ -90,21 +92,47 @@ def butterworth_response(order, f_hz):
 
 
 def apply_reconstruction_lpf(block, lpf_order):
-    """Apply the order-lpf_order Butterworth magnitude in the frequency domain."""
+    """Hold each sample ZOH_OVERSAMPLE times, then apply the order-lpf_order Butterworth magnitude.
+
+    Returns the emulated analog block at ZOH_OVERSAMPLE times the
+    block's rate; order 0 is the bare hold.  The DFT of an L-fold hold
+    of u is fft(u) tiled L times, weighted by the hold's Dirichlet
+    response, so a filtered block costs one converter-rate FFT and one
+    analog-length inverse FFT.
+    """
     quantizer._check_int("filter order", lpf_order, 0)
+    rate = block.sample_rate * ZOH_OVERSAMPLE
     if lpf_order == 0:
-        return block
-    f = np.fft.fftfreq(block.samples.size, d=1.0 / block.sample_rate)
-    mag = butterworth_response(lpf_order, f)
-    y = np.fft.ifft(np.fft.fft(block.samples) * mag)
-    return ComplexSampleBlock(y, block.sample_rate)
+        return ComplexSampleBlock(np.repeat(block.samples, ZOH_OVERSAMPLE), rate)
+    response = _hold_lpf_response(block.samples.size * ZOH_OVERSAMPLE, rate, lpf_order)
+    spec = np.tile(np.fft.fft(block.samples), ZOH_OVERSAMPLE)
+    spec *= response
+    return ComplexSampleBlock(np.fft.ifft(spec, out=spec), rate)
 
 
-def transmit(n_bits, lpf_order, num, modulation, n_symbols, rng):
-    """(grid, analog block): a grid drawn from rng, modulated, converted at n_bits, filtered at lpf_order."""
+@functools.lru_cache(maxsize=4)
+def _hold_lpf_response(n, rate, lpf_order):
+    """Read-only hold response times the order-lpf_order filter on the n-point FFT grid at rate.
+
+    It depends only on its arguments, and each sweep reuses one length
+    and rate, so it is built once per process.
+    """
+    signed = (np.arange(n, dtype=float) + n // 2) % n - n // 2  # np.fft.fftfreq's bin order
+    r = _zoh_response(signed, n)
+    del signed
+    r *= butterworth_response(lpf_order, np.fft.fftfreq(n, d=1.0 / rate))
+    r.flags.writeable = False
+    return r
+
+
+def transmit(n_bits, num, modulation, n_symbols, rng):
+    """(grid, converter-rate block): a grid drawn from rng, modulated and converted at n_bits.
+
+    apply_reconstruction_lpf turns the block into the analog signal at
+    the caller's filter order, so one conversion serves every order.
+    """
     grid = random_grid(modulation, n_symbols, num.n_subcarriers, rng)
-    block = dac_convert(ofdm_modulate(grid, num), n_bits)
-    return grid, apply_reconstruction_lpf(block, lpf_order)
+    return grid, dac_convert(ofdm_modulate(grid, num), n_bits)
 
 
 def _welch(x, fs, nperseg):
@@ -163,13 +191,23 @@ def measure_aclr(psd, adjacent_index):
 
 
 def _zoh_response(k_signed, n_fft_analog):
-    # L-fold hold of the converter stream, seen on the analog FFT grid
+    """The L-fold hold of the converter stream at signed bins k_signed of the analog FFT grid.
+
+    A full analog spectrum is large, so each temporary is updated in place.
+    """
     L = ZOH_OVERSAMPLE
     k = np.asarray(k_signed, dtype=float)
-    num = np.sin(np.pi * k * L / n_fft_analog)
     den = np.sin(np.pi * k / n_fft_analog)
-    mag = np.where(k == 0, float(L), np.divide(num, den, out=np.full_like(num, float(L)), where=den != 0))
-    return mag * np.exp(-1j * np.pi * k * (L - 1) / n_fft_analog)
+    mag = np.pi * k * L / n_fft_analog
+    np.sin(mag, out=mag)
+    np.divide(mag, den, out=mag, where=den != 0)
+    mag[den == 0] = L  # DC, where the Dirichlet ratio is L in the limit
+    del den
+    r = -1j * np.pi * k
+    r *= L - 1
+    r /= n_fft_analog
+    np.exp(r, out=r)
+    return np.multiply(mag, r, out=r)
 
 
 def _chain_bin_response(lpf_order, k_signed):
@@ -184,8 +222,8 @@ def _chain_bin_response(lpf_order, k_signed):
 def measure_evm(n_bits, lpf_order, sigma_rf_sq=(0.0,), n_symbols=24, seed=0):
     """Error vector magnitude in percent through the full converter chain, one per noise power.
 
-    A fully occupied OFDM frame runs through dac_convert at n_bits and
-    the order-lpf_order reconstruction filter; white noise of per-subcarrier power
+    A fully occupied OFDM frame runs through dac_convert at n_bits, the
+    hold and the order-lpf_order reconstruction filter; white noise of per-subcarrier power
     sigma_rf_sq[i] models the remaining RF impairments of entry i.  The
     frame, and the unit noise a lone call draws after it, are built once;
     each entry scales that noise, so entry i equals a call with
@@ -203,9 +241,12 @@ def measure_evm(n_bits, lpf_order, sigma_rf_sq=(0.0,), n_symbols=24, seed=0):
             raise ValueError(f"noise power must be nonnegative and finite, got {s!r}")
     num = EVM_NUMEROLOGY
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    grid, z = transmit(n_bits, lpf_order, num, EVM_MODULATION, n_symbols, rng)
+    grid, block = transmit(n_bits, num, EVM_MODULATION, n_symbols, rng)
+    z = apply_reconstruction_lpf(block, lpf_order)
     if any(s > 0 for s in sigma_rf_sq):
-        unit = rng.standard_normal(z.samples.size) + 1j * rng.standard_normal(z.samples.size)
+        unit = np.empty(z.samples.size, dtype=complex)  # filled part by part: no full-length temporaries
+        unit.real = rng.standard_normal(unit.size)
+        unit.imag = rng.standard_normal(unit.size)
 
     L = ZOH_OVERSAMPLE
     n_an = FFT_SIZE * INTERP_M * L

@@ -112,6 +112,19 @@ def test_bits_domain():
         quantizer.optimal_step(math.inf)
 
 
+@pytest.mark.parametrize("n_bits", [2.5, True, 0, math.inf])
+def test_quantizer_mse_rejects_bad_width_by_name(n_bits):
+    # unchecked, 2.5 and True truncated to the 2- and 1-bit values, 0 hit a negative shift
+    # count and inf an OverflowError
+    with pytest.raises(ValueError, match="n_bits must be"):
+        quantizer.quantizer_mse(0.5, n_bits)
+
+
+def test_quantizer_mse_takes_integral_widths():
+    mse = quantizer.quantizer_mse(0.5, 3)
+    assert quantizer.quantizer_mse(0.5, 3.0) == mse == quantizer.quantizer_mse(0.5, np.int64(3))
+
+
 @pytest.mark.parametrize("bad", [math.nan, -math.inf])
 @pytest.mark.parametrize("fn", [
     quantizer.alpha_of,
@@ -232,7 +245,7 @@ INT_SITES = {
                                  1, (-1,)),
     "measure_evm-order": ("filter order", lambda v: txchain.measure_evm(4, v, n_symbols=1), 1, (-1,)),
     "measure_evm-n_symbols": ("n_symbols", lambda v: txchain.measure_evm(4, 1, n_symbols=v), 1, (0, -1)),
-    "transmit": ("n_symbols", lambda v: txchain.transmit(4, 1, ofdm.OfdmNumerology(1), "QPSK", v,
+    "transmit": ("n_symbols", lambda v: txchain.transmit(4, ofdm.OfdmNumerology(1), "QPSK", v,
                                                          np.random.default_rng(0))[1].samples, 1, (0, -1)),
     "estimate_psd": ("nperseg", lambda v: txchain.estimate_psd(_PSD_BLOCK, v), 40, (0, -2)),
     "measure_aclr": ("adjacent_index", lambda v: txchain.measure_aclr(_FLAT_PSD, v), 1, (0, 3, -3)),

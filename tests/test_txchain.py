@@ -70,7 +70,7 @@ def test_reference_constants_consistent():
 
 def test_dc_in_constant_out():
     dc = quantizer.ComplexSampleBlock(np.ones(4096, dtype=complex), CHIP)
-    block = txchain.dac_convert(dc, math.inf)
+    block = txchain.apply_reconstruction_lpf(txchain.dac_convert(dc, math.inf), 0)
     out = block.samples
     assert out.size == 4096 * txchain.INTERP_M * txchain.ZOH_OVERSAMPLE
     assert block.sample_rate == pytest.approx(983.04e6 * 8)
@@ -87,7 +87,7 @@ def test_tone_images_at_converter_rate():
     k0 = 167  # 167 * (491.52e6 / 4096) = 20.04 MHz, exactly on the bin grid
     t = np.arange(n_bb)
     tone = quantizer.ComplexSampleBlock(np.exp(2j * np.pi * k0 * t / n_bb), CHIP)
-    out = txchain.dac_convert(tone, math.inf).samples
+    out = txchain.apply_reconstruction_lpf(txchain.dac_convert(tone, math.inf), 0).samples
     spec = np.abs(np.fft.fft(out)) ** 2
     n_an = out.size
     L = txchain.ZOH_OVERSAMPLE
@@ -105,10 +105,90 @@ def test_tone_images_at_converter_rate():
         assert spec[k_img] > 10 * np.median(spec)  # the image is a real peak
 
 
+def test_zoh_response_is_the_hold_dft():
+    # the L-fold hold's DFT on an n-point grid, at every signed bin, DC and both band edges included
+    L = txchain.ZOH_OVERSAMPLE
+    for n in (L, 9, 63, 64):
+        k = np.arange(-(n // 2), n // 2 + 1)
+        np.testing.assert_allclose(txchain._zoh_response(k, n), np.fft.fft(np.ones(L), n)[k % n], rtol=0, atol=1e-13)
+
+
+def _held_then_filtered(u, rate, order):
+    """Oracle: the hold as a time-domain repeat, then the filter through an FFT pair at the analog length."""
+    z = np.repeat(u, txchain.ZOH_OVERSAMPLE)
+    if order == 0:
+        return z
+    f = np.fft.fftfreq(z.size, d=1.0 / (rate * txchain.ZOH_OVERSAMPLE))
+    return np.fft.ifft(np.fft.fft(z) * txchain.butterworth_response(order, f))
+
+
+# complex noise of n samples at rate, or (modulation set) an n-symbol 275-PRB frame through the 4-bit
+# converter at DAC_FS_HZ; filter order; seed
+@settings(max_examples=150, deadline=None)
+@given(st.none(), st.integers(1, 300), st.sampled_from([1e6, CHIP, txchain.DAC_FS_HZ, 1e10]),
+       st.integers(0, 3), st.integers(0, 2**32 - 1))
+@example("QPSK", 16, txchain.DAC_FS_HZ, 1, 0)  # tx-psd and aclr-sweep
+@example("64QAM", 16, txchain.DAC_FS_HZ, 1, 0)  # evm-sweep
+def test_hold_and_filter_match_time_domain_path(modulation, n, rate, order, seed):
+    rng = np.random.default_rng(seed)
+    if modulation is None:
+        block = quantizer.ComplexSampleBlock(rng.standard_normal(n) + 1j * rng.standard_normal(n), rate)
+    else:
+        _, block = txchain.transmit(4, ofdm.OfdmNumerology(275), modulation, n, rng)
+        assert block.samples.size == n * txchain.SYMBOL_SAMPLES // txchain.ZOH_OVERSAMPLE
+    out = txchain.apply_reconstruction_lpf(block, order)
+    ref = _held_then_filtered(block.samples, block.sample_rate, order)
+    assert out.sample_rate == block.sample_rate * txchain.ZOH_OVERSAMPLE
+    if order == 0:
+        assert np.array_equal(out.samples, ref)
+        return
+    rms = math.sqrt(np.mean(np.abs(ref) ** 2))
+    assert np.max(np.abs(out.samples - ref)) <= 1e-12 * rms
+    n_an = ref.size
+    cached = txchain._hold_lpf_response(n_an, out.sample_rate, order)
+    assert cached.flags.writeable is False
+    signed = np.fft.ifftshift(np.arange(n_an) - n_an // 2)
+    fresh = txchain._zoh_response(signed, n_an) * txchain.butterworth_response(
+        order, np.fft.fftfreq(n_an, d=1.0 / out.sample_rate))
+    assert np.array_equal(cached, fresh)
+
+
+def test_fir_response_cached_by_value_and_read_only():
+    taps = txchain._INTERP_FIR
+    r = ofdm.fir_zero_phase_response(taps, 8192)
+    assert r.flags.writeable is False
+    assert ofdm.fir_zero_phase_response(taps.copy(), 8192) is r  # keyed by the taps' values, not the object
+    d = (taps.size - 1) // 2
+    assert np.array_equal(r, np.fft.fft(taps, 8192) * np.exp(2j * np.pi * np.arange(8192) * d / 8192))
+    other = ofdm.fir_zero_phase_response(taps * 0.5, 8192)
+    assert np.array_equal(other, 0.5 * r)
+
+
+def test_filtered_chain_runs_no_analog_length_forward_fft(monkeypatch):
+    # the held signal's spectrum comes from the converter-rate FFT; a forward transform at the
+    # analog length is the cost that closed form removes
+    n_symbols = 2
+    n_an = n_symbols * txchain.SYMBOL_SAMPLES
+    fft, shapes = np.fft.fft, []
+
+    def spy(*args, **kwargs):
+        out = fft(*args, **kwargs)
+        shapes.append(out.shape)
+        return out
+
+    monkeypatch.setattr(np.fft, "fft", spy)
+    _, block = txchain.transmit(4, ofdm.OfdmNumerology(275), "QPSK", n_symbols, np.random.default_rng(0))
+    out = txchain.apply_reconstruction_lpf(block, 1)
+    txchain.measure_evm(4, 1, n_symbols=n_symbols)
+    assert out.samples.size == n_an
+    assert (n_an // txchain.ZOH_OVERSAMPLE,) in shapes
+    assert [s for s in shapes if n_an in s] == []
+
+
 def test_psd_bookkeeping_through_chain():
     block, _ = make_waveform(12)
-    stages = [block, txchain.dac_convert(block, 4)]
-    stages.append(txchain.apply_reconstruction_lpf(stages[-1], 1))
+    converted = txchain.dac_convert(block, 4)
+    stages = [block, txchain.apply_reconstruction_lpf(converted, 0), txchain.apply_reconstruction_lpf(converted, 1)]
     for stage in stages:
         psd = txchain.estimate_psd(stage, 4096)
         power = np.mean(np.abs(stage.samples) ** 2)
@@ -157,7 +237,8 @@ def test_welch_equals_scipy_welch(nperseg, n_seg, tail, seed, dc, fs):
 def test_estimate_psd_equals_scipy_welch_on_tx_psd_frame():
     # a tx-psd default case: 16 QPSK symbols over 275 PRBs through the 4-bit chain and an order-1
     # filter, nperseg 4096
-    _, block = txchain.transmit(4, 1, ofdm.OfdmNumerology(275), "QPSK", 16, np.random.default_rng(0))
+    _, block = txchain.transmit(4, ofdm.OfdmNumerology(275), "QPSK", 16, np.random.default_rng(0))
+    block = txchain.apply_reconstruction_lpf(block, 1)
     assert block.samples.size == 1_122_304
     f, p = _scipy_welch(block.samples, block.sample_rate, 4096)
     order = np.argsort(f)
@@ -202,7 +283,7 @@ def test_quantization_noise_floor_level():
     # Out-of-band PSD of the quantized OFDM signal: alpha(1-alpha) spread
     # over dac_fs, shaped by the hold and probed away from the images.
     block, _ = make_waveform(12)
-    out = txchain.dac_convert(block, 4)
+    out = txchain.apply_reconstruction_lpf(txchain.dac_convert(block, 4), 0)
     f, psd_db = txchain.estimate_psd(out, 4096)
     a = quantizer.alpha_of(4)
     sel = (np.abs(f) > 250e6) & (np.abs(f) < 420e6)
