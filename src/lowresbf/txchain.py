@@ -104,6 +104,7 @@ def apply_reconstruction_lpf(block, lpf_order):
     rate = block.sample_rate * ZOH_OVERSAMPLE
     if lpf_order == 0:
         return ComplexSampleBlock(np.repeat(block.samples, ZOH_OVERSAMPLE), rate)
+    # looked up before the tiled spectrum exists: a first build holds several full-length temporaries
     response = _hold_lpf_response(block.samples.size * ZOH_OVERSAMPLE, rate, lpf_order)
     spec = np.tile(np.fft.fft(block.samples), ZOH_OVERSAMPLE)
     spec *= response
@@ -117,9 +118,7 @@ def _hold_lpf_response(n, rate, lpf_order):
     It depends only on its arguments, and each sweep reuses one length
     and rate, so it is built once per process.
     """
-    signed = (np.arange(n, dtype=float) + n // 2) % n - n // 2  # np.fft.fftfreq's bin order
-    r = _zoh_response(signed, n)
-    del signed
+    r = _zoh_response((np.arange(n, dtype=float) + n // 2) % n - n // 2, n)  # signed bins, np.fft.fftfreq's order
     r *= butterworth_response(lpf_order, np.fft.fftfreq(n, d=1.0 / rate))
     r.flags.writeable = False
     return r
@@ -244,7 +243,7 @@ def measure_evm(n_bits, lpf_order, sigma_rf_sq=(0.0,), n_symbols=24, seed=0):
     grid, block = transmit(n_bits, num, EVM_MODULATION, n_symbols, rng)
     z = apply_reconstruction_lpf(block, lpf_order)
     if any(s > 0 for s in sigma_rf_sq):
-        unit = np.empty(z.samples.size, dtype=complex)  # filled part by part: no full-length temporaries
+        unit = np.empty(z.samples.size, dtype=complex)  # filled part by part: no complex temporaries
         unit.real = rng.standard_normal(unit.size)
         unit.imag = rng.standard_normal(unit.size)
 
