@@ -482,8 +482,11 @@ def schedule_sdma_greedy(served_bits, gamma_est, coupling, member_ids, cfg):
 def rate_from_sinr(sinr_linear, w_hz):
     """Shannon rate with implementation loss, overhead, and an SE cap."""
     s = np.asarray(sinr_linear, dtype=float)
-    if np.any(s < 0):
+    if not np.all(s >= 0):  # NaN fails this too
         raise ValueError("SINR must be nonnegative")
+    w = np.asarray(w_hz, dtype=float)
+    if not np.all((w >= 0) & (w < math.inf)):
+        raise ValueError("w_hz must be nonnegative and finite")
     return _rate(s, w_hz)
 
 

@@ -144,12 +144,6 @@ def osr_gain_db(n_fft, n_sc):
     return 10.0 * math.log10(n_fft / n_sc)
 
 
-def _frac_delay(x, tau):
-    # circular fractional delay by tau samples via a spectral phase ramp
-    ramp = np.exp(-2j * np.pi * np.fft.fftfreq(x.size) * tau)
-    return np.fft.ifft(np.fft.fft(x) * ramp)
-
-
 def _cosine_window(n, a0, sym=True):
     """Two-term cosine window a0 - (1-a0)cos: symmetric (Hamming at 0.54) or periodic (Hann at 0.5).
 
@@ -180,8 +174,20 @@ def fir_circular(x, h):
     Circular application preserves the cyclic structure of the signal;
     each row of a 2-D x is filtered on its own, with one response.
     """
-    spec = np.fft.fft(x)
-    spec *= fir_zero_phase_response(h, np.shape(x)[-1])
+    return _spectral(x, fir_zero_phase_response(h, np.shape(x)[-1]))
+
+
+def _spectral(x, response, L=1):
+    """Circular filter along the last axis of x, upsampled L-fold: inverse FFT of fft(x) tiled L times, times response.
+
+    fft(x) tiled L times is the spectrum of x zero-stuffed L-fold (or,
+    weighted by a hold's response, of x held L times), so no transform
+    runs at the stuffed length.  response has L times x's last-axis
+    length.  Every fixed-response filter of the link and the DAC chain
+    runs through here.
+    """
+    spec = np.tile(np.fft.fft(x), L)
+    spec *= response
     return np.fft.ifft(spec, out=spec)
 
 
@@ -243,7 +249,7 @@ def _run_chain(db, scale, psi, adc_bits, n_dac, num, n_symbols, seed):
         xi = quantizer.quantize(ofdm_modulate(other, num), n_dac).samples
         x = x + math.sqrt(psi * sig_pow / np.mean(np.abs(xi) ** 2)) * xi
 
-    x = _frac_delay(x, RX_TIMING_OFFSET)
+    x = _spectral(x, np.exp(-2j * np.pi * np.fft.fftfreq(x.size) * RX_TIMING_OFFSET))  # circular fractional delay
 
     nvar = sig_pow * scale * 10.0 ** (-db / 10.0)
     noise = math.sqrt(nvar / 2.0) * (rng.standard_normal(x.size) + 1j * rng.standard_normal(x.size))

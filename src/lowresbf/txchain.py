@@ -27,14 +27,16 @@ holds and filters that output at the order its caller picks.
 
 import functools
 import math
+import numbers
+from collections.abc import Sequence
 
 import numpy as np
 import scipy.fft
 
 from . import quantizer
 from .quantizer import ComplexSampleBlock
-from .ofdm import (CHIP_RATE_HZ, CP_LEN, FFT_SIZE, MAX_PRBS, SCS_HZ, OfdmNumerology, _cosine_window, _lowpass_fir,
-                   fir_circular, fir_zero_phase_response, ofdm_modulate, random_grid)
+from .ofdm import (CHIP_RATE_HZ, CP_LEN, FFT_SIZE, MAX_PRBS, OfdmNumerology, _cosine_window, _lowpass_fir, _spectral,
+                   fir_zero_phase_response, ofdm_modulate, random_grid)
 
 __all__ = [
     "dac_convert",
@@ -76,9 +78,8 @@ def dac_convert(baseband, n_bits):
     """
     if not math.isclose(baseband.sample_rate, CHIP_RATE_HZ, rel_tol=1e-9):
         raise ValueError("baseband rate must equal DAC_FS_HZ / INTERP_M")
-    up = np.zeros(baseband.samples.size * INTERP_M, dtype=complex)
-    up[::INTERP_M] = baseband.samples
-    up = fir_circular(up, _INTERP_FIR)
+    # zero-stuffed INTERP_M-fold, then the anti-image FIR with its group delay removed
+    up = _spectral(baseband.samples, fir_zero_phase_response(_INTERP_FIR, baseband.samples.size * INTERP_M), INTERP_M)
     return quantizer.quantize(ComplexSampleBlock(up, DAC_FS_HZ), n_bits)
 
 
@@ -104,21 +105,33 @@ def apply_reconstruction_lpf(block, lpf_order):
     rate = block.sample_rate * ZOH_OVERSAMPLE
     if lpf_order == 0:
         return ComplexSampleBlock(np.repeat(block.samples, ZOH_OVERSAMPLE), rate)
-    # looked up before the tiled spectrum exists: a first build holds several full-length temporaries
     response = _hold_lpf_response(block.samples.size * ZOH_OVERSAMPLE, rate, lpf_order)
-    spec = np.tile(np.fft.fft(block.samples), ZOH_OVERSAMPLE)
-    spec *= response
-    return ComplexSampleBlock(np.fft.ifft(spec, out=spec), rate)
+    return ComplexSampleBlock(_spectral(block.samples, response, ZOH_OVERSAMPLE), rate)
 
 
 @functools.lru_cache(maxsize=4)
 def _hold_lpf_response(n, rate, lpf_order):
-    """Read-only hold response times the order-lpf_order filter on the n-point FFT grid at rate.
+    """Read-only DFT of the ZOH_OVERSAMPLE-fold hold times the order-lpf_order filter on the n-point FFT grid at rate.
 
-    It depends only on its arguments, and each sweep reuses one length
-    and rate, so it is built once per process.
+    Order 0 is the hold alone.  It depends only on its arguments, and
+    each sweep reuses one length and rate, so it is built once per
+    process.  A full analog spectrum is large, so each temporary is
+    updated in place.
     """
-    r = _zoh_response((np.arange(n, dtype=float) + n // 2) % n - n // 2, n)  # signed bins, np.fft.fftfreq's order
+    L = ZOH_OVERSAMPLE
+    k = (np.arange(n, dtype=float) + n // 2) % n - n // 2  # signed bins, np.fft.fftfreq's order
+    den = np.sin(np.pi * k / n)
+    mag = np.pi * k * L / n
+    np.sin(mag, out=mag)
+    np.divide(mag, den, out=mag, where=den != 0)
+    mag[den == 0] = L  # DC, where the Dirichlet ratio is L in the limit
+    del den
+    r = -1j * np.pi * k
+    r *= L - 1
+    r /= n
+    np.exp(r, out=r)
+    np.multiply(mag, r, out=r)
+    del k, mag
     r *= butterworth_response(lpf_order, np.fft.fftfreq(n, d=1.0 / rate))
     r.flags.writeable = False
     return r
@@ -189,35 +202,6 @@ def measure_aclr(psd, adjacent_index):
     return 10.0 * math.log10(p_in / p_ac)
 
 
-def _zoh_response(k_signed, n_fft_analog):
-    """The L-fold hold of the converter stream at signed bins k_signed of the analog FFT grid.
-
-    A full analog spectrum is large, so each temporary is updated in place.
-    """
-    L = ZOH_OVERSAMPLE
-    k = np.asarray(k_signed, dtype=float)
-    den = np.sin(np.pi * k / n_fft_analog)
-    mag = np.pi * k * L / n_fft_analog
-    np.sin(mag, out=mag)
-    np.divide(mag, den, out=mag, where=den != 0)
-    mag[den == 0] = L  # DC, where the Dirichlet ratio is L in the limit
-    del den
-    r = -1j * np.pi * k
-    r *= L - 1
-    r /= n_fft_analog
-    np.exp(r, out=r)
-    return np.multiply(mag, r, out=r)
-
-
-def _chain_bin_response(lpf_order, k_signed):
-    """Deterministic per-subcarrier gain of the infinite-resolution chain."""
-    n_dac = FFT_SIZE * INTERP_M
-    h_int = fir_zero_phase_response(_INTERP_FIR, n_dac)[np.asarray(k_signed) % n_dac]
-    zoh = _zoh_response(k_signed, n_dac * ZOH_OVERSAMPLE)
-    lpf = butterworth_response(lpf_order, np.asarray(k_signed) * SCS_HZ)
-    return h_int * zoh * lpf / (INTERP_M * ZOH_OVERSAMPLE)
-
-
 def measure_evm(n_bits, lpf_order, sigma_rf_sq=(0.0,), n_symbols=24, seed=0):
     """Error vector magnitude in percent through the full converter chain, one per noise power.
 
@@ -233,11 +217,13 @@ def measure_evm(n_bits, lpf_order, sigma_rf_sq=(0.0,), n_symbols=24, seed=0):
     """
     quantizer._check_int("filter order", lpf_order, 0)
     quantizer._check_bits(n_bits)
+    if isinstance(sigma_rf_sq, str) or not isinstance(sigma_rf_sq, Sequence):
+        raise ValueError(f"sigma_rf_sq must be a sequence of noise powers, got {sigma_rf_sq!r}")
     if len(sigma_rf_sq) == 0:
         raise ValueError("sigma_rf_sq must list at least one noise power")
     for s in sigma_rf_sq:
-        if not (0 <= s < math.inf):
-            raise ValueError(f"noise power must be nonnegative and finite, got {s!r}")
+        if isinstance(s, bool) or not isinstance(s, numbers.Real) or not (0 <= s < math.inf):
+            raise ValueError(f"sigma_rf_sq: noise power must be nonnegative and finite, got {s!r}")
     num = EVM_NUMEROLOGY
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     grid, block = transmit(n_bits, num, EVM_MODULATION, n_symbols, rng)
@@ -255,8 +241,12 @@ def measure_evm(n_bits, lpf_order, sigma_rf_sq=(0.0,), n_symbols=24, seed=0):
     # reference below
     guard = (INTERP_TAPS - 1) // 2
     start = (CP_LEN * INTERP_M - guard) * L
-    ref = _chain_bin_response(lpf_order, num.signed_bins)
-    ref = ref * np.exp(-2j * np.pi * num.signed_bins * (guard * L) / n_an)
+    # the infinite-resolution chain's gain per subcarrier: anti-image FIR, hold and filter, over the
+    # gains INTERP_M and L that interpolation and the hold add
+    k = num.signed_bins
+    ref = fir_zero_phase_response(_INTERP_FIR, FFT_SIZE * INTERP_M)[k % (FFT_SIZE * INTERP_M)]
+    ref = ref * _hold_lpf_response(n_an, DAC_FS_HZ * L, lpf_order)[k % n_an] / (INTERP_M * L)
+    ref = ref * np.exp(-2j * np.pi * k * (guard * L) / n_an)
 
     evms = []
     for s in sigma_rf_sq:

@@ -284,6 +284,13 @@ def test_rate_from_sinr():
     assert mid == pytest.approx(0.8e9, rel=1e-9)
     with pytest.raises(ValueError):
         network.rate_from_sinr(-0.1, 1e9)
+    for bad in (math.nan, [1.0, math.nan]):
+        with pytest.raises(ValueError, match="SINR"):
+            network.rate_from_sinr(bad, 1e9)
+    for bad in (-1.0, math.nan, math.inf, [1e9, -1.0]):
+        with pytest.raises(ValueError, match="w_hz"):
+            network.rate_from_sinr(1.0, bad)
+    assert network.rate_from_sinr(1.0, 0.0) == 0.0
 
 
 def test_run_drop_deterministic():

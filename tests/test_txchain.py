@@ -106,11 +106,12 @@ def test_tone_images_at_converter_rate():
 
 
 def test_zoh_response_is_the_hold_dft():
-    # the L-fold hold's DFT on an n-point grid, at every signed bin, DC and both band edges included
+    # the L-fold hold's DFT on an n-point grid, at every bin, DC and both band edges included;
+    # order 0 is the hold alone
     L = txchain.ZOH_OVERSAMPLE
     for n in (L, 9, 63, 64):
-        k = np.arange(-(n // 2), n // 2 + 1)
-        np.testing.assert_allclose(txchain._zoh_response(k, n), np.fft.fft(np.ones(L), n)[k % n], rtol=0, atol=1e-13)
+        hold = txchain._hold_lpf_response(n, 1.0, 0)
+        np.testing.assert_allclose(hold, np.fft.fft(np.ones(L), n), rtol=0, atol=1e-13)
 
 
 def _held_then_filtered(u, rate, order):
@@ -147,10 +148,39 @@ def test_hold_and_filter_match_time_domain_path(modulation, n, rate, order, seed
     n_an = ref.size
     cached = txchain._hold_lpf_response(n_an, out.sample_rate, order)
     assert cached.flags.writeable is False
-    signed = np.fft.ifftshift(np.arange(n_an) - n_an // 2)
-    fresh = txchain._zoh_response(signed, n_an) * txchain.butterworth_response(
-        order, np.fft.fftfreq(n_an, d=1.0 / out.sample_rate))
+    hold = txchain._hold_lpf_response(n_an, out.sample_rate, 0)
+    np.testing.assert_allclose(hold, np.fft.fft(np.ones(txchain.ZOH_OVERSAMPLE), n_an), rtol=0, atol=1e-13)
+    fresh = hold * txchain.butterworth_response(order, np.fft.fftfreq(n_an, d=1.0 / out.sample_rate))
     assert np.array_equal(cached, fresh)
+
+
+def _stuffed_then_filtered(x):
+    """Oracle: the interpolation in the time domain, zero-stuffing INTERP_M-fold, then the anti-image FIR."""
+    up = np.zeros(x.size * txchain.INTERP_M, dtype=complex)
+    up[::txchain.INTERP_M] = x
+    return ofdm.fir_circular(up, txchain._INTERP_FIR)
+
+
+# complex noise of n samples, or (modulation set) an n-symbol 275-PRB frame; seed
+@settings(max_examples=100, deadline=None)
+@given(st.none(), st.integers(1, 300), st.integers(0, 2**32 - 1))
+@example("QPSK", 16, 0)  # tx-psd and aclr-sweep
+def test_interpolation_matches_zero_stuffed_fir(modulation, n, seed):
+    # the stuffed stream's spectrum is fft(x) tiled INTERP_M times; the FFT it replaces rounds
+    # differently, so the two paths agree within 1e-12 of the RMS, not bit for bit
+    rng = np.random.default_rng(seed)
+    if modulation is None:
+        x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    else:
+        x = ofdm.ofdm_modulate(ofdm.random_grid(modulation, n, 3300, rng), ofdm.OfdmNumerology(275)).samples
+    out = txchain.dac_convert(quantizer.ComplexSampleBlock(x, CHIP), math.inf)
+    ref = _stuffed_then_filtered(x)
+    assert out.sample_rate == txchain.DAC_FS_HZ
+    assert np.max(np.abs(out.samples - ref)) <= 1e-12 * math.sqrt(np.mean(np.abs(ref) ** 2))
+    # at L = 1 the primitive is the inline FFT pair, bit for bit: the FIR and the link's timing offset
+    for r in (ofdm.fir_zero_phase_response(txchain._INTERP_FIR, x.size),
+              np.exp(-2j * np.pi * np.fft.fftfreq(x.size) * ofdm.RX_TIMING_OFFSET)):
+        assert np.array_equal(ofdm._spectral(x, r), np.fft.ifft(np.fft.fft(x) * r))
 
 
 def test_fir_response_cached_by_value_and_read_only():
@@ -165,10 +195,12 @@ def test_fir_response_cached_by_value_and_read_only():
 
 
 def test_filtered_chain_runs_no_analog_length_forward_fft(monkeypatch):
-    # the held signal's spectrum comes from the converter-rate FFT; a forward transform at the
-    # analog length is the cost that closed form removes
+    # the held signal's spectrum comes from the converter-rate FFT, and the converter stream's from
+    # the chip-rate FFT; a forward transform at the stuffed length is the cost that closed form removes
     n_symbols = 2
     n_an = n_symbols * txchain.SYMBOL_SAMPLES
+    n_conv = n_an // txchain.ZOH_OVERSAMPLE
+    ofdm.fir_zero_phase_response(txchain._INTERP_FIR, n_conv)  # built once per process; count only per-call FFTs
     fft, shapes = np.fft.fft, []
 
     def spy(*args, **kwargs):
@@ -178,10 +210,12 @@ def test_filtered_chain_runs_no_analog_length_forward_fft(monkeypatch):
 
     monkeypatch.setattr(np.fft, "fft", spy)
     _, block = txchain.transmit(4, ofdm.OfdmNumerology(275), "QPSK", n_symbols, np.random.default_rng(0))
+    assert (n_conv,) not in shapes  # dac_convert runs none at the converter length
     out = txchain.apply_reconstruction_lpf(block, 1)
+    assert shapes.count((n_conv,)) == 1
     txchain.measure_evm(4, 1, n_symbols=n_symbols)
+    assert shapes.count((n_conv,)) == 2  # one per filtered block
     assert out.samples.size == n_an
-    assert (n_an // txchain.ZOH_OVERSAMPLE,) in shapes
     assert [s for s in shapes if n_an in s] == []
 
 
@@ -365,8 +399,9 @@ def test_evm_noise_sequence_equals_lone_calls():
 
 
 def test_evm_rejects_no_noise_powers():
-    with pytest.raises(ValueError, match="sigma_rf_sq"):
-        txchain.measure_evm(4, 1, ())
+    for noise in ((), 1e-4, "1", (True,)):
+        with pytest.raises(ValueError, match="sigma_rf_sq"):
+            txchain.measure_evm(4, 1, noise)
 
 
 def test_evm_prediction_values():
