@@ -622,7 +622,9 @@ def _psd_job(bits, orders, prbs, n_sym, nperseg, seed):
     results = []
     for order in orders:
         out = txchain.apply_reconstruction_lpf(block, order)
-        results.append((txchain.estimate_psd(out, nperseg), np.var(out.samples)))
+        x = out.samples  # np.var's value, without its two full-length temporaries
+        results.append((txchain.estimate_psd(out, nperseg), np.vdot(x, x).real / x.size - abs(x.mean()) ** 2))
+        del out, x  # freed before the next order is filtered
     return results
 
 

@@ -181,14 +181,34 @@ def _spectral(x, response, L=1):
     """Circular filter along the last axis of x, upsampled L-fold: inverse FFT of fft(x) tiled L times, times response.
 
     fft(x) tiled L times is the spectrum of x zero-stuffed L-fold (or,
-    weighted by a hold's response, of x held L times), so no transform
-    runs at the stuffed length.  response has L times x's last-axis
-    length.  Every fixed-response filter of the link and the DAC chain
-    runs through here.
+    weighted by a hold's response, of x held L times).  At L > 1,
+    response is the (L, n) _polyphase form, and output phase r (samples
+    r, r + L, ...) is the n-point inverse FFT of fft(x) times
+    response[r], so no transform runs at the stuffed length.  Every
+    fixed-response filter of the link and the DAC chain runs through here.
     """
-    spec = np.tile(np.fft.fft(x), L)
-    spec *= response
-    return np.fft.ifft(spec, out=spec)
+    spec = np.fft.fft(x)
+    if L == 1:
+        spec *= response
+        return np.fft.ifft(spec, out=spec)
+    out = np.empty((*spec.shape[:-1], L * spec.shape[-1]), dtype=complex)
+    for r in range(L):
+        phase = np.multiply(spec, response[r], out=out[..., r::L])
+        np.fft.ifft(phase, out=phase)
+    return out
+
+
+def _polyphase(slices):
+    """_spectral's read-only (L, n) form of an L·n-point response given as its L slices of n bins, built in place.
+
+    Row r is the inverse DFT across the slices times the twiddle e^{2πi·r·k/(L·n)} at bin k.
+    """
+    L, n = slices.shape
+    np.fft.ifft(slices, axis=0, out=slices)
+    for r in range(1, L):
+        slices[r] *= np.exp(2j * np.pi * r * np.arange(n) / (L * n))
+    slices.flags.writeable = False
+    return slices
 
 
 def fir_zero_phase_response(h, n):
@@ -203,11 +223,14 @@ def fir_zero_phase_response(h, n):
 
 
 @functools.lru_cache(maxsize=8)
-def _fir_response(taps, dtype, n):
+def _fir_response(taps, dtype, n, L=1):
+    # at L > 1, the (L, n) _polyphase form of the response on the L·n-point grid
     h = np.frombuffer(taps, dtype=dtype)
     d = (len(h) - 1) // 2
-    r = np.fft.fft(h, n)
-    r *= np.exp(2j * np.pi * np.arange(n) * d / n)
+    r = np.fft.fft(h, n * L)
+    r *= np.exp(2j * np.pi * np.arange(n * L) * d / (n * L))
+    if L > 1:
+        return _polyphase(r.reshape(L, n))
     r.flags.writeable = False
     return r
 

@@ -6,9 +6,11 @@ filter.  The hold is emulated by repeating each converter sample L
 times at an oversampled "analog" rate, which reproduces the sinc
 roll-off and the spectral images at multiples of the converter rate.
 With a filter, the held signal's spectrum comes from the
-converter-rate FFT in closed form, so no forward transform runs at
-the analog length.  PSD, adjacent-channel leakage, and EVM are
-measured on that emulated analog signal.
+converter-rate FFT in closed form, and the inverse runs as
+ZOH_OVERSAMPLE converter-length inverse FFTs, one per output phase,
+so no transform runs at the analog length.  PSD, adjacent-channel
+leakage, and EVM are measured on that emulated analog signal, the EVM
+one symbol at a time.
 
 All processing is complex baseband; the carrier frequency only labels
 plot axes.  Transmit power is normalized to 0 dBm, so PSD values are
@@ -35,8 +37,8 @@ import scipy.fft
 
 from . import quantizer
 from .quantizer import ComplexSampleBlock
-from .ofdm import (CHIP_RATE_HZ, CP_LEN, FFT_SIZE, MAX_PRBS, OfdmNumerology, _cosine_window, _lowpass_fir, _spectral,
-                   fir_zero_phase_response, ofdm_modulate, random_grid)
+from .ofdm import (CHIP_RATE_HZ, CP_LEN, FFT_SIZE, MAX_PRBS, OfdmNumerology, _cosine_window, _fir_response,
+                   _lowpass_fir, _polyphase, _spectral, fir_zero_phase_response, ofdm_modulate, random_grid)
 
 __all__ = [
     "dac_convert",
@@ -65,7 +67,7 @@ SYMBOL_SAMPLES = (FFT_SIZE + CP_LEN) * INTERP_M * ZOH_OVERSAMPLE  # analog sampl
 MIN_NPERSEG = math.ceil(2 * DAC_FS_HZ * ZOH_OVERSAMPLE / MEAS_BW_HZ)
 # anti-image FIR: cut just under the pre-interpolation Nyquist; gain INTERP_M restores amplitude
 _INTERP_FIR = _lowpass_fir(INTERP_TAPS, 0.98 * CHIP_RATE_HZ / 2, DAC_FS_HZ) * INTERP_M
-_WELCH_CHUNK = 64  # segments per FFT call in _welch
+_WELCH_CHUNK = 16  # segments per FFT call in _welch
 
 
 def dac_convert(baseband, n_bits):
@@ -79,7 +81,8 @@ def dac_convert(baseband, n_bits):
     if not math.isclose(baseband.sample_rate, CHIP_RATE_HZ, rel_tol=1e-9):
         raise ValueError("baseband rate must equal DAC_FS_HZ / INTERP_M")
     # zero-stuffed INTERP_M-fold, then the anti-image FIR with its group delay removed
-    up = _spectral(baseband.samples, fir_zero_phase_response(_INTERP_FIR, baseband.samples.size * INTERP_M), INTERP_M)
+    fir = _fir_response(_INTERP_FIR.tobytes(), _INTERP_FIR.dtype.str, baseband.samples.size, INTERP_M)
+    up = _spectral(baseband.samples, fir, INTERP_M)
     return quantizer.quantize(ComplexSampleBlock(up, DAC_FS_HZ), n_bits)
 
 
@@ -98,43 +101,46 @@ def apply_reconstruction_lpf(block, lpf_order):
     Returns the emulated analog block at ZOH_OVERSAMPLE times the
     block's rate; order 0 is the bare hold.  The DFT of an L-fold hold
     of u is fft(u) tiled L times, weighted by the hold's Dirichlet
-    response, so a filtered block costs one converter-rate FFT and one
-    analog-length inverse FFT.
+    response, so a filtered block costs one converter-rate FFT and L
+    converter-length inverse FFTs.
     """
     quantizer._check_int("filter order", lpf_order, 0)
     rate = block.sample_rate * ZOH_OVERSAMPLE
     if lpf_order == 0:
         return ComplexSampleBlock(np.repeat(block.samples, ZOH_OVERSAMPLE), rate)
-    response = _hold_lpf_response(block.samples.size * ZOH_OVERSAMPLE, rate, lpf_order)
+    response = _hold_lpf_polyphase(block.samples.size, rate, lpf_order)
     return ComplexSampleBlock(_spectral(block.samples, response, ZOH_OVERSAMPLE), rate)
 
 
-@functools.lru_cache(maxsize=4)
-def _hold_lpf_response(n, rate, lpf_order):
-    """Read-only DFT of the ZOH_OVERSAMPLE-fold hold times the order-lpf_order filter on the n-point FFT grid at rate.
+def _hold_lpf_response(k, n, rate, lpf_order):
+    """DFT of the ZOH_OVERSAMPLE-fold hold times the order-lpf_order filter at signed bins k of an n-point grid at rate.
 
-    Order 0 is the hold alone.  It depends only on its arguments, and
-    each sweep reuses one length and rate, so it is built once per
-    process.  A full analog spectrum is large, so each temporary is
-    updated in place.
+    Order 0 is the hold alone.
     """
     L = ZOH_OVERSAMPLE
-    k = (np.arange(n, dtype=float) + n // 2) % n - n // 2  # signed bins, np.fft.fftfreq's order
+    k = np.asarray(k, dtype=float)
     den = np.sin(np.pi * k / n)
     mag = np.pi * k * L / n
     np.sin(mag, out=mag)
     np.divide(mag, den, out=mag, where=den != 0)
     mag[den == 0] = L  # DC, where the Dirichlet ratio is L in the limit
-    del den
     r = -1j * np.pi * k
     r *= L - 1
     r /= n
     np.exp(r, out=r)
     np.multiply(mag, r, out=r)
-    del k, mag
-    r *= butterworth_response(lpf_order, np.fft.fftfreq(n, d=1.0 / rate))
-    r.flags.writeable = False
+    r *= butterworth_response(lpf_order, k * (1.0 / (n * (1.0 / rate))))  # np.fft.fftfreq's product
     return r
+
+
+@functools.lru_cache(maxsize=4)
+def _hold_lpf_polyphase(n, rate, lpf_order):
+    """Read-only _polyphase form of _hold_lpf_response on the ZOH_OVERSAMPLE·n-point grid at rate, built once."""
+    N = ZOH_OVERSAMPLE * n
+    g = np.empty((ZOH_OVERSAMPLE, n), dtype=complex)
+    for q in range(ZOH_OVERSAMPLE):  # n bins at a time: the analog-length response never exists in natural order
+        g[q] = _hold_lpf_response((np.arange(q * n, (q + 1) * n) + N // 2) % N - N // 2, N, rate, lpf_order)
+    return _polyphase(g)
 
 
 def transmit(n_bits, num, modulation, n_symbols, rng):
@@ -227,11 +233,9 @@ def measure_evm(n_bits, lpf_order, sigma_rf_sq=(0.0,), n_symbols=24, seed=0):
     num = EVM_NUMEROLOGY
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     grid, block = transmit(n_bits, num, EVM_MODULATION, n_symbols, rng)
-    z = apply_reconstruction_lpf(block, lpf_order)
-    if any(s > 0 for s in sigma_rf_sq):
-        unit = np.empty(z.samples.size, dtype=complex)  # filled part by part: no complex temporaries
-        unit.real = rng.standard_normal(unit.size)
-        unit.imag = rng.standard_normal(unit.size)
+    z = apply_reconstruction_lpf(block, lpf_order).samples
+    if any(s > 0 for s in sigma_rf_sq):  # the unit noise's real and imaginary parts, in the order they are drawn
+        re, im = rng.standard_normal(z.size), rng.standard_normal(z.size)
 
     L = ZOH_OVERSAMPLE
     n_an = FFT_SIZE * INTERP_M * L
@@ -245,18 +249,17 @@ def measure_evm(n_bits, lpf_order, sigma_rf_sq=(0.0,), n_symbols=24, seed=0):
     # gains INTERP_M and L that interpolation and the hold add
     k = num.signed_bins
     ref = fir_zero_phase_response(_INTERP_FIR, FFT_SIZE * INTERP_M)[k % (FFT_SIZE * INTERP_M)]
-    ref = ref * _hold_lpf_response(n_an, DAC_FS_HZ * L, lpf_order)[k % n_an] / (INTERP_M * L)
+    ref = ref * _hold_lpf_response(k, n_an, DAC_FS_HZ * L, lpf_order) / (INTERP_M * L)
     ref = ref * np.exp(-2j * np.pi * k * (guard * L) / n_an)
 
     evms = []
+    rx = np.empty_like(grid, order="F")  # a frame FFT's spec[:, bins] layout, so np.mean sums in its order
     for s in sigma_rf_sq:
-        x = z.samples
-        if s > 0:
-            var = s * INTERP_M * ZOH_OVERSAMPLE * num.osr  # unit per-subcarrier pickup
-            x = x + math.sqrt(var / 2.0) * unit
-        sym = x.reshape(n_symbols, SYMBOL_SAMPLES)[:, start:start + n_an]
-        spec = np.fft.fft(sym, axis=1) * (math.sqrt(num.n_subcarriers) / n_an)
-        rx = spec[:, num.signed_bins % n_an]
+        c = math.sqrt(s * INTERP_M * ZOH_OVERSAMPLE * num.osr / 2.0)  # unit per-subcarrier pickup
+        for i in range(n_symbols):  # one symbol's window at a time: no frame-length temporary
+            w = slice(i * SYMBOL_SAMPLES + start, i * SYMBOL_SAMPLES + start + n_an)
+            x = z[w] + c * (re[w] + 1j * im[w]) if s > 0 else z[w]
+            rx[i] = np.fft.fft(x)[k % n_an] * (math.sqrt(num.n_subcarriers) / n_an)
         err = rx / ref[None, :] - grid
         evms.append(100.0 * math.sqrt(np.mean(np.abs(err) ** 2) / np.mean(np.abs(grid) ** 2)))
     return evms

@@ -21,7 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lowresbf import cli, network
+from lowresbf import cli, network, ofdm, txchain
 
 
 def read_csv(path):
@@ -461,6 +461,15 @@ def test_tx_psd_artifacts(tmp_path):
     assert head == ["freq_offset_hz", "psd_db"]
     assert len(rows) == 1024
     py_compile.compile(str(out / "tx_psd_plot.py"), doraise=True)
+
+
+def test_psd_job_block_power_is_the_variance():
+    # tx-psd's 3% check reads this power; it skips np.var's full-length temporaries, not its value
+    results = cli._psd_job(4, [0, 1, 3], 275, 2, 1024, 0)
+    _, block = txchain.transmit(4, ofdm.OfdmNumerology(used_prbs=275), "QPSK", 2,
+                                np.random.default_rng(np.random.SeedSequence(0)))
+    for order, (_, power) in zip([0, 1, 3], results):
+        assert power == pytest.approx(np.var(txchain.apply_reconstruction_lpf(block, order).samples), rel=1e-12, abs=0)
 
 
 def test_aclr_sweep_artifacts(tmp_path):

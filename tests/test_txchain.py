@@ -2,6 +2,7 @@
 every stage, hold images, and the EVM floor model."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -110,8 +111,13 @@ def test_zoh_response_is_the_hold_dft():
     # order 0 is the hold alone
     L = txchain.ZOH_OVERSAMPLE
     for n in (L, 9, 63, 64):
-        hold = txchain._hold_lpf_response(n, 1.0, 0)
+        hold = txchain._hold_lpf_response(_signed_bins(n), n, 1.0, 0)
         np.testing.assert_allclose(hold, np.fft.fft(np.ones(L), n), rtol=0, atol=1e-13)
+
+
+def _signed_bins(n):
+    """Signed bin of each n-point FFT output, in np.fft.fftfreq's order."""
+    return (np.arange(n) + n // 2) % n - n // 2
 
 
 def _held_then_filtered(u, rate, order):
@@ -145,13 +151,15 @@ def test_hold_and_filter_match_time_domain_path(modulation, n, rate, order, seed
         return
     rms = math.sqrt(np.mean(np.abs(ref) ** 2))
     assert np.max(np.abs(out.samples - ref)) <= 1e-12 * rms
-    n_an = ref.size
-    cached = txchain._hold_lpf_response(n_an, out.sample_rate, order)
+    n_an, L = ref.size, txchain.ZOH_OVERSAMPLE
+    cached = txchain._hold_lpf_polyphase(block.samples.size, out.sample_rate, order)
     assert cached.flags.writeable is False
-    hold = txchain._hold_lpf_response(n_an, out.sample_rate, 0)
-    np.testing.assert_allclose(hold, np.fft.fft(np.ones(txchain.ZOH_OVERSAMPLE), n_an), rtol=0, atol=1e-13)
+    hold = txchain._hold_lpf_response(_signed_bins(n_an), n_an, out.sample_rate, 0)
+    np.testing.assert_allclose(hold, np.fft.fft(np.ones(L), n_an), rtol=0, atol=1e-13)
     fresh = hold * txchain.butterworth_response(order, np.fft.fftfreq(n_an, d=1.0 / out.sample_rate))
-    assert np.array_equal(cached, fresh)
+    # the polyphase form: inverse DFT across the L slices of n bins, then the twiddle e^{2πi·r·k/n_an}
+    twiddle = np.exp(2j * np.pi * np.arange(L)[:, None] * np.arange(block.samples.size) / n_an)
+    assert np.array_equal(cached, np.fft.ifft(fresh.reshape(L, -1), axis=0) * twiddle)
 
 
 def _stuffed_then_filtered(x):
@@ -194,29 +202,65 @@ def test_fir_response_cached_by_value_and_read_only():
     assert np.array_equal(other, 0.5 * r)
 
 
-def test_filtered_chain_runs_no_analog_length_forward_fft(monkeypatch):
-    # the held signal's spectrum comes from the converter-rate FFT, and the converter stream's from
-    # the chip-rate FFT; a forward transform at the stuffed length is the cost that closed form removes
+def test_chain_runs_no_analog_length_transform(monkeypatch):
+    # the held signal's spectrum comes from the converter-rate FFT and the converter stream's from the
+    # chip-rate FFT, each inverse runs one output phase at a time, and measure_evm demodulates one
+    # symbol at a time: no transform in either direction, response builds included, has an analog-length axis
     n_symbols = 2
     n_an = n_symbols * txchain.SYMBOL_SAMPLES
     n_conv = n_an // txchain.ZOH_OVERSAMPLE
-    ofdm.fir_zero_phase_response(txchain._INTERP_FIR, n_conv)  # built once per process; count only per-call FFTs
-    fft, shapes = np.fft.fft, []
+    n_chip = n_conv // txchain.INTERP_M
+    calls = []
 
-    def spy(*args, **kwargs):
-        out = fft(*args, **kwargs)
-        shapes.append(out.shape)
-        return out
+    def spy(name, transform):
+        def run(*args, **kwargs):
+            out = transform(*args, **kwargs)
+            calls.append((name, out.shape))
+            return out
+        return run
 
-    monkeypatch.setattr(np.fft, "fft", spy)
-    _, block = txchain.transmit(4, ofdm.OfdmNumerology(275), "QPSK", n_symbols, np.random.default_rng(0))
-    assert (n_conv,) not in shapes  # dac_convert runs none at the converter length
-    out = txchain.apply_reconstruction_lpf(block, 1)
-    assert shapes.count((n_conv,)) == 1
-    txchain.measure_evm(4, 1, n_symbols=n_symbols)
-    assert shapes.count((n_conv,)) == 2  # one per filtered block
-    assert out.samples.size == n_an
-    assert [s for s in shapes if n_an in s] == []
+    for name in ("fft", "ifft"):
+        monkeypatch.setattr(np.fft, name, spy(name, getattr(np.fft, name)))
+    ofdm._fir_response.cache_clear()
+    txchain._hold_lpf_polyphase.cache_clear()
+    for warm in (False, True):
+        calls.clear()
+        _, block = txchain.transmit(4, ofdm.OfdmNumerology(275), "QPSK", n_symbols, np.random.default_rng(0))
+        if warm:  # dac_convert: one chip-rate FFT, one chip-length inverse per output phase
+            assert ("fft", (n_conv,)) not in calls
+            assert calls.count(("fft", (n_chip,))) == 1
+            assert calls.count(("ifft", (n_chip,))) == txchain.INTERP_M
+            calls.clear()
+        out = txchain.apply_reconstruction_lpf(block, 1)
+        assert out.samples.size == n_an
+        if warm:
+            assert calls == [("fft", (n_conv,))] + [("ifft", (n_conv,))] * txchain.ZOH_OVERSAMPLE
+            calls.clear()
+        txchain.measure_evm(4, 1, [1e-5, 0.0], n_symbols)
+        if warm:  # one filtered block, and one window FFT per symbol and noise entry
+            assert calls.count(("fft", (n_conv,))) == 1
+            assert calls.count(("fft", (ofdm.FFT_SIZE * txchain.INTERP_M * txchain.ZOH_OVERSAMPLE,))) == 2 * n_symbols
+        assert [c for c in calls if n_an in c[1]] == []
+
+
+def test_evm_noise_and_filter_memory():
+    # the RF noise adds one analog block to measure_evm's peak (its real and imaginary parts), and a
+    # warm filter allocates little beyond its output
+    block_bytes = 16 * txchain.SYMBOL_SAMPLES * np.dtype(complex).itemsize
+
+    def peak(run):
+        run()  # warm the response caches
+        tracemalloc.start()
+        try:
+            run()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    quiet = peak(lambda: txchain.measure_evm(4, 1, [0.0], 16))
+    assert peak(lambda: txchain.measure_evm(4, 1, [1e-5, 0.0], 16)) <= quiet + 1.1 * block_bytes
+    _, block = txchain.transmit(4, txchain.EVM_NUMEROLOGY, "64QAM", 16, np.random.default_rng(0))
+    assert peak(lambda: txchain.apply_reconstruction_lpf(block, 1)) <= 1.2 * block_bytes
 
 
 def test_psd_bookkeeping_through_chain():
