@@ -407,11 +407,16 @@ def _rate(sinr_linear, w_hz=1.0):
     return (1.0 - OVERHEAD) * w_hz * se
 
 
+def _group_leakage(coupling, cell, grp):
+    """Leakage ratio of each slot of grp, (n_groups, k) slots of cell[row]: the other beams toward its user."""
+    sub = coupling[cell[:, None, None], grp[:, :, None], grp[:, None, :]]
+    return sub.sum(1) - np.diagonal(sub, axis1=1, axis2=2)
+
+
 def _sum_rates(gamma, coupling, cell, grp):
     """Modeled sum rate of each row of grp, an (n_groups, k) array of slots of cell[row]."""
     gp = gamma[cell[:, None], grp] / grp.shape[1]     # equal split of the transmit power
-    sub = coupling[cell[:, None, None], grp[:, :, None], grp[:, None, :]]
-    psi = sub.sum(1) - np.diagonal(sub, axis1=1, axis2=2)
+    psi = _group_leakage(coupling, cell, grp)
     s = gp / (1.0 + psi * gp)
     return _rate(s).sum(-1)
 
@@ -669,10 +674,9 @@ def _tti_loop(cfg, interior_bs, members, signal, g_srv, pickup, leak, coupling):
             pad = slots.shape[1] - 1
             grp = np.sort(np.where(chosen, np.arange(pad + 1), pad), axis=1)[:, :size.max(initial=0)]
             ids = np.take_along_axis(slots, grp, axis=1)
-            sub = coupling[rows[:, None, None], grp[:, :, None], grp[:, None, :]]
             on = ids < n_act
             div[ids[on]] = np.repeat(size, size)
-            psi[ids[on]] = (sub.sum(1) - np.diagonal(sub, axis1=1, axis2=2))[on]
+            psi[ids[on]] = _group_leakage(coupling, rows, grp)[on]
             bw[ids[on]] = cfg.bw_hz
             contrib = (psd / size[:, None]) * pickup * leak[:, col[ids]].sum(-1).T
         else:

@@ -177,23 +177,23 @@ def fir_circular(x, h):
     return _spectral(x, fir_zero_phase_response(h, np.shape(x)[-1]))
 
 
-def _spectral(x, response, L=1):
+def _spectral(x, response):
     """Circular filter along the last axis of x, upsampled L-fold: inverse FFT of fft(x) tiled L times, times response.
 
     fft(x) tiled L times is the spectrum of x zero-stuffed L-fold (or,
-    weighted by a hold's response, of x held L times).  At L > 1,
-    response is the (L, n) _polyphase form, and output phase r (samples
-    r, r + L, ...) is the n-point inverse FFT of fft(x) times
-    response[r], so no transform runs at the stuffed length.  Every
+    weighted by a hold's response, of x held L times).  response holds
+    the L rows of its _polyphase form end to end, flat or (L, n), so L is
+    its size over x's length; at L = 1 it is the response itself.  Output
+    phase r (samples r, r + L, ...) is the n-point inverse FFT of fft(x)
+    times row r, so no transform runs at the stuffed length.  Every
     fixed-response filter of the link and the DAC chain runs through here.
     """
     spec = np.fft.fft(x)
-    if L == 1:
-        spec *= response
-        return np.fft.ifft(spec, out=spec)
-    out = np.empty((*spec.shape[:-1], L * spec.shape[-1]), dtype=complex)
-    for r in range(L):
-        phase = np.multiply(spec, response[r], out=out[..., r::L])
+    n = spec.shape[-1]
+    L = response.size // n
+    out = spec if L == 1 else np.empty((*spec.shape[:-1], L * n), dtype=complex)
+    for r, row in enumerate(response.reshape(L, n)):
+        phase = np.multiply(spec, row, out=out[..., r::L])
         np.fft.ifft(phase, out=phase)
     return out
 
@@ -224,15 +224,12 @@ def fir_zero_phase_response(h, n):
 
 @functools.lru_cache(maxsize=8)
 def _fir_response(taps, dtype, n, L=1):
-    # at L > 1, the (L, n) _polyphase form of the response on the L·n-point grid
+    # the _polyphase form of the response on the L·n-point grid, its rows end to end
     h = np.frombuffer(taps, dtype=dtype)
     d = (len(h) - 1) // 2
     r = np.fft.fft(h, n * L)
     r *= np.exp(2j * np.pi * np.arange(n * L) * d / (n * L))
-    if L > 1:
-        return _polyphase(r.reshape(L, n))
-    r.flags.writeable = False
-    return r
+    return _polyphase(r.reshape(L, n)).ravel()
 
 
 def _equalize(rx_grid, tx_grid, ref):

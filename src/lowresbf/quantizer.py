@@ -8,6 +8,7 @@ uniform quantizer at the given resolution.  Every downstream model
 computed here.
 """
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -87,15 +88,12 @@ def _golden_min(f, lo, hi, tol=1e-12):
     return 0.5 * (lo + hi)
 
 
-_cache = {}  # n_bits -> (step, alpha)
-
-
+@functools.cache
 def _solve(n_bits):
-    if n_bits not in _cache:
-        lo = 0.5 * 2.0 ** (1 - n_bits)  # below any plausible optimum at this depth
-        step = _golden_min(lambda s: quantizer_mse(s, n_bits), lo, 4.0)
-        _cache[n_bits] = (step, quantizer_mse(step, n_bits))
-    return _cache[n_bits]
+    """(step, alpha) at n_bits."""
+    lo = 0.5 * 2.0 ** (1 - n_bits)  # below any plausible optimum at this depth
+    step = _golden_min(lambda s: quantizer_mse(s, n_bits), lo, 4.0)
+    return step, quantizer_mse(step, n_bits)
 
 
 def _check_int(name, v, lo, hi=None):

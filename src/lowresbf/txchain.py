@@ -82,7 +82,7 @@ def dac_convert(baseband, n_bits):
         raise ValueError("baseband rate must equal DAC_FS_HZ / INTERP_M")
     # zero-stuffed INTERP_M-fold, then the anti-image FIR with its group delay removed
     fir = _fir_response(_INTERP_FIR.tobytes(), _INTERP_FIR.dtype.str, baseband.samples.size, INTERP_M)
-    up = _spectral(baseband.samples, fir, INTERP_M)
+    up = _spectral(baseband.samples, fir)
     return quantizer.quantize(ComplexSampleBlock(up, DAC_FS_HZ), n_bits)
 
 
@@ -109,7 +109,7 @@ def apply_reconstruction_lpf(block, lpf_order):
     if lpf_order == 0:
         return ComplexSampleBlock(np.repeat(block.samples, ZOH_OVERSAMPLE), rate)
     response = _hold_lpf_polyphase(block.samples.size, rate, lpf_order)
-    return ComplexSampleBlock(_spectral(block.samples, response, ZOH_OVERSAMPLE), rate)
+    return ComplexSampleBlock(_spectral(block.samples, response), rate)
 
 
 def _hold_lpf_response(k, n, rate, lpf_order):
@@ -120,17 +120,10 @@ def _hold_lpf_response(k, n, rate, lpf_order):
     L = ZOH_OVERSAMPLE
     k = np.asarray(k, dtype=float)
     den = np.sin(np.pi * k / n)
-    mag = np.pi * k * L / n
-    np.sin(mag, out=mag)
-    np.divide(mag, den, out=mag, where=den != 0)
-    mag[den == 0] = L  # DC, where the Dirichlet ratio is L in the limit
-    r = -1j * np.pi * k
-    r *= L - 1
-    r /= n
-    np.exp(r, out=r)
-    np.multiply(mag, r, out=r)
-    r *= butterworth_response(lpf_order, k * (1.0 / (n * (1.0 / rate))))  # np.fft.fftfreq's product
-    return r
+    # L at DC, where the Dirichlet ratio is L in the limit
+    mag = np.divide(np.sin(np.pi * k * L / n), den, out=np.full_like(den, L), where=den != 0)
+    hold = mag * np.exp(-1j * np.pi * k * (L - 1) / n)
+    return hold * butterworth_response(lpf_order, k * (1.0 / (n * (1.0 / rate))))  # np.fft.fftfreq's product
 
 
 @functools.lru_cache(maxsize=4)
@@ -138,7 +131,7 @@ def _hold_lpf_polyphase(n, rate, lpf_order):
     """Read-only _polyphase form of _hold_lpf_response on the ZOH_OVERSAMPLE·n-point grid at rate, built once."""
     N = ZOH_OVERSAMPLE * n
     g = np.empty((ZOH_OVERSAMPLE, n), dtype=complex)
-    for q in range(ZOH_OVERSAMPLE):  # n bins at a time: the analog-length response never exists in natural order
+    for q in range(ZOH_OVERSAMPLE):  # n bins at a time, so the formula's temporaries are converter-length
         g[q] = _hold_lpf_response((np.arange(q * n, (q + 1) * n) + N // 2) % N - N // 2, N, rate, lpf_order)
     return _polyphase(g)
 
