@@ -51,18 +51,20 @@ class ConfigError(Exception):
 
 # ---------------------------------------------------------------- config
 
+def _listed(parse):
+    """The cast of a comma list of parse's entries, each listed once."""
+    def cast(text):
+        entries = tuple(parse(t) for t in text.split(","))
+        if len(set(entries)) != len(entries):
+            raise ValueError("each entry may appear only once")
+        return entries
+    return cast
+
+
 def _bit_width(tok):
     """One resolution token, 'inf' or an integer, held to the quantizer's width rule."""
     tok = tok.strip()
     return quantizer._check_bits(math.inf if tok == "inf" else int(tok))
-
-
-def _cast_bits(text):
-    """Comma list of resolutions, each listed once."""
-    bits = tuple(_bit_width(t) for t in text.split(","))
-    if len(set(bits)) != len(bits):
-        raise ValueError("each width may appear only once")
-    return bits
 
 
 def _db(text):
@@ -73,10 +75,6 @@ def _db(text):
     return v
 
 
-def _cast_floats(text):
-    return tuple(_db(t) for t in text.split(","))
-
-
 def _order(tok):
     """One filter order: a whole number >= 0, as a float."""
     v = float(tok)
@@ -85,8 +83,18 @@ def _order(tok):
     return v
 
 
-def _cast_orders(text):
-    return tuple(_order(t) for t in text.split(","))
+def _case(tok):
+    """One 'bits:order' pair."""
+    b, _, o = tok.partition(":")
+    if not _:
+        raise ValueError("expected bits:order pairs")
+    return _bit_width(b), int(_order(o))
+
+
+_cast_bits = _listed(_bit_width)
+_cast_floats = _listed(_db)
+_cast_orders = _listed(_order)
+_cast_cases = _listed(_case)
 
 
 def _cast_range(text):
@@ -100,25 +108,16 @@ def _cast_range(text):
     return lo, hi
 
 
-def _cast_cases(text):
-    """'bits:order' pairs, comma separated."""
-    out = []
-    for tok in text.split(","):
-        b, _, o = tok.partition(":")
-        if not _:
-            raise ValueError("expected bits:order pairs")
-        out.append((_bit_width(b), int(_order(o))))
-    return tuple(out)
-
-
 # domain rules: (test, what a violation says after "sec.key ")
 _AT_LEAST_1 = (lambda v: v >= 1, "must be at least 1")
 _AT_LEAST_0 = (lambda v: v >= 0, "must be at least 0")
 _POSITIVE = (lambda v: 0 < v < math.inf, "must be positive and finite")
 _NONNEGATIVE = (lambda v: 0 <= v < math.inf, "must be nonnegative and finite")
-_SYMBOLS = (lambda v: v >= 3, "must be at least 3 (2 pilot symbols plus 1 data symbol)")
+_SYMBOLS = (lambda v: v >= ofdm.PILOT_SYMBOLS + 1,
+            f"must be at least {ofdm.PILOT_SYMBOLS + 1} ({ofdm.PILOT_SYMBOLS} pilot symbols plus 1 data symbol)")
 _PRBS = (lambda v: 1 <= v <= ofdm.MAX_PRBS, f"must be in 1..{ofdm.MAX_PRBS}")
 _UE_COUNT = (lambda v: v == -1 or v >= 1, "must be -1 (Poisson count) or at least 1")
+_BEAMS = (lambda v: 1 <= v <= network.MAX_BEAMS, f"must be in 1..{network.MAX_BEAMS}")
 
 # section: key: (cast, default text, domain rule or None)
 _SCHEMA = {
@@ -165,7 +164,7 @@ _SCHEMA = {
         "ttis": (int, "200", _AT_LEAST_1),
         "adc_bits": (_cast_bits, "3,4", None),
         "sdma_bits": (_cast_bits, "4", None),
-        "beams": (int, "4", _AT_LEAST_1),
+        "beams": (int, "4", _BEAMS),
         "bw_hz": (float, "1e9", _POSITIVE),
         "area_m": (float, "1000", _POSITIVE),
         "radius_m": (float, "100", _POSITIVE),

@@ -76,6 +76,7 @@ TX_POWER_DBM = 35.0
 NOISE_FIGURE_DB = 8.0
 MAX_SE_BPS_HZ = 7.4063
 BS_ARRAY = (8, 8)
+MAX_BEAMS = math.prod(BS_ARRAY)  # a BS forms at most one beam per antenna
 UE_ARRAY = (4, 4)
 TTI_S = 125e-6
 OVERHEAD = 0.20
@@ -146,9 +147,10 @@ class NetworkConfig:
         for name in ("area_m", "cell_radius_m", "bw_hz", "mean_ues_per_cell"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
-        for name in ("n_beams_max", "n_ttis", "fixed_ue_count"):
-            if not (name == "fixed_ue_count" and self.fixed_ue_count is None):  # None draws a Poisson count
-                quantizer._check_int(name, getattr(self, name), 1)
+        quantizer._check_int("n_beams_max", self.n_beams_max, 1, MAX_BEAMS)
+        quantizer._check_int("n_ttis", self.n_ttis, 1)
+        if self.fixed_ue_count is not None:  # None draws a Poisson count
+            quantizer._check_int("fixed_ue_count", self.fixed_ue_count, 1)
         if self.scheduler not in SCHEDULERS:
             raise ValueError(f"scheduler must be one of {SCHEDULERS}")
         if self.cluster_spread_cos < 0 or self.mean_extra_clusters < 0:

@@ -15,7 +15,7 @@ the equalizer reference, so it costs nothing at infinite resolution.
 
 The frame is fixed by module constants: FFT_SIZE, SCS_HZ, SC_PER_PRB,
 MAX_PRBS, CP_LEN and CHIP_RATE_HZ (the 120 kHz, 4096-point NR profile
-at 491.52 MHz).  OfdmNumerology holds only the occupied band.
+at 491.52 MHz), and PILOT_SYMBOLS.  OfdmNumerology holds only the occupied band.
 """
 
 import functools
@@ -36,7 +36,6 @@ __all__ = [
     "agc_normalize",
     "fir_circular",
     "fir_zero_phase_response",
-    "osr_gain_db",
     "run_link_trial",
     "run_sdma_link_trial",
     "predict_link_snr_db",
@@ -51,6 +50,7 @@ SC_PER_PRB = 12
 MAX_PRBS = 275  # 3300 subcarriers, inside the FFT
 CP_LEN = 288
 CHIP_RATE_HZ = 491.52e6  # FFT_SIZE * SCS_HZ
+PILOT_SYMBOLS = 2  # leading symbols of a trial's frame that fit the equalizer's scalar
 
 # largest |level| in dB a trial, a prediction or a CLI sweep accepts: it
 # keeps every 10^(x/10) and every psi*gamma product finite in float64
@@ -135,13 +135,6 @@ def agc_normalize(block):
     if p == 0:
         raise ValueError("all-zero block has no defined gain")
     return ComplexSampleBlock(block.samples / math.sqrt(p), block.sample_rate)
-
-
-def osr_gain_db(n_fft, n_sc):
-    """Noise-spreading gain of sampling wider than the occupied band."""
-    if not (0 < n_sc <= n_fft):
-        raise ValueError("need 0 < n_sc <= n_fft")
-    return 10.0 * math.log10(n_fft / n_sc)
 
 
 def _cosine_window(n, a0, sym=True):
@@ -233,16 +226,16 @@ def _fir_response(taps, dtype, n, L=1):
 
 
 def _equalize(rx_grid, tx_grid, ref):
-    """Genie per-bin reference plus a scalar fit on the first two symbols.
+    """Genie per-bin reference plus a scalar fit on the PILOT_SYMBOLS leading symbols.
 
     The scalar absorbs the common AGC gain and the correlated part of
     the quantizer response; the per-bin reference covers the FIR and
     the sampling-time offset.
     """
-    pilots = tx_grid[:2] * ref[None, :]
-    c = np.vdot(pilots, rx_grid[:2]) / np.vdot(pilots, pilots)
-    z = rx_grid[2:] / (c * ref[None, :])
-    err = z - tx_grid[2:]
+    pilots = tx_grid[:PILOT_SYMBOLS] * ref[None, :]
+    c = np.vdot(pilots, rx_grid[:PILOT_SYMBOLS]) / np.vdot(pilots, pilots)
+    z = rx_grid[PILOT_SYMBOLS:] / (c * ref[None, :])
+    err = z - tx_grid[PILOT_SYMBOLS:]
     return 10.0 * math.log10(1.0 / np.mean(np.abs(err) ** 2))
 
 
@@ -258,7 +251,7 @@ def _run_chain(db, scale, psi, adc_bits, n_dac, num, n_symbols, seed):
     # interferer's power relative to the signal, 0 for none.  Everything
     # before the ADC is built once; one post-equalization SINR per width
     # in adc_bits
-    quantizer._check_int("n_symbols", n_symbols, 3)  # 2 pilot symbols plus 1 data symbol
+    quantizer._check_int("n_symbols", n_symbols, PILOT_SYMBOLS + 1)  # at least 1 data symbol
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     grid = random_grid("QPSK", n_symbols, num.n_subcarriers, rng)
     x = quantizer.quantize(ofdm_modulate(grid, num), n_dac).samples

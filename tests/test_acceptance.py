@@ -177,8 +177,9 @@ def test_sinr_identity_suite():
 # ---------------------------------------------------------------- OFDM link
 
 def test_osr_gain_bookkeeping():
-    g274 = ofdm.osr_gain_db(4096, 3288)
-    g200 = ofdm.osr_gain_db(4096, 2400)
+    assert (NUM_274.n_subcarriers, NUM_200.n_subcarriers) == (3288, 2400)
+    g274 = 10 * math.log10(NUM_274.osr)
+    g200 = 10 * math.log10(NUM_200.osr)
     assert g274 == pytest.approx(0.95, abs=0.01), f"osr(4096, 3288) = {g274:.4f} dB"
     assert g200 == pytest.approx(2.32, abs=0.01), f"osr(4096, 2400) = {g200:.4f} dB"
     meas = ofdm.run_link_trial(10.0, math.inf, math.inf, NUM_274, n_symbols=20, seed=0)

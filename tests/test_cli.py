@@ -780,6 +780,13 @@ _BAD_INPUTS = [
     # Welch bins too coarse for two per 396 MHz ACLR window (all-NaN CSV, or a math domain error)
     ("aclr-sweep", "[tx]\nnperseg = 16\nn_symbols = 1\n", [], "tx.nperseg"),
     ("aclr-sweep", "[tx]\nnperseg = 32\nn_symbols = 1\n", [], "tx.nperseg"),
+    # every list names each entry once; a repeat would redo its work and write its rows or file twice
+    ("aclr-sweep", "[tx]\nlpf_orders = 1,1\nbits = 4\nn_symbols = 2\nnperseg = 1024\n", [], "tx.lpf_orders"),
+    ("tx-psd", "[tx]\npsd_cases = 4:0,4:0\nn_symbols = 2\nnperseg = 1024\n", [], "tx.psd_cases"),
+    ("sdma-link", "[sdma]\ngamma0_db = 0,0\nadc_bits = 3\nsir_points = 1\nn_symbols = 3\n", [],
+     "sdma.gamma0_db"),
+    # more beams than the 64-antenna BS can form
+    ("cell-sdma", "[cell]\ndrops = 1\nttis = 2\nbeams = 65\n", [], "cell.beams"),
 ]
 
 
@@ -835,9 +842,10 @@ def test_schema_text_resolves_in_domain_or_names_key(sec_key, text):
     if cast is str:
         return
     leaves = value if isinstance(value, tuple) else (value,)
+    if cast in (cli._cast_bits, cli._cast_floats, cli._cast_orders, cli._cast_cases):
+        assert len(set(leaves)) == len(leaves)
     if cast is cli._cast_bits:
         assert all(v == math.inf or (isinstance(v, int) and 1 <= v <= 16) for v in leaves)
-        assert len(set(leaves)) == len(leaves)
     elif cast is cli._cast_cases:
         assert all(b == math.inf or 1 <= b <= 16 for b, _ in value)
         assert all(isinstance(o, int) and o >= 0 for _, o in value)

@@ -625,6 +625,13 @@ def test_config_rejects_non_integer_counts(name, value):
         network.NetworkConfig(**{name: value})
 
 
+def test_config_rejects_more_beams_than_bs_antennas():
+    # an 8x8 BS forms at most one beam per antenna
+    assert network.NetworkConfig(n_beams_max=network.MAX_BEAMS).n_beams_max == 64
+    with pytest.raises(ValueError, match="n_beams_max"):
+        network.NetworkConfig(n_beams_max=65)
+
+
 @pytest.mark.parametrize("value", ["1000", None, True, (1.0,)])
 @pytest.mark.parametrize("name", network._FINITE_FIELDS)
 def test_config_rejects_non_real_fields(name, value):

@@ -131,11 +131,11 @@ def test_fir_lowpass_band_limits_white_noise():
 
 
 def test_osr_gain():
-    assert ofdm.osr_gain_db(4096, 3288) == pytest.approx(0.95, abs=0.01)
-    assert ofdm.osr_gain_db(4096, 2400) == pytest.approx(2.32, abs=0.01)
-    assert ofdm.osr_gain_db(4096, 4096) == 0.0
-    with pytest.raises(ValueError):
-        ofdm.osr_gain_db(4096, 0)
+    num_200 = ofdm.OfdmNumerology(used_prbs=200)
+    assert (NUM.n_subcarriers, num_200.n_subcarriers) == (3288, 2400)
+    assert NUM.osr == ofdm.FFT_SIZE / 3288
+    assert 10 * math.log10(NUM.osr) == pytest.approx(0.95, abs=0.01)
+    assert 10 * math.log10(num_200.osr) == pytest.approx(2.32, abs=0.01)
 
 
 def test_trial_reproducibility():
@@ -188,7 +188,7 @@ def test_trial_bad_input_rejected_by_name(fn, args, name):
 
 def test_infinite_resolution_gains_osr():
     measured = ofdm.run_link_trial(10.0, math.inf, math.inf, NUM, n_symbols=8, seed=0)
-    assert measured == pytest.approx(10.0 + ofdm.osr_gain_db(4096, 3288), abs=0.3)
+    assert measured == pytest.approx(10.0 + 10 * math.log10(NUM.osr), abs=0.3)
 
 
 def test_predicted_curve_matches_one_operating_point():
@@ -199,14 +199,14 @@ def test_predicted_curve_matches_one_operating_point():
 
 def test_prediction_identity_at_infinite_resolution():
     pred = ofdm.predict_link_snr_db(7.0, math.inf, NUM)
-    assert pred == pytest.approx(7.0 + ofdm.osr_gain_db(4096, 3288), abs=1e-9)
+    assert pred == pytest.approx(7.0 + 10 * math.log10(NUM.osr), abs=1e-9)
 
 
 def test_sdma_trial_reduces_to_link_trial():
     # sir_db=inf removes the interferer; gamma0 sets the same full-band
     # noise power that snr_db = gamma0 - OSR would, so the chains agree.
     num = ofdm.OfdmNumerology(used_prbs=200)
-    osr_db = ofdm.osr_gain_db(ofdm.FFT_SIZE, num.n_subcarriers)
+    osr_db = 10 * math.log10(num.osr)
     sdma, = ofdm.run_sdma_link_trial(math.inf, 12.0, (math.inf,), num, 6, 9)
     plain = ofdm.run_link_trial(12.0 - osr_db, math.inf, math.inf, num, 6, 9)
     assert sdma == pytest.approx(plain, abs=1e-6)
