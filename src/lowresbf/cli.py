@@ -67,20 +67,18 @@ def _bit_width(tok):
     return quantizer._check_bits(math.inf if tok == "inf" else int(tok))
 
 
+_DB = (lambda v: abs(v) <= ofdm.MAX_ABS_DB, f"must be within +-{ofdm.MAX_ABS_DB:g} dB")  # NaN fails this too
+_ORDER = (lambda v: v >= 0 and v.is_integer(), "must be a whole number >= 0")  # NaN and inf fail this too
+
+
 def _db(text):
     """A level in dB within +-ofdm.MAX_ABS_DB, so that 10^(x/10) stays finite."""
-    v = float(text)
-    if not abs(v) <= ofdm.MAX_ABS_DB:  # NaN fails this too
-        raise ValueError(f"{v:g} dB is not within +-{ofdm.MAX_ABS_DB:g} dB")
-    return v
+    return quantizer._check_real("level", float(text), _DB)
 
 
 def _order(tok):
     """One filter order: a whole number >= 0, as a float."""
-    v = float(tok)
-    if not (v >= 0 and v.is_integer()):  # NaN and inf fail this too
-        raise ValueError(f"filter order {v:g} is not a whole number >= 0")
-    return v
+    return quantizer._check_real("filter order", float(tok), _ORDER)
 
 
 def _case(tok):
@@ -111,13 +109,15 @@ def _cast_range(text):
 # domain rules: (test, what a violation says after "sec.key ")
 _AT_LEAST_1 = (lambda v: v >= 1, "must be at least 1")
 _AT_LEAST_0 = (lambda v: v >= 0, "must be at least 0")
-_POSITIVE = (lambda v: 0 < v < math.inf, "must be positive and finite")
-_NONNEGATIVE = (lambda v: 0 <= v < math.inf, "must be nonnegative and finite")
 _SYMBOLS = (lambda v: v >= ofdm.PILOT_SYMBOLS + 1,
             f"must be at least {ofdm.PILOT_SYMBOLS + 1} ({ofdm.PILOT_SYMBOLS} pilot symbols plus 1 data symbol)")
 _PRBS = (lambda v: 1 <= v <= ofdm.MAX_PRBS, f"must be in 1..{ofdm.MAX_PRBS}")
 _UE_COUNT = (lambda v: v == -1 or v >= 1, "must be -1 (Poisson count) or at least 1")
 _BEAMS = (lambda v: 1 <= v <= network.MAX_BEAMS, f"must be in 1..{network.MAX_BEAMS}")
+
+# [cell] key: the NetworkConfig real field it sets, whose default and rule it takes
+_CELL_REALS = {"bw_hz": "bw_hz", "area_m": "area_m", "radius_m": "cell_radius_m", "mean_ues": "mean_ues_per_cell",
+               "cluster_spread": "cluster_spread_cos", "mean_extra_clusters": "mean_extra_clusters"}
 
 # section: key: (cast, default text, domain rule or None)
 _SCHEMA = {
@@ -165,12 +165,8 @@ _SCHEMA = {
         "adc_bits": (_cast_bits, "3,4", None),
         "sdma_bits": (_cast_bits, "4", None),
         "beams": (int, "4", _BEAMS),
-        "bw_hz": (float, "1e9", _POSITIVE),
-        "area_m": (float, "1000", _POSITIVE),
-        "radius_m": (float, "100", _POSITIVE),
-        "mean_ues": (float, "10", _POSITIVE),
-        "cluster_spread": (float, "0.30", _NONNEGATIVE),
-        "mean_extra_clusters": (float, "2.0", _NONNEGATIVE),
+        **{key: (float, str(getattr(network.NetworkConfig, name)), network._REAL_FIELDS[name])
+           for key, name in _CELL_REALS.items()},
         "fixed_ues": (int, "-1", _UE_COUNT),  # -1 draws a Poisson count
     },
 }
@@ -230,6 +226,9 @@ def validate_config(text, overrides=()):
     if resolved[("tx", "nperseg")] < txchain.MIN_NPERSEG:
         violations.append(f"tx.nperseg must be at least {txchain.MIN_NPERSEG}, so that every "
                           f"{txchain.MEAS_BW_HZ / 1e6:g} MHz ACLR window holds 2 Welch bins")
+    levels = resolved[("sdma", "gamma0_db")]
+    if len(set(map(_SDMA_CSV, levels))) != len(levels):
+        violations.append("sdma.gamma0_db levels must differ in their %g form, which names each one's CSV")
     fixed = resolved[("cell", "fixed_ues")]
     oversized = network._oversized_drop(resolved[("cell", "area_m")], resolved[("cell", "radius_m")],
                                         resolved[("cell", "mean_ues")], None if fixed < 0 else fixed)
@@ -451,6 +450,9 @@ ax.set_ylabel("post-equalization SNR (dB)")
 
 # ---------------------------------------------------------------- sdma link
 
+_SDMA_CSV = "sdma_link_g{:g}.csv".format  # the CSV of one sdma.gamma0_db level
+
+
 def _run_sdma_link(ctx):
     bits = ctx.cfg[("sdma", "adc_bits")]
     prbs = ctx.cfg[("sdma", "used_prbs")]
@@ -469,8 +471,7 @@ def _run_sdma_link(ctx):
             (s, n_adc, math.inf, prbs, meas[j], ofdm.predict_sdma_sinr_db(s, g, n_adc, num))
             for j, n_adc in enumerate(all_bits) for s, meas in zip(sirs, results)
         ]
-        name = f"sdma_link_g{gamma0:g}.csv"
-        _write_csv(ctx, name,
+        _write_csv(ctx, _SDMA_CSV(gamma0),
                    ("sir_db", "n_adc", "n_dac", "used_prbs", "post_eq_db", "predicted_db"), rows,
                    notes=(f"gamma0_db = {gamma0:g} (post-beamforming SNR without interference)",
                           "transmit side runs unquantized; sir_db = inf disables the interferer"))
@@ -487,7 +488,7 @@ def _run_sdma_link(ctx):
                         ctx.fail(f"g0=15: n=3 loss {loss:.3f} dB at SIR {s:g} outside 2±0.7")
                     if n_adc == 4 and loss >= 1.0:
                         ctx.fail(f"g0=15: n=4 loss {loss:.3f} dB at SIR {s:g} not < 1")
-    files = [f"sdma_link_g{g:g}.csv" for g in ctx.cfg[("sdma", "gamma0_db")]]
+    files = [_SDMA_CSV(g) for g in ctx.cfg[("sdma", "gamma0_db")]]
     _write_plot(ctx, "sdma_link.png", f"files = {files!r}\n" + _SDMA_PLOT)
 
 
@@ -540,16 +541,11 @@ def _run_cell(ctx, scheduler, bits, stem):
     c = ctx.cfg
     fixed = c[("cell", "fixed_ues")]
     ncfg = network.NetworkConfig(
-        area_m=c[("cell", "area_m")],
-        cell_radius_m=c[("cell", "radius_m")],
-        bw_hz=c[("cell", "bw_hz")],
-        mean_ues_per_cell=c[("cell", "mean_ues")],
+        **{name: c[("cell", key)] for key, name in _CELL_REALS.items()},
         adc_bits=bits,
         n_beams_max=c[("cell", "beams")],
         scheduler=scheduler,
         n_ttis=c[("cell", "ttis")],
-        cluster_spread_cos=c[("cell", "cluster_spread")],
-        mean_extra_clusters=c[("cell", "mean_extra_clusters")],
         fixed_ue_count=None if fixed < 0 else fixed,
     )
     drops_out = network.run_drops(ncfg, c[("cell", "drops")], ctx.seed, n_jobs=ctx.jobs)

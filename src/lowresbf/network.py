@@ -32,7 +32,6 @@ has no wrap-around.
 """
 
 import math
-import numbers
 from dataclasses import dataclass
 from enum import IntEnum
 
@@ -113,9 +112,21 @@ _GAIN_ROWS = 1024
 # takes the full eigh; over the 6 drops of a default cell preset run the smallest is 8e-4
 _TIE_GAP = 1e-6
 
-_FINITE_FIELDS = (
-    "area_m", "cell_radius_m", "bw_hz", "mean_ues_per_cell", "mean_extra_clusters", "cluster_spread_cos",
-)
+# each real field's rule for quantizer._check_real, read by validate_config's [cell] rows too
+_REAL_FIELDS = {
+    "area_m": quantizer._POSITIVE,
+    "cell_radius_m": quantizer._POSITIVE,
+    # 1 Hz keeps the top per-TTI SNR near 1e17 (35 dBm, 61.4 dB free space at 1 m, 64 x 16 beam gain,
+    # -166 dBm/Hz noise); at 1e-300 Hz it overflows and the SINR is inf/inf = NaN
+    "bw_hz": (lambda v: 1 <= v < math.inf, "must be at least 1 Hz and finite"),
+    "mean_ues_per_cell": quantizer._POSITIVE,
+    # _draw_clusters holds 5 floats per (user, site, k_max) slot: at MAX_LINKS_PER_DROP links a mean of 16
+    # (k_max 40) peaked at 493 MB RSS, seed 7 (a mean of 2: 208 MB); numpy's Poisson fails from 1e19
+    "mean_extra_clusters": (lambda v: 0 <= v <= 16, "must be in [0, 16]"),
+    # direction cosines span [-1, 1]: at 2, _spread_taper's first off-diagonal term exp(-pi^2 sigma^2 / 2)
+    # is 2.7e-9 (below 1e-19 at 3), so a wider spread leaves the same white covariance
+    "cluster_spread_cos": (lambda v: 0 <= v <= 2, "must be in [0, 2]"),
+}
 
 
 @dataclass(frozen=True)
@@ -138,30 +149,18 @@ class NetworkConfig:
     fixed_ue_count: int = None
 
     def __post_init__(self):
-        for name in _FINITE_FIELDS:
-            v = getattr(self, name)
-            if isinstance(v, bool) or not isinstance(v, numbers.Real):
-                raise ValueError(f"{name} must be a real number, not {v!r}")
-            if not math.isfinite(v):
-                raise ValueError(f"{name} must be finite")
-        for name in ("area_m", "cell_radius_m", "bw_hz", "mean_ues_per_cell"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+        for name, rule in _REAL_FIELDS.items():
+            quantizer._check_real(name, getattr(self, name), rule)
         quantizer._check_int("n_beams_max", self.n_beams_max, 1, MAX_BEAMS)
         quantizer._check_int("n_ttis", self.n_ttis, 1)
         if self.fixed_ue_count is not None:  # None draws a Poisson count
             quantizer._check_int("fixed_ue_count", self.fixed_ue_count, 1)
         if self.scheduler not in SCHEDULERS:
             raise ValueError(f"scheduler must be one of {SCHEDULERS}")
-        if self.cluster_spread_cos < 0 or self.mean_extra_clusters < 0:
-            raise ValueError("cluster parameters must be nonnegative")
         if not isinstance(self.adc_bits, (tuple, list)) or not self.adc_bits:
             raise ValueError(f"adc_bits must be a tuple of at least one width, not {self.adc_bits!r}")
         for b in self.adc_bits:
-            try:
-                quantizer._check_bits(b)
-            except (TypeError, ValueError) as exc:
-                raise ValueError(f"adc_bits: {exc}") from None
+            quantizer._check_bits(b, "adc_bits entry")
         if len(set(self.adc_bits)) != len(self.adc_bits):
             raise ValueError("adc_bits must list each width once")
         bits = tuple(self.adc_bits)

@@ -104,12 +104,22 @@ def _check_int(name, v, lo, hi=None):
     return v
 
 
-def _check_bits(n_bits):
-    if n_bits == math.inf:
-        return math.inf
-    if isinstance(n_bits, bool) or not math.isfinite(n_bits) or int(n_bits) != n_bits or not (1 <= n_bits <= _MAX_BITS):
-        raise ValueError(f"n_bits must be an integer in 1..{_MAX_BITS} or math.inf, got {n_bits!r}")
-    return int(n_bits)
+# real-number rules, (test, what a violation says after the name), for _check_real
+_POSITIVE = (lambda v: 0 < v < math.inf, "must be positive and finite")
+_NONNEGATIVE = (lambda v: 0 <= v < math.inf, "must be nonnegative and finite")
+_BITS = (lambda v: v == math.inf or v in range(1, _MAX_BITS + 1), f"must be an integer in 1..{_MAX_BITS} or math.inf")
+
+
+def _check_real(name, v, rule):
+    """v if a real number (numpy's too, never a bool) that passes rule = (test, text); else a ValueError naming it."""
+    if isinstance(v, bool) or not isinstance(v, numbers.Real) or not rule[0](v):
+        raise ValueError(f"{name} {rule[1]}, got {v!r}")
+    return v
+
+
+def _check_bits(n_bits, name="n_bits"):
+    """A converter width, int(n_bits) in 1.._MAX_BITS (integral floats too) or math.inf; else a ValueError naming it."""
+    return math.inf if _check_real(name, n_bits, _BITS) == math.inf else int(n_bits)
 
 
 def optimal_step(n_bits):

@@ -29,7 +29,6 @@ holds and filters that output at the order its caller picks.
 
 import functools
 import math
-import numbers
 from collections.abc import Sequence
 
 import numpy as np
@@ -216,13 +215,10 @@ def measure_evm(n_bits, lpf_order, sigma_rf_sq=(0.0,), n_symbols=24, seed=0):
     """
     quantizer._check_int("filter order", lpf_order, 0)
     quantizer._check_bits(n_bits)
-    if isinstance(sigma_rf_sq, str) or not isinstance(sigma_rf_sq, Sequence):
-        raise ValueError(f"sigma_rf_sq must be a sequence of noise powers, got {sigma_rf_sq!r}")
-    if len(sigma_rf_sq) == 0:
-        raise ValueError("sigma_rf_sq must list at least one noise power")
+    if isinstance(sigma_rf_sq, str) or not isinstance(sigma_rf_sq, Sequence) or len(sigma_rf_sq) == 0:
+        raise ValueError(f"sigma_rf_sq must be a sequence of at least one noise power, got {sigma_rf_sq!r}")
     for s in sigma_rf_sq:
-        if isinstance(s, bool) or not isinstance(s, numbers.Real) or not (0 <= s < math.inf):
-            raise ValueError(f"sigma_rf_sq: noise power must be nonnegative and finite, got {s!r}")
+        quantizer._check_real("sigma_rf_sq noise power", s, quantizer._NONNEGATIVE)
     num = EVM_NUMEROLOGY
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     grid, block = transmit(n_bits, num, EVM_MODULATION, n_symbols, rng)
@@ -260,8 +256,8 @@ def measure_evm(n_bits, lpf_order, sigma_rf_sq=(0.0,), n_symbols=24, seed=0):
 
 def evm_prediction(alpha, sigma_rf_sq, sigma_v_sq):
     """Analytic EVM percent of a unit-power signal: distortion gain alpha plus noise terms."""
-    if not all(0 <= v < math.inf for v in (alpha, sigma_rf_sq, sigma_v_sq)):
-        raise ValueError("inputs must be nonnegative and finite")
+    for name, v in (("alpha", alpha), ("sigma_rf_sq", sigma_rf_sq), ("sigma_v_sq", sigma_v_sq)):
+        quantizer._check_real(name, v, quantizer._NONNEGATIVE)
     return 100.0 * math.sqrt(alpha**2 + (sigma_rf_sq + sigma_v_sq))
 
 
@@ -272,7 +268,6 @@ def inband_quantization_noise(n_bits, occupied_bw_hz):
     converter rate DAC_FS_HZ; interpolating by INTERP_M leaves only a
     1/INTERP_M share of it inside any fixed band.
     """
-    if not (0 < occupied_bw_hz <= DAC_FS_HZ):
-        raise ValueError("occupied bandwidth must fit inside the converter rate")
+    quantizer._check_real("occupied_bw_hz", occupied_bw_hz, (lambda v: 0 < v <= DAC_FS_HZ, "must be in (0, DAC_FS_HZ]"))
     a = quantizer.alpha_of(n_bits)
     return a * (1.0 - a) * occupied_bw_hz / DAC_FS_HZ

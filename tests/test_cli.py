@@ -18,7 +18,7 @@ import types
 import numpy as np
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lowresbf import cli, network, ofdm, txchain
@@ -787,6 +787,15 @@ _BAD_INPUTS = [
      "sdma.gamma0_db"),
     # more beams than the 64-antenna BS can form
     ("cell-sdma", "[cell]\ndrops = 1\nttis = 2\nbeams = 65\n", [], "cell.beams"),
+    # a band so narrow that the SNR overflows and the SINR is NaN (exit 2 naming no key)
+    ("cell-ofdma", "[cell]\ndrops = 1\nttis = 1\nbw_hz = 1e-300\n", [], "cell.bw_hz"),
+    # a spread whose (pi sigma)^2 overflows in _spread_taper (an OverflowError traceback)
+    ("cell-ofdma", "[cell]\ndrops = 1\nttis = 1\ncluster_spread = 1e160\n", [], "cell.cluster_spread"),
+    # a cluster mean numpy's Poisson draw refuses (exit 2 naming no key)
+    ("cell-ofdma", "[cell]\ndrops = 1\nttis = 1\nmean_extra_clusters = 1e19\n", [], "cell.mean_extra_clusters"),
+    # two levels with one %g form, so one sdma_link_g1.csv overwrote the other
+    ("sdma-link", "[sdma]\ngamma0_db = 1,1.0000001\nadc_bits = 3\nsir_points = 1\nn_symbols = 3\n", [],
+     "sdma.gamma0_db"),
 ]
 
 
@@ -801,6 +810,14 @@ def test_bad_input_exits_one_naming_field(tmp_path, capsys, preset, config, flag
     assert rc == 1
     assert field in err and "config error" in err
     assert not out.exists()
+
+
+def test_cell_real_rows_read_network_rules():
+    # each [cell] real key's bound and default are written once, on NetworkConfig's side
+    for key, name in cli._CELL_REALS.items():
+        cast, default, rule = cli._SCHEMA["cell"][key]
+        assert rule is network._REAL_FIELDS[name]
+        assert cast(default) == getattr(network.NetworkConfig(), name)
 
 
 def test_bad_file_value_reported_under_override():
@@ -824,10 +841,26 @@ def test_evm_floor_independent_of_tx_used_prbs(tmp_path):
 
 _NUMBER = st.one_of(st.integers(-300, 300), st.floats(-1e3, 1e3),
                     st.sampled_from([math.nan, math.inf, -math.inf])).map(str)
+# a bits:order pair from few tokens, so that a list of them resolves or repeats a pair now and then
+_PAIR = st.tuples(st.sampled_from(["1", "3", "4", "16", "inf", "0", "17", "2.5", "nan"]),
+                  st.sampled_from(["0", "1", "2", "-1", "0.5", "inf"])).map(":".join)
 _TEXT = st.one_of(_NUMBER, st.lists(_NUMBER, min_size=1, max_size=4).map(",".join),
-                  st.tuples(_NUMBER, _NUMBER).map(":".join))
+                  st.tuples(_NUMBER, _NUMBER).map(":".join), st.lists(_PAIR, min_size=2, max_size=4).map(",".join))
 
 
+# one list of each list key that repeats an entry: the repeat rule is checked on every run, not only
+# when the strategy happens to draw a repeat that resolves
+@example(("link", "adc_bits"), "3,3")
+@example(("sdma", "adc_bits"), "3,inf,3")
+@example(("sdma", "gamma0_db"), "0,0")
+@example(("sdma", "gamma0_db"), "1,1.0000001")  # two levels, one sdma_link_g1.csv
+@example(("aqnm", "bits"), "1,2,1")
+@example(("tx", "bits"), "inf,inf")
+@example(("tx", "lpf_orders"), "1,0,1")
+@example(("tx", "psd_cases"), "4:0,4:0")
+@example(("tx", "evm_bits"), "6,6")
+@example(("cell", "adc_bits"), "4,3,4")
+@example(("cell", "sdma_bits"), "4,4")
 @settings(max_examples=400, deadline=None)
 @given(st.sampled_from([(sec, key) for sec, keys in cli._SCHEMA.items() for key in keys]), _TEXT)
 def test_schema_text_resolves_in_domain_or_names_key(sec_key, text):
@@ -844,6 +877,8 @@ def test_schema_text_resolves_in_domain_or_names_key(sec_key, text):
     leaves = value if isinstance(value, tuple) else (value,)
     if cast in (cli._cast_bits, cli._cast_floats, cli._cast_orders, cli._cast_cases):
         assert len(set(leaves)) == len(leaves)
+    if (sec, key) == ("sdma", "gamma0_db"):  # each level writes sdma_link_g<level:g>.csv
+        assert len({f"{v:g}" for v in leaves}) == len(leaves)
     if cast is cli._cast_bits:
         assert all(v == math.inf or (isinstance(v, int) and 1 <= v <= 16) for v in leaves)
     elif cast is cli._cast_cases:

@@ -633,10 +633,36 @@ def test_config_rejects_more_beams_than_bs_antennas():
 
 
 @pytest.mark.parametrize("value", ["1000", None, True, (1.0,)])
-@pytest.mark.parametrize("name", network._FINITE_FIELDS)
+@pytest.mark.parametrize("name", network._REAL_FIELDS)
 def test_config_rejects_non_real_fields(name, value):
     with pytest.raises(ValueError, match=name):
         network.NetworkConfig(**{name: value})
+
+
+@pytest.mark.parametrize("name,bad,limit", [
+    # 1e-300 Hz overflowed the SNR to inf and the SINR to NaN
+    ("bw_hz", 1e-300, 1.0), ("bw_hz", 0.5, 1.0),
+    # 1e160 overflowed (pi sigma)^2 in _spread_taper; -1 was rejected without a name
+    ("cluster_spread_cos", 1e160, 2.0), ("cluster_spread_cos", 2.001, 2.0), ("cluster_spread_cos", -1.0, 0.0),
+    # 1e19 failed in numpy's Poisson draw; 1e3 would ask for about 0.8 GB of cluster slots
+    ("mean_extra_clusters", 1e19, 16.0), ("mean_extra_clusters", 1e3, 16.0), ("mean_extra_clusters", -0.5, 0.0),
+])
+def test_config_bounds_real_fields_by_name(name, bad, limit):
+    with pytest.raises(ValueError, match=f"^{name} must be .*, got "):
+        network.NetworkConfig(**{name: bad})
+    assert getattr(network.NetworkConfig(**{name: limit}), name) == limit
+
+
+@pytest.mark.parametrize("scheduler", network.SCHEDULERS)
+def test_drop_runs_at_real_field_limits(scheduler):
+    # the narrowest band, the most clusters and the widest spread still give finite rates and no
+    # RuntimeWarning (the suite makes those errors); a user never scheduled records a NaN SINR at rate 0
+    cfg = toy_config(bw_hz=1.0, mean_extra_clusters=16.0, cluster_spread_cos=2.0, scheduler=scheduler,
+                     adc_bits=(3,))
+    results = network.run_drop_detailed(cfg, seed=1).ue_results
+    assert any(math.isfinite(r.sinr_db) for r in results)
+    assert all(math.isfinite(r.rate_bps) and r.rate_bps >= 0 for r in results)
+    assert all(math.isfinite(r.sinr_db) or r.rate_bps == 0 for r in results)
 
 
 @pytest.mark.parametrize("value", [4, "3,4", None, (), ("3",), (None,), (True,), ([3],)])

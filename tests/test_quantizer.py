@@ -135,6 +135,17 @@ def test_nonfinite_bits_rejected_by_name(fn, bad):
         fn(bad)
 
 
+@pytest.mark.parametrize("v", [0.5, 2, np.float32(0.5), np.float64(2.0), np.int64(1)])
+def test_real_rule_takes_numpy_reals(v):
+    assert quantizer._check_real("x", v, quantizer._POSITIVE) is v
+
+
+@pytest.mark.parametrize("v", [0.0, -1.0, math.nan, math.inf, True, np.bool_(True), "1", None, 1j, (1.0,)])
+def test_real_rule_names_input(v):
+    with pytest.raises(ValueError, match=r"^x must be positive and finite, got "):
+        quantizer._check_real("x", v, quantizer._POSITIVE)
+
+
 def test_alpha_strictly_decreasing():
     alphas = [quantizer.alpha_of(n) for n in range(1, 11)]
     assert all(a > b > 0 for a, b in zip(alphas, alphas[1:]))
@@ -293,21 +304,22 @@ def test_measure_evm_rejects_bad_symbol_count_before_any_work(n_symbols, monkeyp
         txchain.measure_evm(4, 1, n_symbols=n_symbols)
 
 
-# functions whose integer type test is not an input rule: cli._fmt picks a number format
+# functions whose integer or real type test is not an input rule: cli._fmt picks a number format
 _INTEGER_TYPE_TEST_EXEMPT = {"quantizer._check_int", "cli._fmt"}
+_REAL_TYPE_TEST_EXEMPT = {"quantizer._check_real", "cli._fmt"}
 
 
-def _integer_type_tests(path):
-    """(module.function, line) of each isinstance call in the file that tests against int, np.integer or
-    numbers.Integral."""
+def _type_tests(path, names, attrs):
+    """(module.function, line) of each isinstance call in the file that tests against a builtin in names or an
+    attribute (np.integer, numbers.Real, ...) in attrs."""
     found = []
 
     def visit(node, func):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, ast.Call) and isinstance(child.func, ast.Name) and child.func.id == "isinstance":
                 kinds = child.args[1].elts if isinstance(child.args[1], ast.Tuple) else [child.args[1]]
-                if any(isinstance(k, ast.Name) and k.id == "int"
-                       or isinstance(k, ast.Attribute) and k.attr in ("integer", "Integral") for k in kinds):
+                if any(isinstance(k, ast.Name) and k.id in names
+                       or isinstance(k, ast.Attribute) and k.attr in attrs for k in kinds):
                     found.append((f"{path.stem}.{func}", child.lineno))
             visit(child, child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else func)
 
@@ -315,9 +327,20 @@ def _integer_type_tests(path):
     return found
 
 
+def _package_type_tests(names, attrs):
+    src = pathlib.Path(quantizer.__file__).parent
+    return [hit for path in sorted(src.glob("*.py")) for hit in _type_tests(path, names, attrs)]
+
+
 def test_integer_rule_lives_in_one_place():
     # one rule for every integer argument, so numpy integers pass everywhere and bools nowhere
-    src = pathlib.Path(quantizer.__file__).parent
-    found = [hit for path in sorted(src.glob("*.py")) for hit in _integer_type_tests(path)]
+    found = _package_type_tests({"int"}, {"integer", "Integral"})
     assert "quantizer._check_int" in {f for f, _ in found}
     assert [hit for hit in found if hit[0] not in _INTEGER_TYPE_TEST_EXEMPT] == []
+
+
+def test_real_rule_lives_in_one_place():
+    # one rule for every real-valued input, so numpy floats pass everywhere and bools nowhere
+    found = _package_type_tests({"float"}, {"floating", "Real"})
+    assert "quantizer._check_real" in {f for f, _ in found}
+    assert [hit for hit in found if hit[0] not in _REAL_TYPE_TEST_EXEMPT] == []

@@ -373,8 +373,9 @@ def test_inband_quantization_noise():
     a = quantizer.alpha_of(4)
     expected = a * (1 - a) * 396e6 / 983.04e6
     assert txchain.inband_quantization_noise(4, 396e6) == pytest.approx(expected, rel=1e-9)
-    with pytest.raises(ValueError):
-        txchain.inband_quantization_noise(4, 2e9)
+    for bad in (2e9, 0.0, math.nan, True, "396e6"):
+        with pytest.raises(ValueError, match="^occupied_bw_hz must be in "):
+            txchain.inband_quantization_noise(4, bad)
 
 
 def test_quantization_noise_floor_level():
@@ -473,3 +474,13 @@ def test_evm_prediction_values():
     assert txchain.evm_prediction(0.01, 0.0, 0.0) == pytest.approx(1.0)
     with pytest.raises(ValueError):
         txchain.evm_prediction(math.nan, 0.0, 0.0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -0.1, True, "0"])
+@pytest.mark.parametrize("i,name", enumerate(["alpha", "sigma_rf_sq", "sigma_v_sq"]))
+def test_evm_prediction_names_bad_input(i, name, bad):
+    args = [0.01, 0.0, np.float64(1e-4)]
+    assert txchain.evm_prediction(*args) == pytest.approx(100.0 * math.sqrt(1e-4 + 1e-4))
+    args[i] = bad
+    with pytest.raises(ValueError, match=f"^{name} must be nonnegative and finite, got "):
+        txchain.evm_prediction(*args)
