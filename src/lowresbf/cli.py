@@ -67,13 +67,12 @@ def _bit_width(tok):
     return quantizer._check_bits(math.inf if tok == "inf" else int(tok))
 
 
-_DB = (lambda v: abs(v) <= ofdm.MAX_ABS_DB, f"must be within +-{ofdm.MAX_ABS_DB:g} dB")  # NaN fails this too
 _ORDER = (lambda v: v >= 0 and v.is_integer(), "must be a whole number >= 0")  # NaN and inf fail this too
 
 
 def _db(text):
     """A level in dB within +-ofdm.MAX_ABS_DB, so that 10^(x/10) stays finite."""
-    return quantizer._check_real("level", float(text), _DB)
+    return quantizer._check_real("level", float(text), ofdm._DB)
 
 
 def _order(tok):

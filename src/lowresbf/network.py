@@ -117,8 +117,9 @@ _REAL_FIELDS = {
     "area_m": quantizer._POSITIVE,
     "cell_radius_m": quantizer._POSITIVE,
     # 1 Hz keeps the top per-TTI SNR near 1e17 (35 dBm, 61.4 dB free space at 1 m, 64 x 16 beam gain,
-    # -166 dBm/Hz noise); at 1e-300 Hz it overflows and the SINR is inf/inf = NaN
-    "bw_hz": (lambda v: 1 <= v < math.inf, "must be at least 1 Hz and finite"),
+    # -166 dBm/Hz noise); at 1e-300 Hz it overflows and the SINR is inf/inf = NaN.  A channel is no wider
+    # than its carrier: at 1e308 Hz every SINR is near -3000 dB and every rate rounds to 0
+    "bw_hz": (lambda v: 1 <= v <= FC_HZ, f"must be in [1 Hz, {FC_HZ / 1e9:g} GHz]"),
     "mean_ues_per_cell": quantizer._POSITIVE,
     # _draw_clusters holds 5 floats per (user, site, k_max) slot: at MAX_LINKS_PER_DROP links a mean of 16
     # (k_max 40) peaked at 493 MB RSS, seed 7 (a mean of 2: 208 MB); numpy's Poisson fails from 1e19
@@ -157,10 +158,7 @@ class NetworkConfig:
             quantizer._check_int("fixed_ue_count", self.fixed_ue_count, 1)
         if self.scheduler not in SCHEDULERS:
             raise ValueError(f"scheduler must be one of {SCHEDULERS}")
-        if not isinstance(self.adc_bits, (tuple, list)) or not self.adc_bits:
-            raise ValueError(f"adc_bits must be a tuple of at least one width, not {self.adc_bits!r}")
-        for b in self.adc_bits:
-            quantizer._check_bits(b, "adc_bits entry")
+        quantizer._check_entries("adc_bits", self.adc_bits, quantizer._BITS)
         if len(set(self.adc_bits)) != len(self.adc_bits):
             raise ValueError("adc_bits must list each width once")
         bits = tuple(self.adc_bits)
@@ -343,16 +341,12 @@ def _draw_clusters(rng, batch_shape, mean_extra):
 
 
 def _eigh_dominant(q):
-    """_dominant_eig through a full eigh, for near-tied top pairs."""
+    """_dominant_eig's beam and gain for one covariance q through a full eigh, for near-tied top pairs."""
     lam, vec = np.linalg.eigh(q)
     # lowest index among numerically tied top eigenvalues, so isotropic
     # covariances resolve deterministically
-    top = lam[..., -1:]
-    first = np.argmax(lam >= top * (1.0 - 1e-12), axis=-1)
-    idx = np.expand_dims(np.expand_dims(first, -1), -1)
-    v = np.take_along_axis(vec, np.broadcast_to(idx, (*vec.shape[:-1], 1)), axis=-1)[..., 0]
-    gain = np.take_along_axis(lam, first[..., None], axis=-1)[..., 0]
-    return v, gain.real
+    first = np.argmax(lam >= lam[-1] * (1.0 - 1e-12))
+    return vec[:, first], lam[first]
 
 
 def _dominant_eig(q):

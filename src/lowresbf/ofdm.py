@@ -55,6 +55,9 @@ PILOT_SYMBOLS = 2  # leading symbols of a trial's frame that fit the equalizer's
 # largest |level| in dB a trial, a prediction or a CLI sweep accepts: it
 # keeps every 10^(x/10) and every psi*gamma product finite in float64
 MAX_ABS_DB = 300.0
+# the level rules for quantizer._check_real; NaN fails both
+_DB = (lambda v: abs(v) <= MAX_ABS_DB, f"must be within +-{MAX_ABS_DB:g} dB")
+_DB_OR_INF = (lambda v: abs(v) <= MAX_ABS_DB or v == math.inf, f"{_DB[1]} or +inf")
 
 
 @dataclass(frozen=True)
@@ -239,13 +242,6 @@ def _equalize(rx_grid, tx_grid, ref):
     return 10.0 * math.log10(1.0 / np.mean(np.abs(err) ** 2))
 
 
-def _check_db(name, value, allow_inf=False):
-    v = np.asarray(value, dtype=float)
-    if isinstance(value, bool) or not np.all((np.abs(v) <= MAX_ABS_DB) | (allow_inf & (v == math.inf))):
-        raise ValueError(f"{name} must be within +-{MAX_ABS_DB:g} dB{' or +inf' if allow_inf else ''}, "
-                         f"got {value!r}")
-
-
 def _run_chain(db, scale, psi, adc_bits, n_dac, num, n_symbols, seed):
     # db sets the noise power sig_pow * scale * 10^(-db/10); psi is the
     # interferer's power relative to the signal, 0 for none.  Everything
@@ -285,7 +281,9 @@ def run_link_trial(snr_db, n_adc, n_dac, num, n_symbols=24, seed=0):
     snr_db is the full-band input SNR; the transmit side quantizes to
     n_dac bits and the receive side to n_adc bits.
     """
-    _check_db("snr_db", snr_db)
+    quantizer._check_real("snr_db", snr_db, _DB)
+    quantizer._check_real("n_adc", n_adc, quantizer._BITS)
+    quantizer._check_real("n_dac", n_dac, quantizer._BITS)
     return _run_chain(snr_db, 1.0, 0.0, (n_adc,), n_dac, num, n_symbols, seed)[0]
 
 
@@ -300,10 +298,9 @@ def run_sdma_link_trial(sir_db, gamma0_db, adc_bits, num, n_symbols=24, seed=0):
     sees the same signal, interferer and noise: entry i equals a call
     with adc_bits=(adc_bits[i],).
     """
-    _check_db("sir_db", sir_db, allow_inf=True)
-    _check_db("gamma0_db", gamma0_db)
-    if len(adc_bits) == 0:
-        raise ValueError("adc_bits must list at least one width")
+    quantizer._check_real("sir_db", sir_db, _DB_OR_INF)
+    quantizer._check_real("gamma0_db", gamma0_db, _DB)
+    quantizer._check_entries("adc_bits", adc_bits, quantizer._BITS)
     return _run_chain(gamma0_db, num.osr, 10.0 ** (-sir_db / 10.0), adc_bits, math.inf, num, n_symbols, seed)
 
 
@@ -314,7 +311,7 @@ def predict_link_snr_db(snr_db, n_adc, num):
     1/OSR of the full-band noise, and the same factor dilutes the
     quantizer distortion.
     """
-    _check_db("snr_db", snr_db)
+    quantizer._check_real("snr_db", snr_db, _DB)
     gamma = 10.0 ** (np.asarray(snr_db, dtype=float) / 10.0) * num.osr
     q = sinr_model.sinr_quantized(gamma, num.osr, 0.0, quantizer.alpha_of(n_adc))
     return 10.0 * np.log10(q)
@@ -322,8 +319,8 @@ def predict_link_snr_db(snr_db, n_adc, num):
 
 def predict_sdma_sinr_db(sir_db, gamma0_db, n_adc, num):
     """Closed-form post-equalization SINR for the interference trial; sir_db = inf is no interferer."""
-    _check_db("sir_db", sir_db, allow_inf=True)
-    _check_db("gamma0_db", gamma0_db)
+    quantizer._check_real("sir_db", sir_db, _DB_OR_INF)
+    quantizer._check_real("gamma0_db", gamma0_db, _DB)
     psi = 10.0 ** (-np.asarray(sir_db, dtype=float) / 10.0)
     q = sinr_model.sinr_quantized(10.0 ** (gamma0_db / 10.0), num.osr, psi, quantizer.alpha_of(n_adc))
     return 10.0 * np.log10(q)

@@ -93,9 +93,7 @@ def front_end_budget(kind, n_bits):
     """
     if not isinstance(kind, str) or kind not in STREAMS:
         raise ValueError(f"kind must be one of {tuple(STREAMS)}, got {kind!r}")
-    if n_bits == math.inf:
-        raise ValueError("n_bits must be finite: an ideal converter has no power model")
-    n_bits = quantizer._check_bits(n_bits)
+    n_bits = int(quantizer._check_real("n_bits", n_bits, quantizer._FINITE_BITS))
     n = STREAMS[kind]
     p_in, p_out = _pa_dbm(kind)
     p_pa = (10.0 ** (0.1 * p_out) - 10.0 ** (0.1 * p_in)) / PA_PAE

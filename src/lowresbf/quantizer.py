@@ -55,9 +55,7 @@ def quantizer_mse(step, n_bits):
         I(a,b,c) = (Phi(b)-Phi(a))(1+c^2) - (b phi(b) - a phi(a)) - 2c(phi(a)-phi(b))
     summed over the positive half and doubled (even symmetry).
     """
-    n = _check_bits(n_bits)
-    if n == math.inf:
-        raise ValueError("n_bits must be finite: an infinite-resolution quantizer has no MSE, got inf")
+    n = int(_check_real("n_bits", n_bits, _FINITE_BITS))
     half = 1 << (n - 1)
     k = np.arange(half)
     a = k * step
@@ -107,7 +105,8 @@ def _check_int(name, v, lo, hi=None):
 # real-number rules, (test, what a violation says after the name), for _check_real
 _POSITIVE = (lambda v: 0 < v < math.inf, "must be positive and finite")
 _NONNEGATIVE = (lambda v: 0 <= v < math.inf, "must be nonnegative and finite")
-_BITS = (lambda v: v == math.inf or v in range(1, _MAX_BITS + 1), f"must be an integer in 1..{_MAX_BITS} or math.inf")
+_FINITE_BITS = (lambda v: v in range(1, _MAX_BITS + 1), f"must be an integer in 1..{_MAX_BITS}")
+_BITS = (lambda v: v == math.inf or _FINITE_BITS[0](v), f"{_FINITE_BITS[1]} or math.inf")
 
 
 def _check_real(name, v, rule):
@@ -117,17 +116,22 @@ def _check_real(name, v, rule):
     return v
 
 
-def _check_bits(n_bits, name="n_bits"):
+def _check_entries(name, seq, rule):
+    """A ValueError unless seq is a non-empty tuple or list whose every entry passes _check_real as "<name> entry"."""
+    if not isinstance(seq, (tuple, list)) or not seq:
+        raise ValueError(f"{name} must be a non-empty tuple or list, got {seq!r}")
+    for v in seq:
+        _check_real(f"{name} entry", v, rule)
+
+
+def _check_bits(n_bits):
     """A converter width, int(n_bits) in 1.._MAX_BITS (integral floats too) or math.inf; else a ValueError naming it."""
-    return math.inf if _check_real(name, n_bits, _BITS) == math.inf else int(n_bits)
+    return math.inf if _check_real("n_bits", n_bits, _BITS) == math.inf else int(n_bits)
 
 
 def optimal_step(n_bits):
-    """Step minimizing unit-Gaussian MSE for a 2^n_bits-level midrise quantizer."""
-    n = _check_bits(n_bits)
-    if n == math.inf:
-        raise ValueError("step undefined at infinite resolution")
-    return _solve(n)[0]
+    """Step minimizing unit-Gaussian MSE for a 2^n_bits-level midrise quantizer; finite n_bits only."""
+    return _solve(int(_check_real("n_bits", n_bits, _FINITE_BITS)))[0]
 
 
 def alpha_of(n_bits):

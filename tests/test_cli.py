@@ -796,6 +796,8 @@ _BAD_INPUTS = [
     # two levels with one %g form, so one sdma_link_g1.csv overwrote the other
     ("sdma-link", "[sdma]\ngamma0_db = 1,1.0000001\nadc_bits = 3\nsir_points = 1\nn_symbols = 3\n", [],
      "sdma.gamma0_db"),
+    # a band wider than its 28 GHz carrier: every SINR near -3000 dB and every rate 0 (exit 0)
+    ("cell-ofdma", "[cell]\ndrops = 1\nttis = 2\nbw_hz = 1e308\n", [], "cell.bw_hz"),
 ]
 
 

@@ -642,6 +642,8 @@ def test_config_rejects_non_real_fields(name, value):
 @pytest.mark.parametrize("name,bad,limit", [
     # 1e-300 Hz overflowed the SNR to inf and the SINR to NaN
     ("bw_hz", 1e-300, 1.0), ("bw_hz", 0.5, 1.0),
+    # 1e308 Hz gave every SINR near -3000 dB and every rate 0; at 1e20 the interior median SINR was -91 dB
+    ("bw_hz", 1e308, network.FC_HZ), ("bw_hz", 1e20, network.FC_HZ),
     # 1e160 overflowed (pi sigma)^2 in _spread_taper; -1 was rejected without a name
     ("cluster_spread_cos", 1e160, 2.0), ("cluster_spread_cos", 2.001, 2.0), ("cluster_spread_cos", -1.0, 0.0),
     # 1e19 failed in numpy's Poisson draw; 1e3 would ask for about 0.8 GB of cluster slots
@@ -655,14 +657,16 @@ def test_config_bounds_real_fields_by_name(name, bad, limit):
 
 @pytest.mark.parametrize("scheduler", network.SCHEDULERS)
 def test_drop_runs_at_real_field_limits(scheduler):
-    # the narrowest band, the most clusters and the widest spread still give finite rates and no
-    # RuntimeWarning (the suite makes those errors); a user never scheduled records a NaN SINR at rate 0
-    cfg = toy_config(bw_hz=1.0, mean_extra_clusters=16.0, cluster_spread_cos=2.0, scheduler=scheduler,
-                     adc_bits=(3,))
-    results = network.run_drop_detailed(cfg, seed=1).ue_results
-    assert any(math.isfinite(r.sinr_db) for r in results)
-    assert all(math.isfinite(r.rate_bps) and r.rate_bps >= 0 for r in results)
-    assert all(math.isfinite(r.sinr_db) or r.rate_bps == 0 for r in results)
+    # the narrowest and the widest band, the most clusters and the widest spread still give finite
+    # rates and no RuntimeWarning (the suite makes those errors); a user never scheduled records a
+    # NaN SINR at rate 0, and every scheduled user a positive rate
+    for bw_hz in (1.0, network.FC_HZ):
+        cfg = toy_config(bw_hz=bw_hz, mean_extra_clusters=16.0, cluster_spread_cos=2.0, scheduler=scheduler,
+                         adc_bits=(3,))
+        results = network.run_drop_detailed(cfg, seed=1).ue_results
+        assert any(math.isfinite(r.sinr_db) for r in results)
+        assert all(math.isfinite(r.rate_bps) and r.rate_bps >= 0 for r in results)
+        assert all(r.rate_bps > 0 if math.isfinite(r.sinr_db) else r.rate_bps == 0 for r in results)
 
 
 @pytest.mark.parametrize("value", [4, "3,4", None, (), ("3",), (None,), (True,), ([3],)])

@@ -180,6 +180,15 @@ LINK, SDMA = ofdm.run_link_trial, ofdm.run_sdma_link_trial
                  id="predict-gamma0_db-4000"),
     pytest.param(ofdm.predict_sdma_sinr_db, (-4000.0, 0.0, 3, NUM_10), "sir_db", id="predict-sir_db--4000"),
     pytest.param(ofdm.predict_sdma_sinr_db, (4000.0, 0.0, 3, NUM_10), "sir_db", id="predict-sir_db-4000"),
+    # a string and a list passed the old dB check, then failed in the arithmetic, or (predictions) ran
+    pytest.param(LINK, ("10", 4, 6, NUM_10, 3), "snr_db", id="link-snr_db-str"),
+    pytest.param(LINK, ([10.0, 5.0], 4, 6, NUM_10, 3), "snr_db", id="link-snr_db-list"),
+    pytest.param(ofdm.predict_link_snr_db, ("10", 4, NUM_10), "snr_db", id="predict-snr_db-str"),
+    pytest.param(ofdm.predict_link_snr_db, ([10.0, 5.0], 4, NUM_10), "snr_db", id="predict-snr_db-list"),
+    # a bare width failed on len(); a zero width failed after the frame was drawn, naming n_bits
+    pytest.param(SDMA, (20.0, 0.0, 3, NUM_10, 3), "adc_bits", id="sdma-adc_bits-int"),
+    pytest.param(LINK, (10.0, 4, 0, NUM_10, 3), "n_dac", id="link-n_dac-0"),
+    pytest.param(LINK, (10.0, 0, 4, NUM_10, 3), "n_adc", id="link-n_adc-0"),
 ])
 def test_trial_bad_input_rejected_by_name(fn, args, name):
     with pytest.raises(ValueError, match=name):

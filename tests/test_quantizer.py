@@ -146,6 +146,17 @@ def test_real_rule_names_input(v):
         quantizer._check_real("x", v, quantizer._POSITIVE)
 
 
+@pytest.mark.parametrize("v", [4, 4.0, np.int64(4)])
+def test_finite_bits_rule(v):
+    assert quantizer._check_real("n_bits", v, quantizer._FINITE_BITS) is v
+
+
+@pytest.mark.parametrize("v", [math.inf, math.nan, True, 0, 17, 2.5])
+def test_finite_bits_rule_names_input(v):
+    with pytest.raises(ValueError, match=r"^n_bits must be an integer in 1\.\.16, got "):
+        quantizer._check_real("n_bits", v, quantizer._FINITE_BITS)
+
+
 def test_alpha_strictly_decreasing():
     alphas = [quantizer.alpha_of(n) for n in range(1, 11)]
     assert all(a > b > 0 for a, b in zip(alphas, alphas[1:]))
@@ -344,3 +355,11 @@ def test_real_rule_lives_in_one_place():
     found = _package_type_tests({"float"}, {"floating", "Real"})
     assert "quantizer._check_real" in {f for f, _ in found}
     assert [hit for hit in found if hit[0] not in _REAL_TYPE_TEST_EXEMPT] == []
+
+
+def test_list_and_bool_rules_live_in_one_place():
+    # one rule for every list of widths or levels, and bools refused only by the integer and real rules
+    found = _package_type_tests({"tuple", "list"}, {"Sequence"})
+    assert {f for f, _ in found} == {"quantizer._check_entries"}
+    found = _package_type_tests({"bool"}, {"bool_"})
+    assert {f for f, _ in found} == {"quantizer._check_int", "quantizer._check_real", "cli._fmt"}

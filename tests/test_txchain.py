@@ -42,6 +42,16 @@ def test_butterworth_response():
         txchain.butterworth_response(True, f)
 
 
+def test_butterworth_response_at_high_order():
+    # past order ~155, (analog Nyquist / LPF_FC_HZ)^(2 order) overflows; the suite makes its
+    # RuntimeWarning an error, and the response's exact limit there is 0
+    nyquist = txchain.DAC_FS_HZ * txchain.ZOH_OVERSAMPLE / 2
+    mag = txchain.butterworth_response(1000, np.array([0.0, 4e8, nyquist]))
+    np.testing.assert_array_equal(mag, [1.0, 1.0 / np.sqrt(2.0), 0.0])
+    block = quantizer.ComplexSampleBlock(np.ones(64, dtype=complex), CHIP)
+    assert np.all(np.isfinite(txchain.apply_reconstruction_lpf(block, 1000).samples))
+
+
 def test_config_validation():
     block = quantizer.ComplexSampleBlock(np.ones(64, dtype=complex), CHIP)
     for order in (-1, True):
@@ -451,7 +461,7 @@ def test_evm_monotonicity():
     assert loud > quiet
     for bad in (-0.1, math.nan, math.inf):
         for noise in ((bad,), (1e-4, bad), (bad, 0.0)):
-            with pytest.raises(ValueError, match="noise power"):
+            with pytest.raises(ValueError, match="sigma_rf_sq entry"):
                 txchain.measure_evm(4, 1, sigma_rf_sq=noise)
 
 
